@@ -333,7 +333,7 @@ def _entry_g_abk(a=Fraction(1), b=Fraction(1), k=Fraction(0), **extra):
         "g_abk", solvable_s_ab(a, b), sab_derivation(b, k),
         {"a": a, "b": b, "k": k},
         "three-parameter extensions of the solvable family; closed but never "
-        "an algebraic soliton when b != 0",
+        "an algebraic soliton when a != 0 and b != 0",
         extra_expected=expected,
     )
 
@@ -457,7 +457,7 @@ _register(EntrySpec("g_ab", _entry_g_ab, "a, b rational",
                     "extensions of n1 with closed structures"))
 _register(EntrySpec("g_abk", _entry_g_abk, "a, b, k rational",
                     "extensions of the solvable family (no algebraic soliton "
-                    "for b != 0)"))
+                    "for a != 0 and b != 0)"))
 _register(EntrySpec("nonsolv_1", _entry_nonsolv_1, "variant in {'A', 'B'}",
                     "first trivial-Levi family (ambiguous source data)",
                     ambiguous=True))

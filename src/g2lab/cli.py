@@ -36,6 +36,7 @@ from .flow import (
 from .g2 import (
     G2Structure,
     NotClosedError,
+    NotERPError,
     NotPositiveError,
     curvature,
     erp_diagnostics,
@@ -235,7 +236,7 @@ def _cmd_g2(entry, args):
                 "ric_eigenvalue_pattern": diag.ric_eigenvalue_pattern,
                 "passed": diag.passed,
             }
-        except Exception as exc:  # not ERP
+        except NotERPError as exc:
             results["erp_diagnostics"] = {"error": str(exc)}
     return results
 
@@ -511,21 +512,18 @@ def main(argv=None) -> int:
             })
         print(_render(report, args.format))
         return EXIT_OK
-    except CliError as exc:
-        status = "ambiguous" if exc.code == EXIT_NUMERICAL else "error"
+    except (CliError, ArithmeticError) as exc:
+        code = exc.code if isinstance(exc, CliError) else EXIT_NUMERICAL
+        ambiguous = isinstance(exc, CliError) and code == EXIT_NUMERICAL
         report = {
             "schema": SCHEMA,
             "command": [args.command, getattr(args, "algebra", "")],
             "input_digest": _digest({"command": args.command}),
-            "status": status,
+            "status": "ambiguous" if ambiguous else "error",
             "results": {"error": str(exc)},
         }
         print(_render(report, args.format))
-        return exc.code
-    except (ArithmeticError,) as exc:
-        print(json.dumps({"schema": SCHEMA, "status": "error",
-                          "results": {"error": str(exc)}}, sort_keys=True))
-        return EXIT_NUMERICAL
+        return code
 
 
 if __name__ == "__main__":

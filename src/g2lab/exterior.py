@@ -111,6 +111,18 @@ def complement_table(n: int, k: int):
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _index_array(n: int, k: int) -> np.ndarray:
+    return np.array(basis_indices(n, k))
+
+
+def gram_np(ginv: np.ndarray, k: int) -> np.ndarray:
+    """Float Gram matrix on degree-k forms, k >= 1: the k x k minors of ginv."""
+    idx = _index_array(len(ginv), k)
+    sub = ginv[idx[:, None, :, None], idx[None, :, None, :]]
+    return np.linalg.det(sub) if k > 1 else sub[:, :, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # KForm
 # ---------------------------------------------------------------------------
@@ -522,11 +534,7 @@ class MetricData:
                 for i_idx in idxs
             )
         else:
-            gi = np.array(ginv)
-            idx_arr = np.array(idxs)          # (N, k)
-            sub = gi[idx_arr[:, None, :, None], idx_arr[None, :, None, :]]
-            gram_np = np.linalg.det(sub) if k > 1 else sub[:, :, 0, 0]
-            gram = tuple(tuple(row) for row in gram_np.tolist())
+            gram = tuple(tuple(row) for row in gram_np(np.array(ginv), k).tolist())
         self._gram[k] = gram
         return gram
 
@@ -572,13 +580,6 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
             op, sign = hit
             out[op] += sign * a * b
     return KForm(alpha.n, p + q, out, backend)
-
-
-def wedge_all(*forms: KForm) -> KForm:
-    result = forms[0]
-    for f in forms[1:]:
-        result = wedge(result, f)
-    return result
 
 
 def interior(vector, alpha: KForm) -> KForm:

@@ -2,8 +2,10 @@
 
 The flow evolves the 35 coefficients of a closed 3-form by
 d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
-closed cone is preserved.  Integration uses a classical 4th-order one-step
-method with step-halving error control.
+closed cone is preserved.  FlowKernel evaluates it in numpy with the same
+metric, positivity rule and torsion identity tau = -*d*phi as the float
+backend of g2, guarded by tau wedge phi = d*phi.  Integration uses a
+classical 4th-order one-step method with step-halving error control.
 
 Also provided: the closed-form self-similar solution on the one-parameter
 rank-one extensions of the coupled nilpotent algebra, the closed-form
@@ -28,10 +30,17 @@ from .exterior import (
     basis_indices,
     complement_table,
     endo_action,
-    interior_table,
+    gram_np,
     wedge_tensor,
 )
-from .g2 import G2Structure, NotClosedError, torsion
+from .g2 import (
+    G2Structure,
+    InconsistentTorsionError,
+    NotClosedError,
+    induced_bilinear_np,
+    positive_det_np,
+    torsion,
+)
 from .liealg import LieAlgebra, derivation_space
 from .scalars import FLOAT, RATIONAL
 
@@ -82,61 +91,32 @@ class FlowKernel:
         self.d2 = alg.d_matrix_np(2)
         self.d3 = alg.d_matrix_np(3)
         self.d4 = alg.d_matrix_np(4)
-        self.w22 = wedge_tensor(7, 2, 2)
         self.w23 = wedge_tensor(7, 2, 3)
-        self.w43 = wedge_tensor(7, 4, 3)[:, :, 0]
         self.s3 = _signed_complement_matrix(7, 3)
         self.s5 = _signed_complement_matrix(7, 5)
-        self.interior3 = []
-        table = interior_table(7, 3)
-        for i in range(7):
-            m = np.zeros((21, 35))
-            for pos_in, pos_out, sign in table[i]:
-                m[pos_out, pos_in] = sign
-            self.interior3.append(m)
-        self.idx2 = np.array(basis_indices(7, 2))
-        self.idx3 = np.array(basis_indices(7, 3))
-        self.idx5 = np.array(basis_indices(7, 5))
-
-    def _gram(self, ginv, idx):
-        sub = ginv[idx[:, None, :, None], idx[None, :, None, :]]
-        return np.linalg.det(sub)
 
     def metric(self, y):
-        iphi = np.stack([m @ y for m in self.interior3])  # (7, 21)
-        w = self.w43 @ y                                  # (35,)
-        q = np.einsum("abc,c->ab", self.w22, w)           # (21, 21)
-        b = (iphi @ q @ iphi.T) / 6.0
-        b = (b + b.T) / 2.0
-        det_b = float(np.linalg.det(b))
-        if det_b <= 0:
+        b = induced_bilinear_np(y)
+        det_b = positive_det_np(b)
+        if det_b is None:
             raise _Blowup("positivity lost")
-        try:
-            np.linalg.cholesky(b)
-        except np.linalg.LinAlgError:
-            raise _Blowup("positivity lost") from None
         volc = det_b ** (1.0 / 9.0)
         g = b / volc
         return g, np.linalg.inv(g), volc
 
     def torsion(self, y):
-        g, ginv, volc = self.metric(y)
-        gram3 = self._gram(ginv, self.idx3)
-        star3 = volc * (self.s3 @ gram3)
+        """tau = -*d*phi, |tau|^2 and the volume coefficient at phi = y."""
+        _, ginv, volc = self.metric(y)
+        star3 = volc * (self.s3 @ gram_np(ginv, 3))
         dstar = self.d4 @ (star3 @ y)
+        star5 = volc * (self.s5 @ gram_np(ginv, 5))
+        tau = -(star5 @ dstar)
         wphi = np.einsum("aqc,q->ca", self.w23, y)        # (21c, 21a)
-        gram5 = self._gram(ginv, self.idx5)
-        star5 = volc * (self.s5 @ gram5)
-        m = star5 @ wphi
-        proj = (2.0 * np.eye(21) - m) / 3.0
-        a = wphi @ proj
-        x, *_ = np.linalg.lstsq(a, dstar, rcond=None)
-        tau = proj @ x
         res = float(np.linalg.norm(wphi @ tau - dstar))
         if res > 1e-9 * max(1.0, float(np.linalg.norm(dstar))):
-            raise ArithmeticError("inconsistent torsion system along the flow")
-        gram2 = self._gram(ginv, self.idx2)
-        tau_nsq = float(tau @ gram2 @ tau)
+            raise InconsistentTorsionError(
+                "tau = -*d*phi fails tau wedge phi = d*phi along the flow")
+        tau_nsq = float(tau @ gram_np(ginv, 2) @ tau)
         if tau_nsq > BLOWUP_TAU_SQ:
             raise _Blowup("torsion blow-up")
         return tau, tau_nsq, volc
@@ -549,7 +529,8 @@ def self_similar_check(traj: FlowTrajectory, sol: SolitonSolution,
     lam = float(sol.lam)
     b = sol.derivation.to_float()
     tr_b = float(b.trace())
-    vol0 = G2Structure(traj.algebra, start).metric.vol_coeff
+    kernel = FlowKernel(traj.algebra)
+    vol0 = kernel.metric(start.np_coeffs)[2]
 
     picks = traj.samples
     if len(picks) > max_samples:
@@ -562,16 +543,16 @@ def self_similar_check(traj: FlowTrajectory, sol: SolitonSolution,
         scale = 1.0 + (2.0 / 3.0) * lam * sample.t
         if scale <= 0:
             raise ValueError("sample outside the soliton's maximal interval")
-        struct = G2Structure(traj.algebra, sample.phi)
-        dtau = torsion(struct).dtau
-        lhs = dtau - (lam / scale) * sample.phi \
-            - endo_action((1.0 / scale) * b, sample.phi)
-        worst_res = max(worst_res, float(lhs.max_abs()))
+        y = sample.phi.np_coeffs
+        tau, _, volc = kernel.torsion(y)
+        lhs = kernel.d2 @ tau - (lam / scale) * y \
+            - endo_action((1.0 / scale) * b, sample.phi).np_coeffs
+        worst_res = max(worst_res, float(np.max(np.abs(lhs))))
         if lam != 0.0:
             expected = scale ** (3.5 + 1.5 * tr_b / lam)
         else:
             expected = math.exp(sample.t * tr_b)
-        vol_ratio = struct.metric.vol_coeff / vol0
+        vol_ratio = volc / vol0
         worst_vol = max(worst_vol, abs(vol_ratio - expected) / max(1.0, expected))
     return SelfSimilarReport(max_soliton_residual=worst_res,
                              max_volume_deviation=worst_vol)

@@ -4,8 +4,13 @@ A positive 3-form phi induces a metric and volume via
     g(X,Y) dV = (1/6) i_X phi wedge i_Y phi wedge phi,
 and, when d phi = 0, an intrinsic torsion 2-form tau characterised by
     d(*phi) = tau wedge phi,   tau in the 14-dimensional component of Lambda^2.
-From tau one gets the Ricci tensor, the scalar curvature -|tau|^2/2, the
-Hodge Laplacian d tau of phi, and the extremally-Ricci-pinched diagnostics.
+With this module's convention Lambda^2_14 = {alpha : alpha wedge phi = -*alpha}
+and ** = 1 in dimension 7, so tau is given by the closed identity
+    tau = -*d*phi
+(Bryant, "Some remarks on G2-structures", 2005), and the torsion equation
+tau wedge phi = d*phi is kept as a guard.  From tau one gets the Ricci
+tensor, the scalar curvature -|tau|^2/2, the Hodge Laplacian d tau of phi,
+and the extremally-Ricci-pinched diagnostics.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class NotClosedError(ValueError):
 
 
 class InconsistentTorsionError(ArithmeticError):
-    """The torsion linear system has no solution within tolerance."""
+    """tau = -*d*phi fails the torsion equation tau wedge phi = d*phi."""
 
 
 class NotERPError(ValueError):
@@ -103,19 +108,24 @@ def induced_bilinear(phi: KForm):
     return b
 
 
-def _float_cholesky_ok(b) -> bool:
-    a = np.array([[float(x) for x in row] for row in b])
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
-    l = np.zeros_like(a)
-    for i in range(n):
-        s = a[i, i] - np.dot(l[i, :i], l[i, :i])
-        if s <= CHOLESKY_PIVOT_TOL * scale:
-            return False
-        l[i, i] = math.sqrt(s)
-        for j in range(i + 1, n):
-            l[j, i] = (a[j, i] - np.dot(l[j, :i], l[i, :i])) / l[i, i]
-    return True
+def positive_det_np(b: np.ndarray) -> Optional[float]:
+    """det b if the float bilinear form b is positive-definite, else None.
+
+    The float positivity rule: det b > 0, then a Cholesky factor L exists
+    with min L_ii^2 > CHOLESKY_PIVOT_TOL * max(1, max |b_ii|).  The cheap
+    determinant test comes first; it rejects most random search draws.
+    """
+    det_b = float(np.linalg.det(b))
+    if det_b <= 0:
+        return None
+    try:
+        l = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return None
+    scale = max(1.0, float(np.max(np.abs(np.diagonal(b)))))
+    if float(np.min(np.diagonal(l))) ** 2 <= CHOLESKY_PIVOT_TOL * scale:
+        return None
+    return det_b
 
 
 def is_positive(alg_or_n, phi: KForm) -> bool:
@@ -124,14 +134,10 @@ def is_positive(alg_or_n, phi: KForm) -> bool:
         return False
     if phi.is_zero():
         return False
+    if phi.backend == FLOAT:
+        return positive_det_np(induced_bilinear_np(phi.np_coeffs)) is not None
     b = induced_bilinear(phi)
-    if phi.backend == RATIONAL:
-        if linalg.det([list(r) for r in b]) <= 0:
-            return False
-        return linalg.is_positive_definite([list(r) for r in b])
-    if np.linalg.det(np.array(b)) <= 0:
-        return False
-    return _float_cholesky_ok(b)
+    return linalg.det(b) > 0 and linalg.is_positive_definite(b)
 
 
 def metric_from_phi(alg_or_n, phi: KForm) -> MetricData:
@@ -142,10 +148,10 @@ def metric_from_phi(alg_or_n, phi: KForm) -> MetricData:
     rational backend the ninth root must be exact, otherwise
     ExactBackendUnavailable asks the caller to convert to floats.
     """
-    b = induced_bilinear(phi)
     if phi.backend == RATIONAL:
-        det_b = linalg.det([list(r) for r in b])
-        if det_b <= 0 or not linalg.is_positive_definite([list(r) for r in b]):
+        b = induced_bilinear(phi)
+        det_b = linalg.det(b)
+        if det_b <= 0 or not linalg.is_positive_definite(b):
             raise NotPositiveError("not a positive 3-form")
         root = rational_nth_root(det_b, 9)
         if root is None:
@@ -154,13 +160,13 @@ def metric_from_phi(alg_or_n, phi: KForm) -> MetricData:
         g = [[x / root for x in row] for row in b]
         vol = KForm.monomial(7, tuple(range(1, 8)), root)
         return MetricData(g, vol)
-    det_b = float(np.linalg.det(np.array(b)))
-    if det_b <= 0 or not _float_cholesky_ok(b):
+    b = induced_bilinear_np(phi.np_coeffs)
+    det_b = positive_det_np(b)
+    if det_b is None:
         raise NotPositiveError("not a positive 3-form")
     root = det_b ** (1.0 / 9.0)
-    g = [[float(x) / root for x in row] for row in b]
     vol = KForm.monomial(7, tuple(range(1, 8)), root, backend=FLOAT)
-    return MetricData(g, vol)
+    return MetricData((b / root).tolist(), vol)
 
 
 @dataclass(frozen=True)
@@ -247,15 +253,6 @@ class G2Structure:
 # 2-form decomposition
 # ---------------------------------------------------------------------------
 
-def wedge_phi_star_matrix(struct: G2Structure):
-    """Matrix of alpha -> *(alpha wedge phi) on the 21 basis 2-forms."""
-    cols = []
-    for idx in basis_indices(7, 2):
-        alpha = KForm.monomial(7, tuple(i + 1 for i in idx), backend=struct.backend)
-        cols.append(struct.star(wedge(alpha, struct.phi)).coeffs)
-    return [[cols[j][i] for j in range(21)] for i in range(21)]
-
-
 def project_14(struct: G2Structure, alpha: KForm) -> KForm:
     """Projection of a 2-form onto the 14-dimensional component.
 
@@ -269,64 +266,28 @@ def project_14(struct: G2Structure, alpha: KForm) -> KForm:
     return third * (2 * alpha - star_part)
 
 
-def _lambda14_basis(struct: G2Structure):
-    """A basis of the 14-dimensional component as coefficient vectors."""
-    m = wedge_phi_star_matrix(struct)
-    if struct.backend == RATIONAL:
-        proj = [[(2 * (1 if i == j else 0) - m[i][j]) / 3 for j in range(21)]
-                for i in range(21)]
-        cols = linalg.transpose(proj)
-        red, pivots = linalg.rref(cols)
-        basis = [red[r] for r in range(len(pivots))]
-        if len(basis) != 14:
-            raise InconsistentTorsionError("projector rank %d != 14" % len(basis))
-        return basis
-    arr = (2.0 * np.eye(21) - np.array([[float(x) for x in r] for r in m])) / 3.0
-    u, s, _ = np.linalg.svd(arr)
-    count = int(np.sum(s > 1e-8 * s[0]))
-    if count != 14:
-        raise InconsistentTorsionError("projector rank %d != 14" % count)
-    return [tuple(u[:, i]) for i in range(14)]
-
-
 def torsion_form(struct: G2Structure) -> TorsionData:
     """The intrinsic torsion 2-form of a closed structure.
 
-    Solves tau wedge phi = d(*phi) by least squares over the 14-dimensional
-    component (the wedge-by-phi map is injective there) and asserts the
-    residual.
+    tau = -*d*phi.  The guard tau wedge phi = d*phi, exact in the rational
+    backend and to 1e-9 relative l2 error in float, confirms both the
+    torsion equation and tau in Lambda^2_14 (alpha wedge phi = -*alpha):
+    a failure raises InconsistentTorsionError.
     """
     if struct.backend == RATIONAL:
         if struct.closedness_residual() != 0:
             raise NotClosedError("structure is not closed")
     elif struct.closedness_residual() >= 1e-10:
         raise NotClosedError("structure is not closed")
-    rhs = struct.d(struct.star(struct.phi))
-    basis = _lambda14_basis(struct)
+    dstar = struct.d(struct.star(struct.phi))
+    tau = -struct.star(dstar)
+    gap = wedge(tau, struct.phi) - dstar
     if struct.backend == RATIONAL:
-        cols = []
-        for vec in basis:
-            form = KForm(7, 2, vec, RATIONAL)
-            cols.append(wedge(form, struct.phi).coeffs)
-        a = [[cols[j][i] for j in range(len(cols))] for i in range(21)]
-        x, res_sq = linalg.lstsq(a, list(rhs.coeffs))
-        if res_sq != 0:
-            raise InconsistentTorsionError("inconsistent torsion system")
-        tau = KForm.zero(7, 2)
-        for c, vec in zip(x, basis):
-            tau = tau + c * KForm(7, 2, vec, RATIONAL)
+        consistent = gap.is_zero()
     else:
-        cols = []
-        for vec in basis:
-            form = KForm(7, 2, vec, FLOAT)
-            cols.append(wedge(form, struct.phi).np_coeffs)
-        a = np.array(cols).T
-        b = rhs.np_coeffs
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        res = float(np.linalg.norm(a @ x - b))
-        if res > 1e-9 * max(1.0, float(np.linalg.norm(b))):
-            raise InconsistentTorsionError("inconsistent torsion system")
-        tau = KForm(7, 2, (np.array(basis).T @ x), FLOAT)
+        consistent = gap.norm_l2() <= 1e-9 * max(1.0, dstar.norm_l2())
+    if not consistent:
+        raise InconsistentTorsionError("tau = -*d*phi fails tau wedge phi = d*phi")
     tau_nsq = norm_sq(struct.metric, tau)
     return TorsionData(tau=tau, tau_norm_sq=tau_nsq, dtau=struct.d(tau))
 
@@ -512,15 +473,7 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
         return None
     kernel_np = np.array([f.np_coeffs for f in kernel])
     for _ in range(attempts):
-        x = rng.standard_normal(dim)
-        y = kernel_np.T @ x
-        b = induced_bilinear_np(y)
-        if np.linalg.det(b) <= 0:
-            continue
-        try:
-            np.linalg.cholesky(b)
-        except np.linalg.LinAlgError:
-            continue
-        if _float_cholesky_ok(b.tolist()):
+        y = kernel_np.T @ rng.standard_normal(dim)
+        if positive_det_np(induced_bilinear_np(y)) is not None:
             return KForm(7, 3, y, FLOAT)
     return None

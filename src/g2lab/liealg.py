@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .exterior import Endo, KForm, basis_indices, endo_action, wedge
+from .exterior import Endo, KForm, basis_indices, wedge
 from .scalars import RATIONAL, as_rational
 
 ZERO = Fraction(0)
@@ -494,12 +494,3 @@ def rank_one_extension(alg: LieAlgebra, d: Endo, name=None) -> LieAlgebra:
             "extension violates Jacobi (residual %s); derivation check is broken"
             % residual)
     return out
-
-
-def extension_differential(alg: LieAlgebra, d: Endo, gamma: KForm) -> KForm:
-    """d of a pulled-back form on the rank-one extension, without building it."""
-    n = alg.n
-    base = ce_differential(alg, gamma).embedded(n + 1)
-    act = endo_action(d, gamma).embedded(n + 1)
-    eta = KForm.monomial(n + 1, (n + 1,), backend=gamma.backend)
-    return base + (-1) ** (gamma.k + 1) * wedge(act, eta)

@@ -180,7 +180,6 @@ def symmetric_signature(m):
     a = mat_copy(m)
     n = len(a)
     plus = minus = zero = 0
-    idx = list(range(n))
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -229,7 +228,6 @@ def symmetric_signature(m):
                 for row in a:
                     row[i] -= f * row[k]
         k += 1
-    del idx
     return plus, minus, zero
 
 

@@ -178,6 +178,25 @@ def test_soliton_ambiguous_band_exit_5(capsys, monkeypatch):
     assert report["status"] == "ambiguous"
 
 
+def test_torsion_guard_failure_is_a_well_formed_error(capsys, monkeypatch):
+    # a failing guard inside the ERP diagnostics is an error, not "not ERP"
+    import g2lab.cli as cli_mod
+    from g2lab.g2 import InconsistentTorsionError
+
+    def broken(struct):
+        raise InconsistentTorsionError("tau = -*d*phi fails tau wedge phi = d*phi")
+
+    monkeypatch.setattr(cli_mod, "erp_diagnostics", broken)
+    code, report = run_json(capsys, "g2", "g_a", "--param", "a=1",
+                            "--erp-diagnostics")
+    assert code == 5
+    assert report["schema"] == "g2lab-report/1"
+    assert report["command"] == ["g2", "g_a"]
+    assert len(report["input_digest"]) == 64
+    assert report["status"] == "error"
+    assert "tau wedge phi" in report["results"]["error"]
+
+
 def test_g2_float_backend(capsys):
     code, report = run_json(capsys, "g2", "g_abk", "--param",
                             "a=1", "b=1", "k=0", "--backend", "float")

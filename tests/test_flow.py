@@ -256,6 +256,16 @@ def test_flow_reports_blowup_approach(g_half_struct, monkeypatch):
     assert traj.samples[-1].tau_norm_sq > 100.0 * traj.samples[0].tau_norm_sq
 
 
+def test_kernel_torsion_matches_exact():
+    from g2lab.flow import FlowKernel
+
+    for entry in catalog.closed_entry_instances():
+        exact = torsion_form(G2Structure(entry.algebra, entry.phi))
+        tau, tau_nsq, _ = FlowKernel(entry.algebra).torsion(entry.phi.to_float().np_coeffs)
+        assert np.max(np.abs(tau - exact.tau.to_float().np_coeffs)) < 1e-12, entry.params
+        assert abs(tau_nsq - float(exact.tau_norm_sq)) < 1e-12 * max(1.0, tau_nsq)
+
+
 def test_flow_requires_closed_start(g110_entry):
     from g2lab.g2 import NotClosedError
 
@@ -304,6 +314,21 @@ def test_soliton_infeasible_on_gabk():
         sol = algebraic_soliton_solve(G2Structure(entry.algebra, entry.phi))
         assert not sol.feasible
         assert sol.residual_ratio > 1e-3
+
+
+def test_gabk_shrinking_soliton_at_a_zero():
+    # the "no soliton" claim on g_abk needs a != 0: at a = 0, k = 1 the
+    # adapted form is a shrinking soliton with lambda = -4 b^2
+    from g2lab.exterior import endo_action
+
+    for b in (F(1), F(2), F(-1, 2)):
+        entry = catalog.get("g_abk", a=0, b=b, k=1)
+        struct = G2Structure(entry.algebra, entry.phi)
+        sol = algebraic_soliton_solve(struct)
+        assert sol.feasible and sol.character == "shrinking"
+        assert sol.lam == -4 * b * b
+        rhs = sol.lam * struct.phi + endo_action(sol.derivation, struct.phi)
+        assert torsion_form(struct).dtau == rhs
 
 
 def test_soliton_trivial_on_abelian(abelian7_entry):

@@ -98,6 +98,30 @@ def test_positivity_predicate():
     assert not is_positive(7, (-1 * adapted_phi()).to_float())
 
 
+def test_float_positivity_rule_agrees_with_exact():
+    from g2lab.g2 import CHOLESKY_PIVOT_TOL, positive_det_np
+
+    # e^1 -> e^1/1000 leaves b positive-definite with a first pivot of 1e-9
+    squeeze = [[F(1, 1000) if i == j == 0 else F(int(i == j)) for j in range(7)]
+               for i in range(7)]
+    squeezed = pullback(squeeze, adapted_phi())
+    # adapted_phi without e^127 under e^i -> e^i + e^{i+1}/3: b is singular,
+    # but float rounding can leave det b slightly positive, so the Cholesky
+    # step has to reject it
+    shear = [[F(1) if j == i else F(1, 3) if j == (i + 1) % 7 else F(0)
+              for j in range(7)] for i in range(7)]
+    partial = adapted_phi() - KForm.monomial(7, (1, 2, 7))
+    sheared = pullback(shear, partial)
+    assert is_positive(7, squeezed) and not is_positive(7, sheared)
+    for phi in (adapted_phi(), -1 * adapted_phi(), squeezed, sheared):
+        assert is_positive(7, phi.to_float()) == is_positive(7, phi)
+    # the pivot tolerance itself: a positive-definite b with a smaller pivot
+    # is refused, one just above it is accepted
+    assert positive_det_np(np.diag([1.0] * 6 + [0.1 * CHOLESKY_PIVOT_TOL])) is None
+    det = positive_det_np(np.diag([1.0] * 6 + [10 * CHOLESKY_PIVOT_TOL]))
+    assert det == pytest.approx(10 * CHOLESKY_PIVOT_TOL)
+
+
 # -- the 14-dimensional projection ---------------------------------------------
 
 def test_project_14_fixes_torsion_form(g110_structure):
@@ -143,19 +167,40 @@ def test_g110_torsion_exact(g110_structure):
     assert tor.tau_norm_sq == 14
 
 
-def test_g110_torsion_float_matches_exact(g110_structure):
-    exact = torsion_form(g110_structure).tau
-    struct = G2Structure(g110_structure.algebra, g110_structure.phi.to_float())
-    approx = torsion_form(struct).tau
-    assert float((exact.to_float() - approx).max_abs()) < 1e-9
+def test_g110_torsion_float_matches_exact():
+    for entry in catalog.closed_entry_instances():
+        exact = torsion_form(G2Structure(entry.algebra, entry.phi)).tau
+        approx = torsion_form(G2Structure(entry.algebra, entry.phi.to_float())).tau
+        assert float((exact.to_float() - approx).max_abs()) < 1e-9, entry.params
 
 
-def test_torsion_in_lambda14(g110_structure):
+def test_torsion_in_lambda14():
     from g2lab.exterior import hodge
 
-    tau = torsion_form(g110_structure).tau
-    # defining property of the 14-dimensional component
-    assert wedge(tau, g110_structure.phi) == -1 * hodge(g110_structure.metric, tau)
+    for entry in catalog.closed_entry_instances():
+        struct = G2Structure(entry.algebra, entry.phi)
+        tau = torsion_form(struct).tau
+        # defining property of the 14-dimensional component
+        assert wedge(tau, struct.phi) == -1 * hodge(struct.metric, tau), entry.params
+
+
+def test_torsion_guard_rejects_inconsistent_tau(g110_structure, monkeypatch):
+    import g2lab.g2 as g2_mod
+
+    # a star that flips sign on 2-forms turns tau into -tau, which breaks
+    # tau wedge phi = d*phi; the guard must refuse it
+    structs = [g110_structure,
+               G2Structure(g110_structure.algebra, g110_structure.phi.to_float())]
+    real_star = G2Structure.star
+
+    def flipped(self, form):
+        out = real_star(self, form)
+        return -out if form.k == 5 else out
+
+    monkeypatch.setattr(G2Structure, "star", flipped)
+    for struct in structs:
+        with pytest.raises(g2_mod.InconsistentTorsionError):
+            torsion_form(struct)
 
 
 def test_torsion_requires_closedness():
