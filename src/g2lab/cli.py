@@ -303,6 +303,8 @@ def _cmd_soliton(entry, args):
 
 
 def _cmd_flow(entry, args):
+    if not 0 < args.t_end < float("inf"):
+        raise CliError("--t-end must be a positive number", EXIT_PARSE)
     struct = _structure_from_args(entry, args)
     try:
         traj = laplacian_flow(struct, args.t_end, dt0=args.dt, tol=args.tol)
@@ -353,6 +355,8 @@ def _compare_closed_form(entry, traj, which):
 
 
 def _cmd_search_closed(entry, args):
+    if args.attempts < 0:
+        raise CliError("--attempts must not be negative", EXIT_PARSE)
     phi = search_closed_positive(entry.algebra, attempts=args.attempts,
                                  seed=args.seed,
                                  initial=entry.phi)

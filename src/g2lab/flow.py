@@ -156,8 +156,9 @@ class FlowTrajectory:
         return self.samples[-1]
 
 
-def _rk4_step(f, y, h):
-    k1 = f(y)
+def _rk4_step(f, y, h, k1=None):
+    if k1 is None:
+        k1 = f(y)
     k2 = f(y + 0.5 * h * k1)
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
@@ -169,9 +170,10 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     """Integrate d phi/dt = Delta phi from a closed positive structure.
 
     Local error per step is estimated by comparing one full step against two
-    half steps and kept below tol * h (tol is per unit time).  The integrator
-    stops early with status "blowup-approach" when |tau|^2 exceeds 1e12 or
-    positivity fails inside a step.
+    half steps and kept below tol * h (tol is per unit time); both start from
+    the right-hand side at the accepted state, computed once with its sample.
+    The integrator stops early with status "blowup-approach" when |tau|^2
+    exceeds 1e12 or positivity fails inside a step.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -196,8 +198,9 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
             tau_norm_sq=tau_nsq,
             scal=-0.5 * tau_nsq,
         ))
+        return kernel.d2 @ tau  # f(y_now), the next step's k1
 
-    record(t, y)
+    k1 = record(t, y)
     stalled = False
     just_rejected = False
     try:
@@ -207,8 +210,8 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
                 stalled = True
                 break
             try:
-                full = _rk4_step(kernel.rhs, y, h)
-                half = _rk4_step(kernel.rhs, y, 0.5 * h)
+                full = _rk4_step(kernel.rhs, y, h, k1)
+                half = _rk4_step(kernel.rhs, y, 0.5 * h, k1)
                 half = _rk4_step(kernel.rhs, half, 0.5 * h)
             except _Blowup:
                 # positivity lost inside a trial: may be pure overshoot, so
@@ -225,7 +228,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
             if err <= bound:
                 y = half
                 t = t + h
-                record(t, y)
+                k1 = record(t, y)
                 growth = 1.0 if just_rejected else 2.0
                 factor = growth if err == 0 \
                     else min(growth, 0.9 * (bound / err) ** 0.25)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .exterior import Endo, KForm, basis_indices, wedge
+from .exterior import Endo, KForm, basis_indices, index_position, wedge, wedge_pairs
 from .scalars import RATIONAL, as_rational
 
 ZERO = Fraction(0)
@@ -52,7 +52,7 @@ class LieAlgebra:
         self._brackets = table
         self._d_matrices = {}
         self._d_matrices_np = {}
-        if check and self.check_jacobi() != 0:
+        if check and check_jacobi(self) != 0:
             raise InvalidStructureError("structure equations violate the Jacobi identity")
 
     # -- bracket -------------------------------------------------------------
@@ -88,39 +88,28 @@ class LieAlgebra:
 
     # -- differential ----------------------------------------------------------
 
-    def d_monomial(self, idx) -> KForm:
-        """d of the basis monomial e^{idx} (0-based increasing tuple)."""
-        n = self.n
-        k = len(idx)
-        out = KForm.zero(n, k + 1, RATIONAL)
-        for p in range(k):
-            left = KForm.monomial(n, tuple(i + 1 for i in idx[:p])) \
-                if p else KForm.from_terms(n, 0, {(): 1})
-            right = KForm.monomial(n, tuple(i + 1 for i in idx[p + 1:])) \
-                if p + 1 < k else KForm.from_terms(n, 0, {(): 1})
-            term = wedge(wedge(left, self.d1[idx[p]]), right)
-            out = out + (-1) ** p * term
-        return out
-
     def d_matrix(self, k: int):
-        """Exact matrix of d: degree k -> degree k+1 (rows = target basis)."""
-        if k in self._d_matrices:
-            return self._d_matrices[k]
-        n = self.n
-        if k >= n:
-            m = []
-        else:
+        """Exact matrix of d: degree k -> degree k+1 (rows = target basis).
+
+        Column e^I is d e^I = sum_p (-1)^p de^{I_p} ^ e^{I - I_p}.
+        """
+        if k not in self._d_matrices:
+            n = self.n
             src = basis_indices(n, k)
-            m = [[ZERO] * len(src) for _ in range(len(basis_indices(n, k + 1)))]
-            for col, idx in enumerate(src):
-                if k == 0:
-                    continue  # d of constants vanishes
-                df = self.d_monomial(idx)
-                for row, c in enumerate(df.coeffs):
-                    if c != 0:
-                        m[row][col] = c
-        self._d_matrices[k] = m
-        return m
+            m = [[ZERO] * len(src) for _ in basis_indices(n, k + 1)]  # [] for k >= n
+            if 0 < k < n:  # d of constants vanishes
+                pairs, rest_pos = wedge_pairs(n, 2, k - 1), index_position(n, k - 1)
+                terms = [[(pos, c) for pos, c in enumerate(f.coeffs) if c != 0]
+                         for f in self.d1]
+                for col, idx in enumerate(src):
+                    for p, i in enumerate(idx):
+                        rest = rest_pos[idx[:p] + idx[p + 1:]]
+                        for pos, c in terms[i]:
+                            hit = pairs.get((pos, rest))
+                            if hit is not None:
+                                m[hit[0]][col] += (-1) ** p * hit[1] * c
+            self._d_matrices[k] = m
+        return self._d_matrices[k]
 
     def d_matrix_np(self, k: int) -> np.ndarray:
         if k not in self._d_matrices_np:
@@ -253,15 +242,21 @@ def _bracket_span(alg, ubasis, vbasis):
     return _span(prods, alg.n)
 
 
+def _trace_form(ads):
+    """[[tr(a_i a_j)]] = [[sum_{a,b} a_i[a][b] a_j[b][a]]] over the nonzero a_i[a][b]."""
+    m = len(ads)
+    out = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        nonzero = [(a, b, x) for a, row in enumerate(ads[i])
+                   for b, x in enumerate(row) if x != 0]
+        for j in range(i, m):
+            adj = ads[j]
+            out[i][j] = out[j][i] = sum((x * adj[b][a] for a, b, x in nonzero), ZERO)
+    return out
+
+
 def killing_matrix(alg: LieAlgebra):
-    ads = [alg.ad(i) for i in range(alg.n)]
-    return [
-        [
-            sum((linalg.matmul(ads[i], ads[j])[k][k] for k in range(alg.n)), ZERO)
-            for j in range(alg.n)
-        ]
-        for i in range(alg.n)
-    ]
+    return _trace_form([alg.ad(i) for i in range(alg.n)])
 
 
 def radical_basis(alg: LieAlgebra):
@@ -352,16 +347,9 @@ def _levi3_type(alg, radical):
     # quotient structure constants on the complement classes
     structure = [[quotient_coords(alg.bracket(comp[i], comp[j])) for j in range(q)]
                  for i in range(q)]
-    ad_q = []
-    for i in range(q):
-        ad_q.append([[structure[i][j][k] for j in range(q)] for k in range(q)])
-    kil = [
-        [
-            sum((linalg.matmul(ad_q[i], ad_q[j])[k][k] for k in range(q)), ZERO)
-            for j in range(q)
-        ]
-        for i in range(q)
-    ]
+    ad_q = [[[structure[i][j][k] for j in range(q)] for k in range(q)]
+            for i in range(q)]
+    kil = _trace_form(ad_q)
     plus, minus, zero = linalg.symmetric_signature(kil)
     if zero > 0:
         return None  # degenerate: quotient not semisimple, should not happen

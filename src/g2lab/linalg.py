@@ -1,8 +1,9 @@
 """Dense exact-rational linear algebra.
 
 Small, self-contained Gaussian-elimination kernel over ``fractions.Fraction``.
-Matrices are lists of lists (row major).  Everything here is exact: ranks,
-nullspaces and least-squares solutions never depend on float thresholds.
+Matrices are lists of lists (row major); products skip zero entries.
+Everything here is exact: ranks, nullspaces and least-squares solutions
+never depend on float thresholds.
 The float-backend counterparts of these routines live in numpy and are called
 directly where needed.
 """
@@ -73,15 +74,14 @@ def nullspace(m, ncols=None):
 
 
 def matvec(m, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m]
+    nonzero = [(j, x) for j, x in enumerate(v) if x != 0]
+    return [sum((row[j] * x for j, x in nonzero), ZERO) for row in m]
 
 
 def matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), ZERO) for j in range(cols)]
-        for i in range(rows)
-    ]
+    cols = range(len(b[0]))
+    rows = ([(x, brow) for x, brow in zip(row, b) if x != 0] for row in a)
+    return [[sum((x * brow[j] for x, brow in nz), ZERO) for j in cols] for nz in rows]
 
 
 def transpose(m):

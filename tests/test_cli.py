@@ -234,6 +234,21 @@ def test_flow_abelian_constant(capsys):
     assert report["results"]["tau_norm_sq_final"] < 1e-15
 
 
+def assert_parse_error_report(code, report, command):
+    assert code == 2
+    assert report["schema"] == "g2lab-report/1"
+    assert report["command"] == command
+    assert len(report["input_digest"]) == 64
+    assert report["status"] == "error"
+
+
+def test_flow_non_positive_t_end_exit_2(capsys):
+    code, report = run_json(capsys, "flow", "g_a", "--param", "a=1/2",
+                            "--t-end", "0")
+    assert_parse_error_report(code, report, ["flow", "g_a"])
+    assert "--t-end" in report["results"]["error"]
+
+
 # -- search-closed -------------------------------------------------------------------
 
 def test_search_closed_ffkm(capsys):
@@ -248,6 +263,12 @@ def test_search_closed_zero_attempts(capsys):
                             "--attempts", "0")
     assert code == 0
     assert report["results"]["found"] is False
+
+
+def test_search_closed_negative_attempts_exit_2(capsys):
+    code, report = run_json(capsys, "search-closed", "ffkm_n", "--attempts", "-5")
+    assert_parse_error_report(code, report, ["search-closed", "ffkm_n"])
+    assert "--attempts" in report["results"]["error"]
 
 
 # -- catalog and global behaviour ------------------------------------------------------

@@ -11,6 +11,12 @@ def run_demo(name, capsys):
     return capsys.readouterr().out
 
 
+def test_demo_lie_algebra_cohomology(capsys):
+    out = run_demo("02_lie_algebra_cohomology.py", capsys)
+    assert "the diagonal derivation is a member: True" in out
+    assert "extension satisfies Jacobi: True" in out
+
+
 def test_demo_closed_structures_and_torsion(capsys):
     out = run_demo("03_closed_structures_and_torsion.py", capsys)
     assert "pi_14 fixes tau: True" in out

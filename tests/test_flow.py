@@ -266,6 +266,25 @@ def test_kernel_torsion_matches_exact():
         assert abs(tau_nsq - float(exact.tau_norm_sq)) < 1e-12 * max(1.0, tau_nsq)
 
 
+def test_flow_evaluates_torsion_at_most_11_times_per_step(g_half_struct, monkeypatch):
+    # the full step and the first half step share k1, taken from the torsion
+    # the accepted state's sample already computed
+    from g2lab.flow import FlowKernel
+
+    calls = []
+    torsion = FlowKernel.torsion
+
+    def counted(self, y):
+        calls.append(1)
+        return torsion(self, y)
+
+    monkeypatch.setattr(FlowKernel, "torsion", counted)
+    traj = laplacian_flow(g_half_struct, 0.05, dt0=1e-3, tol=1e-9)
+    accepted = len(traj.samples) - 1
+    assert traj.status == "completed" and accepted > 5
+    assert len(calls) <= 11 * accepted + 1
+
+
 def test_flow_requires_closed_start(g110_entry):
     from g2lab.g2 import NotClosedError
 

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 
+from g2lab import catalog, linalg
 from g2lab.catalog import (
     lauret_derivation,
     nilpotent_n1,
@@ -12,8 +14,9 @@ from g2lab.catalog import (
     sab_derivation,
     solvable_s_ab,
 )
-from g2lab.exterior import Endo, KForm, endo_action, wedge
+from g2lab.exterior import Endo, KForm, basis_indices, endo_action, wedge
 from g2lab.liealg import (
+    InvalidStructureError,
     LieAlgebra,
     abelian,
     betti,
@@ -24,13 +27,28 @@ from g2lab.liealg import (
     from_structure_equations,
     is_derivation,
     is_unimodular,
+    killing_matrix,
     radical_basis,
     rank_one_extension,
     structure_flags,
 )
 from g2lab.su3 import adapted_su3_pair
 
-from oracles import sympy_nullity, sympy_rank
+from oracles import kform_to_terms, sympy_nullity, sympy_rank, wedge_oracle
+
+SO3 = {1: {(2, 3): -1}, 2: {(3, 1): -1}, 3: {(1, 2): -1}}
+SL2 = {1: {(2, 3): -1}, 2: {(1, 2): -2}, 3: {(1, 3): 2}}
+
+
+def oracle_algebras():
+    """Every catalog entry at default or representative parameters, plus
+    so(3), sl(2,R) and the abelian algebra of dimension 5."""
+    algs = [catalog.get(eid).algebra for eid in catalog.entry_ids()
+            if not catalog.describe(eid).ambiguous]
+    algs += [catalog.get("nonsolv_1", variant=v).algebra for v in ("A", "B")]
+    algs += [from_structure_equations(3, SO3), from_structure_equations(3, SL2),
+             abelian(5)]
+    return algs
 
 
 # -- Chevalley-Eilenberg differential ------------------------------------------
@@ -197,16 +215,14 @@ def test_structure_flags_levi(n2_entry):
 
 def test_su2_detected_by_killing_signature():
     # so(3): [e1,e2] = e3, [e2,e3] = e1, [e3,e1] = e2
-    so3 = from_structure_equations(
-        3, {1: {(2, 3): -1}, 2: {(3, 1): -1}, 3: {(1, 2): -1}})
+    so3 = from_structure_equations(3, SO3)
     assert check_jacobi(so3) == 0
     flags = structure_flags(so3)
     assert flags.radical_dim == 0 and flags.levi_type == "su2"
 
 
 def test_sl2_direct():
-    sl2 = from_structure_equations(
-        3, {1: {(2, 3): -1}, 2: {(1, 2): -2}, 3: {(1, 3): 2}})
+    sl2 = from_structure_equations(3, SL2)
     flags = structure_flags(sl2)
     assert flags.levi_type == "sl2R" and flags.semisimple
 
@@ -314,3 +330,95 @@ def test_lie_algebra_json_roundtrip(sab_12):
 def test_structure_equations_require_rational_backend():
     with pytest.raises(ValueError):
         LieAlgebra([KForm.zero(3, 2).to_float()] * 3)
+
+
+def test_constructor_check_validates_jacobi():
+    LieAlgebra(abelian(3).d1, check=True)
+    LieAlgebra(nilpotent_n2().d1, check=True)
+    broken = from_structure_equations(
+        6, {5: {(1, 4): 1, (2, 3): 1}, 6: {(1, 3): 1, (2, 4): -1, (1, 5): 1}})
+    with pytest.raises(InvalidStructureError):
+        LieAlgebra(broken.d1, check=True)
+
+
+# -- the exact kernel against independent oracles ----------------------------------
+
+def test_killing_matrix_matches_sympy_trace():
+    for alg in oracle_algebras():
+        ads = [sympy.Matrix(alg.ad(i)) for i in range(alg.n)]
+        expected = [[(ads[i] * ads[j]).trace() for j in range(alg.n)]
+                    for i in range(alg.n)]
+        assert killing_matrix(alg) == expected, alg
+
+
+def _leibniz_columns(alg):
+    """d e^I for every increasing I of degree < n, by the Leibniz rule
+    d(e^i ^ e^J) = de^i ^ e^J - e^i ^ de^J with the shuffle-sum wedge."""
+    n = alg.n
+    d1 = [kform_to_terms(f) for f in alg.d1]
+    cols = {(): {}}
+    for k in range(1, n):
+        for idx in basis_indices(n, k):
+            i, rest = idx[0], idx[1:]
+            out = wedge_oracle(d1[i], 2, {rest: F(1)}, k - 1, n) if d1[i] else {}
+            if cols[rest]:
+                for key, c in wedge_oracle({(i,): F(1)}, 1, cols[rest], k, n).items():
+                    out[key] = out.get(key, F(0)) - c
+            cols[idx] = {key: c for key, c in out.items() if c != 0}
+    return cols
+
+
+def test_d_matrix_matches_leibniz_oracle():
+    for alg in oracle_algebras():
+        n = alg.n
+        cols = _leibniz_columns(alg)
+        for k in range(n + 1):
+            m = alg.d_matrix(k)
+            if k == n:
+                assert m == []
+                continue
+            rows = basis_indices(n, k + 1)
+            assert len(m) == len(rows)
+            for col, idx in enumerate(basis_indices(n, k)):
+                got = {rows[r]: m[r][col] for r in range(len(rows)) if m[r][col] != 0}
+                assert got == cols[idx], (alg, idx)
+            if k + 1 < n:  # d o d = 0, summed over the nonzero entries of d_k
+                support = [[(r, row[col]) for r, row in enumerate(m) if row[col] != 0]
+                           for col in range(len(basis_indices(n, k)))]
+                for row in alg.d_matrix(k + 1):
+                    for col in support:
+                        assert sum(row[r] * x for r, x in col) == 0
+
+
+def _sparse_rational(rng, rows, cols, density=0.3):
+    m = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+          if rng.random() < density else F(0) for _ in range(cols)]
+         for _ in range(rows)]
+    if rows > 1:
+        m[int(rng.integers(0, rows))] = [F(0)] * cols
+    if cols > 1:
+        c = int(rng.integers(0, cols))
+        for row in m:
+            row[c] = F(0)
+    return m
+
+
+def test_matvec_and_matmul_match_sympy():
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        r, inner, c = (int(x) for x in rng.integers(1, 9, size=3))
+        a = _sparse_rational(rng, r, inner)
+        b = _sparse_rational(rng, inner, c)
+        v = _sparse_rational(rng, 1, inner)[0]
+        if trial % 5 == 0:
+            v = [F(0)] * inner
+        if trial % 7 == 0:
+            a = [[F(0)] * inner for _ in range(r)]
+        expected_mv = list(sympy.Matrix(a) * sympy.Matrix(v))
+        expected_mm = (sympy.Matrix(a) * sympy.Matrix(b)).tolist()
+        got_mv = linalg.matvec(a, v)
+        got_mm = linalg.matmul(a, b)
+        assert got_mv == expected_mv
+        assert got_mm == expected_mm
+        assert all(type(x) is F for x in got_mv)
+        assert all(type(x) is F for row in got_mm for x in row)
