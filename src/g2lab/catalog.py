@@ -17,6 +17,7 @@ from typing import Callable, Optional
 from .exterior import Endo, KForm, wedge
 from .g2 import adapted_phi, is_positive
 from .liealg import (
+    InvalidStructureError,
     LieAlgebra,
     _bracket_span,
     abelian,
@@ -103,7 +104,8 @@ def _verify(entry: CatalogEntry):
     alg = entry.algebra
     exp = entry.expected
     if check_jacobi(alg) != 0:
-        raise CatalogVerificationError("%s: Jacobi fails" % entry.id)
+        raise InvalidStructureError("%s: structure equations violate the Jacobi identity"
+                                    % entry.id)
     checks = []
     if "unimodular" in exp:
         checks.append(("unimodular", is_unimodular(alg), exp["unimodular"]))

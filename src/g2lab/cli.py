@@ -45,6 +45,7 @@ from .g2 import (
     torsion_form,
 )
 from .liealg import (
+    InvalidStructureError,
     LieAlgebra,
     betti,
     check_jacobi,
@@ -74,6 +75,10 @@ class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        # sweep workers send errors back pickled; keep the code with the message
+        return (CliError, (str(self), self.code))
 
 
 def _parse_params(tokens):
@@ -120,24 +125,24 @@ def _load_algebra(spec, params):
             raise CliError("malformed algebra JSON: %s" % exc, EXIT_PARSE) from None
         if params:
             raise CliError("--param applies to catalog entries only", EXIT_PARSE)
-        entry = catalog.CatalogEntry(
+        if check_jacobi(alg) != 0:
+            raise CliError("structure equations violate the Jacobi identity",
+                           EXIT_INVALID_ALGEBRA)
+        return catalog.CatalogEntry(
             id=spec, algebra=alg, params={}, su3_pair=None, phi=None,
             expected={}, description="file input")
-    else:
-        try:
-            entry = catalog.get(spec, **params)
-        except catalog.UnknownEntryError:
-            raise CliError("unknown catalog entry %r" % spec, EXIT_PARSE) from None
-        except catalog.AmbiguousEntryError as exc:
-            raise CliError(str(exc), EXIT_PARSE) from None
-        except catalog.ParamError as exc:
-            raise CliError(str(exc), EXIT_PARSE) from None
-        except TypeError as exc:
-            raise CliError("bad parameters: %s" % exc, EXIT_PARSE) from None
-    if check_jacobi(entry.algebra) != 0:
-        raise CliError("structure equations violate the Jacobi identity",
-                       EXIT_INVALID_ALGEBRA)
-    return entry
+    try:
+        return catalog.get(spec, **params)
+    except catalog.UnknownEntryError:
+        raise CliError("unknown catalog entry %r" % spec, EXIT_PARSE) from None
+    except (catalog.AmbiguousEntryError, catalog.ParamError) as exc:
+        raise CliError(str(exc), EXIT_PARSE) from None
+    except TypeError as exc:
+        raise CliError("bad parameters: %s" % exc, EXIT_PARSE) from None
+    except InvalidStructureError as exc:
+        raise CliError(str(exc), EXIT_INVALID_ALGEBRA) from None
+    except catalog.CatalogVerificationError as exc:
+        raise CliError(str(exc), EXIT_INVALID_STRUCTURE) from None
 
 
 def _digest(payload) -> str:

@@ -470,9 +470,10 @@ class MetricData:
         if volc <= 0:
             raise ValueError("volume coefficient must be positive")
         if backend == RATIONAL:
-            if not linalg.is_positive_definite([list(r) for r in rows]):
+            det_g = linalg.positive_det([list(r) for r in rows])
+            if det_g is None:
                 raise ValueError("metric must be positive-definite")
-            if linalg.det([list(r) for r in rows]) != volc * volc:
+            if det_g != volc * volc:
                 raise ValueError("volume form inconsistent with det(g)")
         else:
             arr = np.array(rows)

@@ -196,7 +196,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
             t=t_now,
             phi=KForm(7, 3, y_now, FLOAT),
             tau_norm_sq=tau_nsq,
-            scal=-0.5 * tau_nsq,
+            scal=0.0 - 0.5 * tau_nsq,  # +0.0, not -0.0, at zero torsion
         ))
         return kernel.d2 @ tau  # f(y_now), the next step's k1
 

@@ -137,7 +137,7 @@ def is_positive(alg_or_n, phi: KForm) -> bool:
     if phi.backend == FLOAT:
         return positive_det_np(induced_bilinear_np(phi.np_coeffs)) is not None
     b = induced_bilinear(phi)
-    return linalg.det(b) > 0 and linalg.is_positive_definite(b)
+    return linalg.positive_det(b) is not None
 
 
 def metric_from_phi(alg_or_n, phi: KForm) -> MetricData:
@@ -150,8 +150,8 @@ def metric_from_phi(alg_or_n, phi: KForm) -> MetricData:
     """
     if phi.backend == RATIONAL:
         b = induced_bilinear(phi)
-        det_b = linalg.det(b)
-        if det_b <= 0 or not linalg.is_positive_definite(b):
+        det_b = linalg.positive_det(b)
+        if det_b is None:
             raise NotPositiveError("not a positive 3-form")
         root = rational_nth_root(det_b, 9)
         if root is None:
@@ -205,9 +205,8 @@ class ERPDiagnostics:
 class G2Structure:
     """A positive 3-form on a 7-dimensional Lie algebra with derived metric.
 
-    The metric, volume and the Hodge Gram tables for the degrees used by the
-    torsion and curvature computations are built eagerly; afterwards every
-    method is read-only.
+    The metric and volume are built at construction; the Hodge Gram tables
+    are cached by the metric on first use.
     """
 
     def __init__(self, algebra: LieAlgebra, phi: KForm):
@@ -218,8 +217,6 @@ class G2Structure:
         self.algebra = algebra
         self.phi = phi
         self.metric = metric_from_phi(algebra, phi)
-        for k in (2, 3, 4, 5):
-            self.metric.gram(k)
         self._torsion: Optional[TorsionData] = None
 
     @property
@@ -347,7 +344,7 @@ def curvature(struct: G2Structure) -> CurvatureData:
               for k in range(7))
         for i in range(7)
     )
-    scal = -half * tor.tau_norm_sq
+    scal = 0 - half * tor.tau_norm_sq  # not -half * x: zero torsion gives +0.0
     ginv = struct.metric.g_inv()
     trace = sum(ginv[i][k] * ric[i][k] for i in range(7) for k in range(7))
     tol = 1e-8 * max(1.0, abs(float(scal)))
@@ -440,14 +437,13 @@ def closed_3form_basis(alg: LieAlgebra):
 
 
 def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
-                           initial: Optional[KForm] = None,
-                           backend=FLOAT) -> Optional[KForm]:
+                           initial: Optional[KForm] = None) -> Optional[KForm]:
     """Randomized search for a closed positive 3-form.
 
-    Samples coefficient combinations in ker(d) with a seeded generator
-    (standard normal in the float backend, small integers in the rational
-    one) and returns the first positive sample, or None.  An optional
-    initial candidate is tried first.
+    Samples standard-normal coefficient combinations of a basis of ker(d)
+    with a seeded generator and returns the first positive sample as a
+    float-backend form, or None.  An optional initial candidate is tried
+    first and returned unchanged.
     """
     if alg.n != 7:
         raise ValueError("search needs a 7-dimensional algebra")
@@ -460,20 +456,9 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
     if not kernel:
         return None
     rng = np.random.default_rng(seed)
-    dim = len(kernel)
-    if backend == RATIONAL:
-        for _ in range(attempts):
-            coeffs = rng.integers(-3, 4, size=dim)
-            phi = KForm.zero(7, 3)
-            for c, form in zip(coeffs, kernel):
-                if c:
-                    phi = phi + int(c) * form
-            if is_positive(alg, phi):
-                return phi
-        return None
     kernel_np = np.array([f.np_coeffs for f in kernel])
     for _ in range(attempts):
-        y = kernel_np.T @ rng.standard_normal(dim)
+        y = kernel_np.T @ rng.standard_normal(len(kernel))
         if positive_det_np(induced_bilinear_np(y)) is not None:
             return KForm(7, 3, y, FLOAT)
     return None

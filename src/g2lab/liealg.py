@@ -324,38 +324,30 @@ def structure_flags(alg: LieAlgebra) -> StructureFlags:
 
 
 def _levi3_type(alg, radical):
-    """Killing-signature type of the 3-dim semisimple quotient g/rad."""
+    """Type of the 3-dim semisimple quotient g/rad from its Killing form K.
+
+    "su2" when K is negative definite, "sl2R" when det K < 0 (exactly one
+    negative square), otherwise None.  The standard vectors on the non-pivot
+    columns of rref(radical) complete the radical to a basis of g.
+    """
     n = alg.n
-    rows = [list(b) for b in radical]
-    # complete the radical to a basis with standard vectors
-    comp = []
-    for i in range(n):
-        cand = [ZERO] * n
-        cand[i] = Fraction(1)
-        trial = rows + [list(b) for b in comp] + [cand]
-        if linalg.rank(trial) == len(trial):
-            comp.append(tuple(cand))
-    basis = [tuple(r) for r in rows] + comp
-    to_coords = linalg.inverse(linalg.transpose([list(b) for b in basis]))
-    m = len(radical)
-    q = len(comp)
+    red, pivots = linalg.rref([list(b) for b in radical])
+    free = [c for c in range(n) if c not in pivots]
 
     def quotient_coords(vec):
-        coords = linalg.matvec(to_coords, list(vec))
-        return coords[m:]
+        # vec = sum_r vec[p_r] red_r + sum_c beta_c e_c; read beta off the free columns
+        return [vec[c] - sum((vec[p] * red[r][c] for r, p in enumerate(pivots)), ZERO)
+                for c in free]
 
-    # quotient structure constants on the complement classes
-    structure = [[quotient_coords(alg.bracket(comp[i], comp[j])) for j in range(q)]
-                 for i in range(q)]
+    comp = [tuple(Fraction(int(i == c)) for i in range(n)) for c in free]
+    structure = [[quotient_coords(alg.bracket(u, v)) for v in comp] for u in comp]
+    q = len(comp)
     ad_q = [[[structure[i][j][k] for j in range(q)] for k in range(q)]
             for i in range(q)]
     kil = _trace_form(ad_q)
-    plus, minus, zero = linalg.symmetric_signature(kil)
-    if zero > 0:
-        return None  # degenerate: quotient not semisimple, should not happen
-    if minus == 3:
+    if linalg.positive_det([[-x for x in row] for row in kil]) is not None:
         return "su2"
-    if (plus, minus) == (2, 1):
+    if linalg.det(kil) < 0:
         return "sl2R"
     return None
 
@@ -369,7 +361,7 @@ class DerivationSpace:
     basis: tuple
     dim: int
 
-    def contains(self, endo: Endo, tol=0) -> bool:
+    def contains(self, endo: Endo) -> bool:
         """Exact membership of an endomorphism in the span of the basis."""
         cols = [[b.rows[i][j] for b in self.basis]
                 for i in range(endo.n) for j in range(endo.n)]

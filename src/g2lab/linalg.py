@@ -2,8 +2,12 @@
 
 Small, self-contained Gaussian-elimination kernel over ``fractions.Fraction``.
 Matrices are lists of lists (row major); products skip zero entries.
-Everything here is exact: ranks, nullspaces and least-squares solutions
-never depend on float thresholds.
+There are three elimination loops: ``rref`` (ranks, inverses, and each
+linear system, whose solution and kernel are read off one reduction),
+``det``, and ``positive_det``, the one positivity rule: positive definite
+by the pivots of an elimination without row exchanges (Sylvester).
+Everything here is exact: ranks, nullspaces, positivity and least-squares
+solutions never depend on float thresholds.
 The float-backend counterparts of these routines live in numpy and are called
 directly where needed.
 """
@@ -55,22 +59,26 @@ def rank(m) -> int:
     return len(rref(m)[1])
 
 
+def _kernel(red, pivots, ncols):
+    """Kernel basis of the first ``ncols`` columns of an rref, one vector per free column."""
+    lead = [(r, pc) for r, pc in enumerate(pivots) if pc < ncols]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for r, pc in lead:
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
 def nullspace(m, ncols=None):
     """Basis of the kernel of ``m`` acting on column vectors."""
     if ncols is None:
         ncols = len(m[0]) if m else 0
-    if not m:
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
-    a, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
+    return _kernel(*rref(m), ncols)
 
 
 def matvec(m, v):
@@ -114,6 +122,29 @@ def det(m) -> Fraction:
     return sign * result
 
 
+def positive_det(m):
+    """det m if every leading principal minor of m is positive, else None.
+
+    Elimination without row exchanges: the k-th pivot is D_k / D_{k-1}, so
+    all pivots are positive exactly when all leading minors D_k are, which
+    for a symmetric m is positive-definiteness (Sylvester's criterion); the
+    product of the pivots is det m.
+    """
+    a = mat_copy(m)
+    n = len(a)
+    result = ONE
+    for c in range(n):
+        pv = a[c][c]
+        if pv <= 0:
+            return None
+        result *= pv
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] / pv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return result
+
+
 def inverse(m):
     n = len(m)
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
@@ -123,27 +154,27 @@ def inverse(m):
     return [row[n:] for row in red]
 
 
-def solve(m, b):
-    """One exact solution of ``m x = b`` or None if inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [list(m[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
+def solve_affine(m, b):
+    """All solutions of ``m x = b`` as (particular, nullspace basis), from one rref.
+
+    Returns (None, basis) when the system is inconsistent.  The first
+    ``cols`` columns of rref([m | b]) are rref(m), so the kernel is read off
+    the same elimination.
+    """
+    cols = len(m[0]) if m else 0
+    red, pivots = rref([list(row) + [bi] for row, bi in zip(m, b)])
+    null = _kernel(red, pivots, cols)
     if cols in pivots:
-        return None
+        return None, null
     x = [ZERO] * cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
-    return x
+    return x, null
 
 
-def solve_affine(m, b):
-    """All solutions of ``m x = b`` as (particular, nullspace basis).
-
-    Returns (None, basis) when the system is inconsistent.
-    """
-    part = solve(m, b)
-    return part, nullspace(m)
+def solve(m, b):
+    """One exact solution of ``m x = b`` or None if inconsistent."""
+    return solve_affine(m, b)[0]
 
 
 def lstsq(a, b):
@@ -153,88 +184,16 @@ def lstsq(a, b):
     when the system is rank-deficient.  Returns (x, residual_sq).
     """
     at = transpose(a)
-    ata = matmul(at, a)
-    atb = matvec(at, b)
-    x = solve(ata, atb)
+    x, null = solve_affine(matmul(at, a), matvec(at, b))
     if x is None:  # cannot happen: normal equations are always consistent
         raise ArithmeticError("inconsistent normal equations")
-    null = nullspace(ata)
     if null:
         # remove the nullspace component so the reported solution is canonical
-        nt = null
-        g = [[sum((u[i] * v[i] for i in range(len(u))), ZERO) for v in nt] for u in nt]
-        rhs = [sum((u[i] * x[i] for i in range(len(u))), ZERO) for u in nt]
+        g = [[sum((ui * vi for ui, vi in zip(u, v)), ZERO) for v in null] for u in null]
+        rhs = [sum((ui * xi for ui, xi in zip(u, x)), ZERO) for u in null]
         coeffs = solve(g, rhs)
-        for c, u in zip(coeffs, nt):
+        for c, u in zip(coeffs, null):
             x = [xi - c * ui for xi, ui in zip(x, u)]
     r = [sum((a[i][j] * x[j] for j in range(len(x))), ZERO) - b[i] for i in range(len(b))]
     res = sum((ri * ri for ri in r), ZERO)
     return x, res
-
-
-def symmetric_signature(m):
-    """Signature (n_plus, n_minus, n_zero) of a symmetric rational matrix.
-
-    Diagonalises by simultaneous row/column operations; exact.
-    """
-    a = mat_copy(m)
-    n = len(a)
-    plus = minus = zero = 0
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    k = 0
-    while k < n:
-        if a[k][k] == 0:
-            found = False
-            for i in range(k + 1, n):
-                if a[i][i] != 0:
-                    swap(k, i)
-                    found = True
-                    break
-            if not found:
-                # look for an off-diagonal entry and mix rows to expose a pivot
-                off = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            off = (i, j)
-                            break
-                    if off:
-                        break
-                if off is None:
-                    zero += n - k
-                    break
-                i, j = off
-                for col in range(n):
-                    a[i][col] += a[j][col]
-                for row in a:
-                    row[i] += row[j]
-                if i != k:
-                    swap(k, i)
-        p = a[k][k]
-        if p > 0:
-            plus += 1
-        else:
-            minus += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / p
-                for col in range(n):
-                    a[i][col] -= f * a[k][col]
-                for row in a:
-                    row[i] -= f * row[k]
-        k += 1
-    return plus, minus, zero
-
-
-def is_positive_definite(m) -> bool:
-    """Exact positive-definiteness via leading principal minors."""
-    n = len(m)
-    for k in range(1, n + 1):
-        if det([row[:k] for row in m[:k]]) <= 0:
-            return False
-    return True

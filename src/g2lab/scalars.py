@@ -21,9 +21,6 @@ from fractions import Fraction
 RATIONAL = "rational"
 FLOAT = "float"
 
-#: default relative tolerance for float comparisons
-REL_TOL = 1e-9
-
 
 class BackendMismatch(TypeError):
     """Operands of one operation live in different scalar backends."""

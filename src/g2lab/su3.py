@@ -182,9 +182,9 @@ def _definiteness_sign(g_rows, backend) -> int:
     """+1 if positive definite, -1 if negative definite, 0 otherwise."""
     if backend == RATIONAL:
         m = [list(r) for r in g_rows]
-        if linalg.is_positive_definite(m):
+        if linalg.positive_det(m) is not None:
             return 1
-        if linalg.is_positive_definite([[-x for x in row] for row in m]):
+        if linalg.positive_det([[-x for x in row] for row in m]) is not None:
             return -1
         return 0
     arr = np.array(g_rows, dtype=float)
@@ -275,7 +275,7 @@ class Proportionality:
     factor: Optional[object] = None
 
 
-def _proportionality(target: KForm, model: KForm, tol=1e-10):
+def _proportionality(target: KForm, model: KForm):
     """Least-squares fit target = factor * model on coefficient vectors."""
     denom = sum((c * c for c in model.coeffs),
                 ZERO if model.backend == RATIONAL else 0.0)

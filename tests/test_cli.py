@@ -1,10 +1,17 @@
 """Command-line interface: reports, exit codes, determinism, CSV output."""
 
 import json
+import math
 import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import g2lab
 from g2lab import catalog
-from g2lab.cli import main
+from g2lab.cli import CliError, main
+from g2lab.g2 import adapted_phi
 
 
 def run_cli(capsys, *argv):
@@ -61,13 +68,16 @@ def test_analyze_json_file_input(capsys, tmp_path):
     assert report["results"]["betti"][1] == 4
 
 
-def test_invalid_algebra_exit_3(capsys, tmp_path):
+def _non_jacobi_n2():
     # de^6 gains an e^15 term: Jacobi fails
-    entry = catalog.get("n2")
-    data = entry.algebra.to_json_dict()
+    data = catalog.get("n2").algebra.to_json_dict()
     data["d"][5]["terms"].append({"idx": [1, 5], "c": "1"})
+    return data
+
+
+def test_invalid_algebra_exit_3(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(_non_jacobi_n2()))
     code, report = run_json(capsys, "analyze", str(path))
     assert code == 3 and report["status"] == "error"
 
@@ -197,6 +207,25 @@ def test_torsion_guard_failure_is_a_well_formed_error(capsys, monkeypatch):
     assert "tau wedge phi" in report["results"]["error"]
 
 
+def test_g2_zero_scal_is_positive_zero(capsys):
+    code, report = run_json(capsys, "g2", "abelian7", "--backend", "float")
+    assert code == 0
+    assert report["results"]["scal"] == 0
+    assert math.copysign(1.0, report["results"]["scal"]) == 1.0
+
+
+def test_g2_irrational_volume_exit_5_unless_float(capsys, tmp_path):
+    # 2 phi_0 has det b = 2^21, whose ninth root 2^(7/3) is irrational
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps((2 * adapted_phi()).to_json_dict()))
+    code, report = run_json(capsys, "g2", "abelian7", "--phi", str(path))
+    assert code == 5 and report["status"] == "error"
+    assert len(report["input_digest"]) == 64
+    code, report = run_json(capsys, "g2", "abelian7", "--phi", str(path),
+                            "--backend", "float")
+    assert code == 0 and report["status"] == "ok"
+
+
 def test_g2_float_backend(capsys):
     code, report = run_json(capsys, "g2", "g_abk", "--param",
                             "a=1", "b=1", "k=0", "--backend", "float")
@@ -232,6 +261,13 @@ def test_flow_abelian_constant(capsys):
     code, report = run_json(capsys, "flow", "abelian7", "--t-end", "1")
     assert code == 0
     assert report["results"]["tau_norm_sq_final"] < 1e-15
+
+
+def test_flow_zero_scal_is_positive_zero(capsys):
+    code, report = run_json(capsys, "flow", "abelian7", "--t-end", "0.01")
+    assert code == 0
+    assert report["results"]["scal_final"] == 0
+    assert math.copysign(1.0, report["results"]["scal_final"]) == 1.0
 
 
 def assert_parse_error_report(code, report, command):
@@ -307,6 +343,25 @@ def test_param_sweep_parallel(capsys):
     assert len(report["results"]["sweep"]) == 2
 
 
+def test_cli_error_pickle_round_trip():
+    err = pickle.loads(pickle.dumps(CliError("bad parameters", 2)))
+    assert type(err) is CliError
+    assert str(err) == "bad parameters" and err.code == 2
+
+
+def test_failing_parallel_sweep_exits_2():
+    # a worker's CliError must reach the parent; a timeout here means it hung
+    env = dict(os.environ, PYTHONPATH=str(Path(g2lab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2lab.cli", "analyze", "g_a",
+         "--param", "a=1/10,1/2", "--jobs", "2"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["command"] == ["analyze", "g_a"]
+
+
 def test_pretty_format(capsys):
     code, out = run_cli(capsys, "analyze", "n2", "--format", "pretty")
     assert code == 0
@@ -324,3 +379,33 @@ def test_user_catalog_env(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert report["results"]["betti"][1] == 4
     catalog._REGISTRY.pop("env_entry", None)
+
+
+def _user_catalog(tmp_path, monkeypatch, entry_id, item):
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps({"entries": [dict(item, id=entry_id)]}))
+    monkeypatch.setenv("G2LAB_CATALOG_PATH", str(path))
+
+
+def test_user_catalog_jacobi_failure_exit_3(capsys, tmp_path, monkeypatch):
+    _user_catalog(tmp_path, monkeypatch, "non_jacobi", {"algebra": _non_jacobi_n2()})
+    try:
+        code, report = run_json(capsys, "analyze", "non_jacobi")
+    finally:
+        catalog._REGISTRY.pop("non_jacobi", None)
+    assert code == 3 and report["status"] == "error"
+    assert "Jacobi" in report["results"]["error"]
+
+
+def test_user_catalog_verification_failure_exit_4(capsys, tmp_path, monkeypatch):
+    # every form on abelian7 is closed, but e^123 is not positive
+    phi = {"n": 7, "k": 3, "terms": [{"idx": [1, 2, 3], "c": "1"}]}
+    _user_catalog(tmp_path, monkeypatch, "degenerate_phi",
+                  {"algebra": catalog.get("abelian7").algebra.to_json_dict(),
+                   "phi": phi})
+    try:
+        code, report = run_json(capsys, "analyze", "degenerate_phi")
+    finally:
+        catalog._REGISTRY.pop("degenerate_phi", None)
+    assert code == 4 and report["status"] == "error"
+    assert "phi positive" in report["results"]["error"]

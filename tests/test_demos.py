@@ -23,6 +23,12 @@ def test_demo_closed_structures_and_torsion(capsys):
     assert "eigenvalues {-|tau|^2/6 x3, 0 x4}: True" in out
 
 
+def test_demo_coupled_su3_structures(capsys):
+    out = run_demo("04_coupled_su3_structures.py", capsys)
+    assert "contains the diagonal family: True" in out
+    assert "extension by the diagonal derivation is closed: True" in out
+
+
 def test_demo_catalog_and_search(capsys):
     out = run_demo("06_catalog_and_search.py", capsys)
     assert "closed positive form found on the 3-step nilpotent algebra: True" in out

@@ -227,6 +227,61 @@ def test_sl2_direct():
     assert flags.levi_type == "sl2R" and flags.semisimple
 
 
+def _from_brackets(n, bracket):
+    """The algebra with [e_i, e_j] = bracket(i, j) (0-based coefficient vectors)."""
+    eqs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k, c in enumerate(bracket(i, j)):
+                if c != 0:
+                    eqs.setdefault(k + 1, {})[(i + 1, j + 1)] = -c
+    return from_structure_equations(n, eqs)
+
+
+def _euclidean3():
+    """e(3) = so(3) + R^3: [L_i, L_j] = eps_ijk L_k, [L_i, P_j] = eps_ijk P_k."""
+    def eps(i, j, k):
+        return (i - j) * (j - k) * (k - i) // 2
+
+    def bracket(i, j):
+        out = [F(0)] * 6
+        if j < 3:
+            for k in range(3):
+                out[k] = F(eps(i, j, k))
+        elif i < 3:
+            for k in range(3):
+                out[3 + k] = F(eps(i, j - 3, k))
+        return out
+    return _from_brackets(6, bracket)
+
+
+def test_levi_type_survives_a_change_of_basis():
+    # a random basis f_i = sum_a p[a][i] e_a puts the radical off the coordinate axes
+    rng = np.random.default_rng(43)
+    cases = [(from_structure_equations(5, SO3), "su2"), (_euclidean3(), "su2"),
+             (from_structure_equations(5, SL2), "sl2R"),
+             (catalog.get("nonsolv_levi").algebra, "sl2R")]
+    for alg, levi in cases:
+        n = alg.n
+        flags = structure_flags(alg)
+        assert flags.levi_type == levi and flags.radical_dim == n - 3
+        p = [[F(0)]]
+        while linalg.det(p) == 0:
+            p = [[F(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(n)]
+                 for _ in range(n)]
+        cols = linalg.transpose(p)
+        to_f = linalg.inverse(p)
+        moved = _from_brackets(
+            n, lambda i, j: linalg.matvec(to_f, alg.bracket(cols[i], cols[j])))
+        assert check_jacobi(moved) == 0
+        moved_flags = structure_flags(moved)
+        assert moved_flags.levi_type == levi
+        assert moved_flags.radical_dim == flags.radical_dim
+        red, pivots = linalg.rref(radical_basis(moved))
+        assert any(red[r][c] != 0 for r in range(len(pivots))
+                   for c in range(n) if c not in pivots)
+
+
 # -- derivations -----------------------------------------------------------------
 
 def test_derivation_space_dimensions(g110_entry):
