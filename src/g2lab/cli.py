@@ -440,13 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = algebra_command("g2", help="torsion/curvature report for a 3-form")
     sp.add_argument("--phi", help="JSON file with the 3-form")
     sp.add_argument("--default", action="store_true",
-                    help="use the catalog form attached to the entry")
+                    help="the default behaviour, accepted and ignored: without "
+                         "--phi the catalog form attached to the entry is used")
     sp.add_argument("--erp-diagnostics", action="store_true")
 
     sp = algebra_command("su3", help="SU(3) torsion report")
     sp.add_argument("--omega")
     sp.add_argument("--psi")
-    sp.add_argument("--default", action="store_true")
+    sp.add_argument("--default", action="store_true",
+                    help="the default behaviour, accepted and ignored: without "
+                         "--omega and --psi the catalog pair of the entry is used")
 
     algebra_command("soliton", help="algebraic soliton solve")
 

@@ -277,12 +277,6 @@ class KForm:
             return self
         return KForm(self.n, self.k, [float(c) for c in self.coeffs], FLOAT)
 
-    def to_rational(self) -> "KForm":
-        """Exact binary-expansion conversion of float coefficients."""
-        if self.backend == RATIONAL:
-            return self
-        return KForm(self.n, self.k, [Fraction(c) for c in self.coeffs], RATIONAL)
-
     def embedded(self, n_new: int) -> "KForm":
         """The same form viewed on a larger ambient space."""
         if n_new < self.n:
@@ -428,10 +422,6 @@ class Endo:
             return self
         return Endo([[float(a) for a in row] for row in self.rows], FLOAT)
 
-    @property
-    def np_matrix(self) -> np.ndarray:
-        return np.array([[float(a) for a in row] for row in self.rows])
-
     def __repr__(self):
         return "Endo(%r)" % (list(list(r) for r in self.rows),)
 
@@ -544,10 +534,6 @@ class MetricData:
             return self
         return MetricData([[float(x) for x in row] for row in self.g],
                           self.vol.to_float())
-
-    @property
-    def np_g(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.g])
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ from .scalars import FLOAT, RATIONAL, ExactBackendUnavailable, rational_nth_root
 
 CHOLESKY_PIVOT_TOL = 1e-12
 
+#: search draws screened per block by search_closed_positive
+SEARCH_BLOCK = 256
+
 
 class NotPositiveError(ValueError):
     """The 3-form is not a positive G2-form."""
@@ -66,29 +69,34 @@ def adapted_phi(backend=RATIONAL) -> KForm:
 
 
 def _np_bilinear_tables():
-    """Cached numpy tables for the fast float path of induced_bilinear."""
+    """Cached tables of induced_bilinear_np, flattened for row-vector products.
+
+    T1 (35, 147): y @ T1 lists i_{e_i} phi, i = 1..7, as 7 x 21 2-form
+    coefficients.  w43t (35, 35): y @ w43t is the 4-form pairing with phi.
+    T2 (35, 441): (y @ w43t) @ T2 is the 21 x 21 matrix of
+    (alpha, beta) -> alpha ^ beta ^ phi on 2-forms.
+    """
     if not hasattr(_np_bilinear_tables, "_cache"):
         from .exterior import interior_table, wedge_tensor
 
-        mats = []
-        table = interior_table(7, 3)
-        for i in range(7):
-            m = np.zeros((21, 35))
-            for pos_in, pos_out, sign in table[i]:
-                m[pos_out, pos_in] = sign
-            mats.append(m)
+        t1 = np.zeros((35, 7, 21))
+        for i, rows in enumerate(interior_table(7, 3)):
+            for pos_in, pos_out, sign in rows:
+                t1[pos_in, i, pos_out] = sign
+        t2 = wedge_tensor(7, 2, 2).transpose(2, 0, 1).reshape(35, 441)
         _np_bilinear_tables._cache = (
-            np.stack(mats), wedge_tensor(7, 2, 2), wedge_tensor(7, 4, 3)[:, :, 0])
+            t1.reshape(35, 147), wedge_tensor(7, 4, 3)[:, :, 0].T, t2)
     return _np_bilinear_tables._cache
 
 
 def induced_bilinear_np(y: np.ndarray) -> np.ndarray:
-    """Float-backend induced bilinear form from a coefficient vector."""
-    mats, w22, w43 = _np_bilinear_tables()
-    iphi = mats @ y                          # (7, 21)
-    q = np.einsum("abc,c->ab", w22, w43 @ y)  # (21, 21)
-    b = (iphi @ q @ iphi.T) / 6.0
-    return (b + b.T) / 2.0
+    """Float induced bilinear form: (35,) -> (7, 7), or a stack (B, 35) -> (B, 7, 7)."""
+    t1, w43t, t2 = _np_bilinear_tables()
+    lead = y.shape[:-1]
+    iphi = (y @ t1).reshape(lead + (7, 21))
+    q = ((y @ w43t) @ t2).reshape(lead + (21, 21))
+    b = (iphi @ q @ np.swapaxes(iphi, -1, -2)) / 6.0
+    return (b + np.swapaxes(b, -1, -2)) / 2.0
 
 
 def induced_bilinear(phi: KForm):
@@ -436,6 +444,24 @@ def closed_3form_basis(alg: LieAlgebra):
     return [KForm(alg.n, 3, v, RATIONAL) for v in null]
 
 
+def _maybe_positive(bs: np.ndarray) -> np.ndarray:
+    """Mask of the stacked forms bs (B, 7, 7) that may pass positive_det_np.
+
+    Drops only rows with a clearly negative leading principal minor, below
+    -1e-8 * max|b|^k for the k x k minor.  A form the serial rule
+    accepts is positive-definite, so all its leading minors are positive,
+    and the margin covers the rounding gap between stacked and single-row
+    arithmetic.  det b comes first; the k = 1..6 minors are computed only
+    for the rows that survive it.
+    """
+    scale = np.max(np.abs(bs), axis=(1, 2))
+    keep = ~(np.linalg.det(bs) < -1e-8 * scale ** 7)
+    for k in range(1, 7):
+        rows = np.flatnonzero(keep)
+        keep[rows] = ~(np.linalg.det(bs[rows, :k, :k]) < -1e-8 * scale[rows] ** k)
+    return keep
+
+
 def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
                            initial: Optional[KForm] = None) -> Optional[KForm]:
     """Randomized search for a closed positive 3-form.
@@ -443,7 +469,10 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
     Samples standard-normal coefficient combinations of a basis of ker(d)
     with a seeded generator and returns the first positive sample as a
     float-backend form, or None.  An optional initial candidate is tried
-    first and returned unchanged.
+    first and returned unchanged.  Draws are screened in blocks of
+    SEARCH_BLOCK by _maybe_positive, and the survivors are tested in draw
+    order with the serial rule positive_det_np, so the first hit is the
+    one a draw-by-draw loop returns.
     """
     if alg.n != 7:
         raise ValueError("search needs a 7-dimensional algebra")
@@ -457,8 +486,10 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
         return None
     rng = np.random.default_rng(seed)
     kernel_np = np.array([f.np_coeffs for f in kernel])
-    for _ in range(attempts):
-        y = kernel_np.T @ rng.standard_normal(len(kernel))
-        if positive_det_np(induced_bilinear_np(y)) is not None:
-            return KForm(7, 3, y, FLOAT)
+    for start in range(0, attempts, SEARCH_BLOCK):
+        xs = rng.standard_normal((min(SEARCH_BLOCK, attempts - start), len(kernel)))
+        for x in xs[_maybe_positive(induced_bilinear_np(xs @ kernel_np))]:
+            y = kernel_np.T @ x
+            if positive_det_np(induced_bilinear_np(y)) is not None:
+                return KForm(7, 3, y, FLOAT)
     return None

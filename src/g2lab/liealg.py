@@ -52,6 +52,7 @@ class LieAlgebra:
         self._brackets = table
         self._d_matrices = {}
         self._d_matrices_np = {}
+        self._d_ranks = {}
         if check and check_jacobi(self) != 0:
             raise InvalidStructureError("structure equations violate the Jacobi identity")
 
@@ -110,6 +111,12 @@ class LieAlgebra:
                                 m[hit[0]][col] += (-1) ** p * hit[1] * c
             self._d_matrices[k] = m
         return self._d_matrices[k]
+
+    def d_rank(self, k: int) -> int:
+        """Exact rank of d_matrix(k), computed once per degree."""
+        if k not in self._d_ranks:
+            self._d_ranks[k] = linalg.rank(self.d_matrix(k))
+        return self._d_ranks[k]
 
     def d_matrix_np(self, k: int) -> np.ndarray:
         if k not in self._d_matrices_np:
@@ -194,8 +201,8 @@ def betti(alg: LieAlgebra, k: int) -> int:
     if not (0 <= k <= alg.n):
         raise ValueError("degree out of range")
     dim_k = len(basis_indices(alg.n, k))
-    rank_k = linalg.rank(alg.d_matrix(k)) if k < alg.n else 0
-    rank_km1 = linalg.rank(alg.d_matrix(k - 1)) if k >= 1 else 0
+    rank_k = alg.d_rank(k) if k < alg.n else 0
+    rank_km1 = alg.d_rank(k - 1) if k >= 1 else 0
     return dim_k - rank_k - rank_km1
 
 

@@ -47,6 +47,17 @@ def test_analyze_n2_first_betti(capsys):
     assert report["results"]["betti"][1] == 4
 
 
+def test_analyze_ranks_each_differential_once(capsys, monkeypatch):
+    # betti needs rank d_k and rank d_{k-1}; the algebra ranks each d_k once
+    from g2lab import linalg
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or rank(m))
+    code, _ = run_cli(capsys, "analyze", "nonsolv_levi")
+    assert code == 0
+    assert len(calls) == 7
+
+
 def test_analyze_unknown_entry_exit_2(capsys):
     code, report = run_json(capsys, "analyze", "does_not_exist")
     assert code == 2 and report["status"] == "error"
@@ -152,6 +163,14 @@ def test_su3_sab_coupled_constant(capsys):
                             "--param", "a=1", "b=2", "--default")
     assert code == 0
     assert report["results"]["c"] == "2"
+
+
+def test_default_flag_changes_nothing(capsys):
+    for argv in (["g2", "abelian7"], ["su3", "n2"]):
+        plain = run_cli(capsys, *argv)
+        flagged = run_cli(capsys, *argv, "--default")
+        assert plain[0] == 0
+        assert flagged == plain
 
 
 # -- soliton ----------------------------------------------------------------------
@@ -295,8 +314,7 @@ def test_search_closed_ffkm(capsys):
 
 
 def test_search_closed_zero_attempts(capsys):
-    code, report = run_json(capsys, "search-closed", "n2" if False else "ffkm_n",
-                            "--attempts", "0")
+    code, report = run_json(capsys, "search-closed", "ffkm_n", "--attempts", "0")
     assert code == 0
     assert report["results"]["found"] is False
 

@@ -6,19 +6,25 @@ import numpy as np
 import pytest
 
 from g2lab import catalog
-from g2lab.exterior import KForm, interior, wedge
+from g2lab.exterior import KForm, basis_indices, interior, wedge
 from g2lab.g2 import (
+    CHOLESKY_PIVOT_TOL,
+    SEARCH_BLOCK,
     G2Structure,
     NotERPError,
     NotPositiveError,
+    _maybe_positive,
     adapted_phi,
+    closed_3form_basis,
     curvature,
     erp_diagnostics,
     erp_residual,
     hodge_laplacian_closed,
+    induced_bilinear_np,
     is_positive,
     j_map,
     metric_from_phi,
+    positive_det_np,
     project_14,
     search_closed_positive,
     torsion_form,
@@ -405,3 +411,82 @@ def test_search_deterministic_under_seed():
     assert first == second
     residual = float(ce_differential(alg, first).max_abs())
     assert residual < 1e-10 * max(1.0, float(first.max_abs()))
+
+
+def _serial_search(alg, attempts, seed):
+    """The draw-by-draw search loop: (index, coefficients) of the first hit, or (None, None)."""
+    kernel = closed_3form_basis(alg)
+    rng = np.random.default_rng(seed)
+    kernel_np = np.array([f.np_coeffs for f in kernel])
+    for i in range(attempts):
+        y = kernel_np.T @ rng.standard_normal(len(kernel))
+        if positive_det_np(induced_bilinear_np(y)) is not None:
+            return i, y
+    return None, None
+
+
+@pytest.mark.parametrize("entry_id, params, seeds", [
+    ("ffkm_n", {}, range(4)), ("nonsolv_levi", {}, range(4)),
+    ("nonsolv_2", {"mu": F(1, 3)}, range(4)),
+    ("nonsolv_1", {"variant": "B"}, range(4)), ("nonsolv_3", {"mu": F(1, 8)}, range(4)),
+    ("abelian7", {}, range(4)),
+    # seeds 74 and 324 hit at draws 0 and SEARCH_BLOCK, the first of a block
+    ("g_a", {"a": 1}, (0, 1, 2, 3, 74, 324)),
+])
+def test_block_search_matches_serial_loop(entry_id, params, seeds):
+    alg = catalog.get(entry_id, **params).algebra
+    for seed in seeds:
+        hit, y = _serial_search(alg, 3000, seed)
+        extra = () if hit is None else (hit, hit + 1)
+        for attempts in (0, 1, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1, 3000) + extra:
+            phi = search_closed_positive(alg, attempts=attempts, seed=seed)
+            if hit is None or hit >= attempts:
+                assert phi is None, (seed, attempts)
+            else:
+                assert phi.backend == FLOAT
+                assert phi.np_coeffs.tobytes() == y.tobytes(), (seed, attempts)
+
+
+def _phi_with_pivot(eps, axis):
+    """adapted phi pulled back so that b is the identity with b[axis, axis] = eps."""
+    has_axis = np.array([axis in idx for idx in basis_indices(7, 3)])
+    return adapted_phi(FLOAT).np_coeffs * np.where(has_axis, eps ** (1 / 3), eps ** (-1 / 6))
+
+
+def test_screen_keeps_every_form_the_serial_rule_accepts():
+    phi0 = adapted_phi(FLOAT).np_coeffs
+    split = phi0.copy()
+    split[-1] = -split[-1]  # e^567 with the opposite sign: b has signature (4, 3)
+    ys = [c * phi0 for c in 10.0 ** np.arange(-3, 4)] + [-phi0, split]
+    ys += [_phi_with_pivot(f * CHOLESKY_PIVOT_TOL, axis) for f in (10, 0.1) for axis in (0, 6)]
+    ys += list(np.random.default_rng(3).standard_normal((2000, 35)))
+    ys = np.array(ys)
+    accepted = np.array([positive_det_np(induced_bilinear_np(y)) is not None for y in ys])
+    kept = _maybe_positive(induced_bilinear_np(ys))
+    assert accepted[:7].all() and accepted[9:11].all()
+    assert not accepted[11:13].any()
+    assert not (accepted & ~kept).any()
+    assert not kept[7] and not kept[8]  # -phi and the split form
+    # every dropped form is indefinite or negative
+    b = induced_bilinear_np(ys[~kept])
+    assert (np.linalg.eigvalsh(b)[:, 0] < 0).all()
+
+
+def test_screen_tests_every_leading_minor():
+    # diag with d_k = d_{k+1} = -1 has exactly one negative leading minor, the k-th
+    stack = []
+    for k in range(1, 8):
+        d = np.ones(7)
+        d[k - 1:k + 1] = -1
+        stack.append(np.diag(d))
+    assert not _maybe_positive(np.array(stack)).any()
+    assert _maybe_positive(np.eye(7)[None]).all()
+
+
+def test_induced_bilinear_stack_matches_rows():
+    ys = np.random.default_rng(5).standard_normal((64, 35))
+    stack = induced_bilinear_np(ys)
+    assert stack.shape == (64, 7, 7)
+    assert induced_bilinear_np(ys[0]).shape == (7, 7)
+    for y, b in zip(ys, stack):
+        np.testing.assert_allclose(b, induced_bilinear_np(y), rtol=1e-14, atol=0)
