@@ -20,12 +20,12 @@ from .liealg import (
     InvalidStructureError,
     LieAlgebra,
     _bracket_span,
+    _extension_structure,
     abelian,
     check_jacobi,
     from_structure_equations,
     is_unimodular,
     radical_basis,
-    rank_one_extension,
     structure_flags,
 )
 from .scalars import RATIONAL, as_rational
@@ -288,7 +288,8 @@ def _entry_ffkm_n(**params):
 
 
 def _extension_entry(entry_id, base, deriv, params, description, extra_expected=None):
-    alg = rank_one_extension(base, deriv, name=entry_id)
+    # no derivation check here: a non-derivation breaks Jacobi, which _verify checks
+    alg = _extension_structure(base, deriv, name=entry_id)
     omega, psi = adapted_su3_pair()
     eta = KForm.monomial(7, (7,))
     phi = wedge(omega.embedded(7), eta) + psi.embedded(7)

@@ -505,7 +505,7 @@ def main(argv=None) -> int:
         if len(jobs) > 1 and args.jobs > 1:
             # spawn avoids inheriting BLAS thread state into the workers
             ctx = multiprocessing.get_context("spawn")
-            with ctx.Pool(processes=args.jobs) as pool:
+            with ctx.Pool(processes=min(args.jobs, len(jobs))) as pool:
                 outcomes = pool.map(_run_job, jobs)
         else:
             outcomes = [_run_job(job) for job in jobs]

@@ -650,6 +650,17 @@ def norm_sq(metric: MetricData, alpha: KForm):
     return inner(metric, alpha, alpha)
 
 
+def identity_holds(gap: KForm, ref: KForm) -> bool:
+    """Guard of a closed identity lhs = ref, given gap = lhs - ref.
+
+    Exact in the rational backend; in float the l2 norm of the gap is at
+    most 1e-9 * max(1, |ref|_2).
+    """
+    if gap.backend == RATIONAL:
+        return gap.is_zero()
+    return gap.norm_l2() <= 1e-9 * max(1.0, ref.norm_l2())
+
+
 def hodge(metric: MetricData, gamma: KForm) -> KForm:
     """Hodge star: alpha wedge (star gamma) = <alpha, gamma> vol for all alpha."""
     if metric.n != gamma.n:

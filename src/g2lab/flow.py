@@ -106,10 +106,11 @@ class FlowKernel:
 
     def torsion(self, y):
         """tau = -*d*phi, |tau|^2 and the volume coefficient at phi = y."""
-        _, ginv, volc = self.metric(y)
+        g, ginv, volc = self.metric(y)
         star3 = volc * (self.s3 @ gram_np(ginv, 3))
         dstar = self.d4 @ (star3 @ y)
-        star5 = volc * (self.s5 @ gram_np(ginv, 5))
+        # ** = 1 in dimension 7: *_5 = (*_2)^-1 = Lambda^2 g . S_5 / vol
+        star5 = (gram_np(g, 2) @ self.s5) / volc
         tau = -(star5 @ dstar)
         wphi = np.einsum("aqc,q->ca", self.w23, y)        # (21c, 21a)
         res = float(np.linalg.norm(wphi @ tau - dstar))

@@ -29,6 +29,7 @@ from .exterior import (
     basis_indices,
     basis_vector,
     hodge,
+    identity_holds,
     interior,
     norm_sq,
     wedge,
@@ -267,8 +268,7 @@ def project_14(struct: G2Structure, alpha: KForm) -> KForm:
     if alpha.k != 2 or alpha.n != 7:
         raise ValueError("expected a 2-form on R^7")
     star_part = struct.star(wedge(alpha, struct.phi))
-    third = Fraction(1, 3) if struct.backend == RATIONAL else (1.0 / 3.0)
-    return third * (2 * alpha - star_part)
+    return Fraction(1, 3) * (2 * alpha - star_part)
 
 
 def torsion_form(struct: G2Structure) -> TorsionData:
@@ -286,12 +286,7 @@ def torsion_form(struct: G2Structure) -> TorsionData:
         raise NotClosedError("structure is not closed")
     dstar = struct.d(struct.star(struct.phi))
     tau = -struct.star(dstar)
-    gap = wedge(tau, struct.phi) - dstar
-    if struct.backend == RATIONAL:
-        consistent = gap.is_zero()
-    else:
-        consistent = gap.norm_l2() <= 1e-9 * max(1.0, dstar.norm_l2())
-    if not consistent:
+    if not identity_holds(wedge(tau, struct.phi) - dstar, dstar):
         raise InconsistentTorsionError("tau = -*d*phi fails tau wedge phi = d*phi")
     tau_nsq = norm_sq(struct.metric, tau)
     return TorsionData(tau=tau, tau_norm_sq=tau_nsq, dtau=struct.d(tau))
@@ -341,8 +336,8 @@ def curvature(struct: G2Structure) -> CurvatureData:
     metric trace of Ric.
     """
     tor = torsion(struct)
-    half = Fraction(1, 2) if struct.backend == RATIONAL else 0.5
-    quarter = Fraction(1, 4) if struct.backend == RATIONAL else 0.25
+    half = Fraction(1, 2)
+    quarter = Fraction(1, 4)
     tt = wedge(tor.tau, tor.tau)
     arg = tor.dtau - half * struct.star(tt)
     j = j_map(struct, arg)
@@ -366,7 +361,7 @@ def curvature(struct: G2Structure) -> CurvatureData:
 def erp_residual(struct: G2Structure) -> float:
     """g-norm of d tau - (|tau|^2/6) phi - (1/6) *(tau wedge tau)."""
     tor = torsion(struct)
-    sixth = Fraction(1, 6) if struct.backend == RATIONAL else (1.0 / 6.0)
+    sixth = Fraction(1, 6)
     r = tor.dtau - (sixth * tor.tau_norm_sq) * struct.phi \
         - sixth * struct.star(wedge(tor.tau, tor.tau))
     return math.sqrt(float(norm_sq(struct.metric, r)))
@@ -400,10 +395,9 @@ def erp_diagnostics(struct: G2Structure) -> ERPDiagnostics:
         ann_dim = 7 - int(np.linalg.matrix_rank(np.array(cols, dtype=float).T,
                                                 tol=1e-10))
     cur = curvature(struct)
-    twelfth = Fraction(1, 12) if struct.backend == RATIONAL else (1.0 / 12.0)
     j_alt = j_map(struct, star_tt)
     ric_match = max(
-        abs(float(cur.ric[i][k] - twelfth * j_alt[i][k]))
+        abs(float(cur.ric[i][k] - Fraction(1, 12) * j_alt[i][k]))
         for i in range(7) for k in range(7)
     ) < 1e-8
     lam = -float(tor.tau_norm_sq) / 6.0

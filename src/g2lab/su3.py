@@ -9,7 +9,8 @@ imaginary counterpart of psi, and g = omega(., J.).
 Torsion classes handled here: symplectic half-flat (d omega = 0 = d psi),
 coupled (d omega = c psi with c != 0), generic otherwise.  For coupled and
 half-flat structures the remaining torsion is the primitive (1,1)-form w2
-with d psi_hat = -(2c/3) omega^2 + w2 wedge omega.
+with d psi_hat = -(2c/3) omega^2 + w2 wedge omega, computed by the closed
+identity w2 = -*(d psi_hat + (2c/3) omega^2) and guarded by that equation.
 
 Rank-one extensions by a derivation D carry the 3-form
 phi = omega wedge eta + psi, which is a closed G2-structure precisely when
@@ -32,11 +33,13 @@ from .exterior import (
     basis_indices,
     basis_vector,
     endo_action,
+    hodge,
+    identity_holds,
     interior,
     norm_sq,
     wedge,
 )
-from .g2 import G2Structure
+from .g2 import G2Structure, positive_det_np
 from .liealg import (
     LieAlgebra,
     _extension_structure,
@@ -45,7 +48,7 @@ from .liealg import (
     is_derivation,
     rank_one_extension,
 )
-from .scalars import FLOAT, RATIONAL, ExactBackendUnavailable, rational_nth_root
+from .scalars import RATIONAL, ExactBackendUnavailable, rational_nth_root
 
 ZERO = Fraction(0)
 
@@ -143,8 +146,7 @@ def reconstruct_su3(alg: LieAlgebra, omega: KForm, psi: KForm) -> "SU3Structure"
     if not _form_small(wedge(omega, psi_hat), backend):
         raise SU3ConstructionError("incompatible pair")
 
-    six = Fraction(6) if backend == RATIONAL else 6.0
-    vol = (1 / six if backend == RATIONAL else 1.0 / six) * om3
+    vol = Fraction(1, 6) * om3
     try:
         metric = MetricData(g_rows, vol)
     except ValueError as exc:
@@ -181,17 +183,13 @@ def _form_small(form: KForm, backend, scale=1.0) -> bool:
 def _definiteness_sign(g_rows, backend) -> int:
     """+1 if positive definite, -1 if negative definite, 0 otherwise."""
     if backend == RATIONAL:
-        m = [list(r) for r in g_rows]
-        if linalg.positive_det(m) is not None:
-            return 1
-        if linalg.positive_det([[-x for x in row] for row in m]) is not None:
-            return -1
-        return 0
-    arr = np.array(g_rows, dtype=float)
-    eigs = np.linalg.eigvalsh((arr + arr.T) / 2)
-    if eigs[0] > 0:
+        positive = linalg.positive_det
+    else:
+        def positive(m):
+            return positive_det_np(np.array(m, dtype=float))
+    if positive(g_rows) is not None:
         return 1
-    if eigs[-1] < 0:
+    if positive([[-x for x in row] for row in g_rows]) is not None:
         return -1
     return 0
 
@@ -305,43 +303,16 @@ def su3_torsion_class(struct: SU3Structure) -> TorsionClass:
     return TorsionClass(kind="generic", c=None)
 
 
-def primitive_11_basis(struct: SU3Structure):
-    """Exact basis of J-invariant 2-forms alpha with alpha wedge omega^2 = 0."""
-    backend = struct.backend
-    idxs = basis_indices(6, 2)
-    j = struct.j.rows
-    rows = []
-    # J-invariance: alpha(J e_i, J e_j) = alpha(e_i, e_j) for basis pairs
-    for pos, (i, jdx) in enumerate(idxs):
-        row = [ZERO if backend == RATIONAL else 0.0] * len(idxs)
-        for qpos, (m, n) in enumerate(idxs):
-            # coefficient of alpha_{mn} in alpha(J e_i, J e_j)
-            val = j[m][i] * j[n][jdx] - j[n][i] * j[m][jdx]
-            if val != 0:
-                row[qpos] += val
-        row[pos] -= 1
-        if any(x != 0 for x in row):
-            rows.append(row)
-    om2 = wedge(struct.omega, struct.omega)
-    wedge_row = []
-    for (m, n) in idxs:
-        mono = KForm.monomial(6, (m + 1, n + 1), backend=backend)
-        wedge_row.append(wedge(mono, om2).coeffs[0])
-    rows.append(wedge_row)
-    if backend == RATIONAL:
-        null = linalg.nullspace(rows, ncols=len(idxs))
-    else:
-        arr = np.array(rows, dtype=float)
-        _, s, vt = np.linalg.svd(arr)
-        tolerance = 1e-10 * (s[0] if len(s) else 1.0)
-        rank = int(np.sum(s > tolerance))
-        null = [tuple(v) for v in vt[rank:]]
-    return [KForm(6, 2, v, backend) for v in null]
-
-
 def w2_of(struct: SU3Structure, c=None) -> CoupledData:
     """The primitive (1,1) torsion form solving
     d psi_hat = -(2c/3) omega^2 + w2 wedge omega.
+
+    On R^6, *(alpha wedge omega) = -alpha for primitive (1,1)-forms alpha
+    (Chiossi-Salamon 2002), so w2 = -*(d psi_hat + (2c/3) omega^2).  The
+    map *(. wedge omega) acts as 2, 1 and -1 on <omega>, [[Lambda^{2,0}]] and
+    Lambda^{1,1}_0, so the guard w2 wedge omega = d psi_hat + (2c/3) omega^2
+    holds exactly when w2 is primitive of type (1,1); it fails for a wrong c
+    or a generic structure and raises ArithmeticError.
 
     For symplectic half-flat structures pass (or infer) c = 0.
     """
@@ -351,37 +322,12 @@ def w2_of(struct: SU3Structure, c=None) -> CoupledData:
         c = tc.c if tc.kind == "coupled" else 0
         if tc.kind == "generic":
             raise ValueError("w2 extraction needs a coupled or half-flat structure")
-    if backend == RATIONAL:
-        c = Fraction(c)
-    else:
-        c = float(c)
-    basis = primitive_11_basis(struct)
-    if len(basis) != 8:
-        raise ArithmeticError("primitive (1,1) space has dimension %d != 8"
-                              % len(basis))
-    om2 = wedge(struct.omega, struct.omega)
-    two_thirds = Fraction(2, 3) if backend == RATIONAL else (2.0 / 3.0)
-    rhs = struct.d(struct.psi_hat) + (two_thirds * c) * om2
-    cols = [wedge(b, struct.omega).coeffs for b in basis]
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(len(rhs.coeffs))]
-    if backend == RATIONAL:
-        if linalg.rank(a) != 8:
-            raise ArithmeticError("wedge-by-omega map is not injective on (1,1)")
-        x, res_sq = linalg.lstsq(a, list(rhs.coeffs))
-        if res_sq != 0:
-            raise ArithmeticError("inconsistent")
-        w2 = KForm.zero(6, 2)
-        for coef, b in zip(x, basis):
-            w2 = w2 + coef * b
-    else:
-        arr = np.array(a, dtype=float)
-        if np.linalg.matrix_rank(arr, tol=1e-10) != 8:
-            raise ArithmeticError("wedge-by-omega map is not injective on (1,1)")
-        x, *_ = np.linalg.lstsq(arr, rhs.np_coeffs, rcond=None)
-        res = float(np.linalg.norm(arr @ x - rhs.np_coeffs))
-        if res > 1e-9 * max(1.0, float(np.linalg.norm(rhs.np_coeffs))):
-            raise ArithmeticError("inconsistent")
-        w2 = KForm(6, 2, np.array([b.np_coeffs for b in basis]).T @ x, FLOAT)
+    c = Fraction(c) if backend == RATIONAL else float(c)
+    rhs = struct.d(struct.psi_hat) \
+        + (Fraction(2, 3) * c) * wedge(struct.omega, struct.omega)
+    w2 = -hodge(struct.metric, rhs)
+    if not identity_holds(wedge(w2, struct.omega) - rhs, rhs):
+        raise ArithmeticError("inconsistent")
     return CoupledData(c=c, w2=w2)
 
 

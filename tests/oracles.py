@@ -88,6 +88,32 @@ def sympy_nullity(rows, ncols) -> int:
     return ncols - sympy_rank(rows)
 
 
+def primitive_11_oracle(j_rows, omega_terms, n=6):
+    """Basis of the J-invariant 2-forms alpha with alpha ^ omega^2 = 0.
+
+    Rows: alpha(J e_i, J e_k) - alpha(e_i, e_k) = 0 for i < k, where
+    J e_i = sum_m j_rows[m][i] e_m, plus the top coefficient of
+    alpha ^ omega^2; the kernel comes from sympy.  Returns oracle dicts.
+    """
+    pairs = list(combinations(range(n), 2))
+    j = [[Fraction(x) for x in row] for row in j_rows]
+    rows = []
+    for i, k in pairs:
+        row = []
+        for m, p in pairs:
+            val = j[m][i] * j[p][k] - j[p][i] * j[m][k]
+            row.append(val - 1 if (m, p) == (i, k) else val)
+        rows.append(row)
+    om2 = wedge_oracle(omega_terms, 2, omega_terms, 2, n)
+    top = tuple(range(n))
+    rows.append([wedge_oracle({pair: Fraction(1)}, 2, om2, 4, n).get(top, Fraction(0))
+                 for pair in pairs])
+    kernel = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).nullspace()
+    return [{pair: Fraction(int(v[pos].p), int(v[pos].q))
+             for pos, pair in enumerate(pairs) if v[pos] != 0}
+            for v in kernel]
+
+
 def levi_civita_ricci(alg, g):
     """Independent Ricci oracle for a left-invariant metric, via Koszul.
 

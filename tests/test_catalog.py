@@ -31,6 +31,22 @@ def test_every_default_entry_passes_jacobi():
         assert check_jacobi(entry.algebra) == 0, eid
 
 
+def test_extension_entry_checks_jacobi_once(monkeypatch):
+    from g2lab import liealg
+
+    calls = []
+    jacobi = liealg.check_jacobi
+
+    def counted(alg):
+        calls.append(alg)
+        return jacobi(alg)
+
+    monkeypatch.setattr(liealg, "check_jacobi", counted)
+    monkeypatch.setattr(catalog, "check_jacobi", counted)
+    catalog.get("g_a")
+    assert len(calls) == 1
+
+
 def test_attached_forms_are_closed_and_positive():
     for entry in catalog.closed_entry_instances():
         assert ce_differential(entry.algebra, entry.phi).is_zero()

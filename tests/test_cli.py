@@ -361,6 +361,45 @@ def test_param_sweep_parallel(capsys):
     assert len(report["results"]["sweep"]) == 2
 
 
+def test_sweep_starts_no_more_workers_than_jobs(capsys, monkeypatch):
+    import g2lab.cli as cli_mod
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class RecordingContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(cli_mod.multiprocessing, "get_context",
+                        lambda method: RecordingContext)
+    code, report = run_json(capsys, "analyze", "g_a",
+                            "--param", "a=1/2,1", "--jobs", "8")
+    assert code == 0 and len(report["results"]["sweep"]) == 2
+    assert started == [2]
+
+
+def test_catalog_non_derivation_exits_3(capsys, monkeypatch):
+    from g2lab.exterior import Endo
+
+    monkeypatch.setattr(catalog, "lauret_derivation", lambda a: Endo.identity(6))
+    code, report = run_json(capsys, "analyze", "g_a")
+    assert code == 3 and report["status"] == "error"
+    assert report["command"] == ["analyze", "g_a"]
+    assert "Jacobi" in report["results"]["error"]
+
+
 def test_cli_error_pickle_round_trip():
     err = pickle.loads(pickle.dumps(CliError("bad parameters", 2)))
     assert type(err) is CliError

@@ -1,6 +1,7 @@
 """SU(3)-structures: reconstruction, torsion classes, w2, derivations."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -14,11 +15,12 @@ from g2lab.su3 import (
     check_dw2_prop_psi,
     find_compatible_derivations,
     g2_from_extension,
-    primitive_11_basis,
     reconstruct_su3,
     su3_torsion_class,
     w2_of,
 )
+
+from oracles import kform_to_terms, primitive_11_oracle, sympy_rank, wedge_oracle
 
 IDENTITY6 = tuple(tuple(F(1) if i == j else F(0) for j in range(6))
                   for i in range(6))
@@ -102,6 +104,31 @@ def test_float_reconstruction_close_to_exact(s_n2):
     assert float((approx.psi_hat - s_n2.psi_hat.to_float()).max_abs()) < 1e-12
 
 
+def test_definiteness_branches_agree_between_backends(monkeypatch):
+    # the adapted pair needs the sign flip (-1); the other two pairs give an
+    # indefinite g (0); both backends must take the same branch
+    from g2lab import su3
+
+    signs = []
+    sign = su3._definiteness_sign
+    monkeypatch.setattr(su3, "_definiteness_sign",
+                        lambda g, backend: signs.append(sign(g, backend)) or signs[-1])
+    omega, psi = adapted_su3_pair()
+    exact = reconstruct_su3(abelian(6), omega, psi)
+    approx = reconstruct_su3(abelian(6), omega.to_float(), psi.to_float())
+    assert signs == [-1, -1]
+    assert float((approx.psi_hat - exact.psi_hat.to_float()).max_abs()) == 0
+    flipped_omega = KForm.from_terms(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): -1})
+    flipped_psi = KForm.from_terms(
+        6, 3, {(1, 3, 5): 1, (1, 4, 6): 1, (2, 3, 6): 1, (2, 4, 5): -1})
+    for pair in ((flipped_omega, psi), (omega, flipped_psi)):
+        for om, ps in (pair, (pair[0].to_float(), pair[1].to_float())):
+            signs.clear()
+            with pytest.raises(SU3ConstructionError, match="metric not positive"):
+                reconstruct_su3(abelian(6), om, ps)
+            assert signs == [0]
+
+
 # -- torsion classes -----------------------------------------------------------------
 
 def test_n2_coupled(s_n2):
@@ -149,11 +176,57 @@ def test_coupled_implies_psi_closed():
 # -- w2 ------------------------------------------------------------------------------
 
 def test_primitive_11_space_dimension(s_n2):
-    basis = primitive_11_basis(s_n2)
+    basis = primitive_11_oracle(s_n2.j.rows, kform_to_terms(s_n2.omega))
     assert len(basis) == 8
+    om2 = wedge_oracle(kform_to_terms(s_n2.omega), 2, kform_to_terms(s_n2.omega), 2, 6)
     for b in basis:
-        om2 = wedge(s_n2.omega, s_n2.omega)
-        assert wedge(b, om2).is_zero()
+        assert wedge_oracle(b, 2, om2, 4, 6) == {}
+
+
+def _w2_cases():
+    """(structure, c) pairs covering n1, n2, s_ab (b = 0 too) and abelian(6)."""
+    cases = []
+    for entry_id, params, c in (("n1", {}, F(-1)), ("n2", {}, F(-1)),
+                                ("s_ab", {"a": 1, "b": 2}, F(2)),
+                                ("s_ab", {"a": 2, "b": 0}, F(0)),
+                                ("s_ab", {"a": F(-3, 2), "b": F(1, 3)}, F(1, 3)),
+                                ("s_ab", {"a": 0, "b": -1}, F(-1))):
+        entry = catalog.get(entry_id, **params)
+        cases.append((reconstruct_su3(entry.algebra, *entry.su3_pair), c))
+    omega, psi = adapted_su3_pair()
+    cases.append((reconstruct_su3(abelian(6), omega, psi), F(0)))
+    cases.append((reconstruct_su3(abelian(6), 9 * omega, 27 * psi), F(0)))
+    return cases
+
+
+def test_w2_is_primitive_11_and_solves_its_equation():
+    # w2 = -*(d psi_hat + (2c/3) omega^2) lies in the oracle's primitive (1,1)
+    # span, and w2 ^ omega gives back d psi_hat + (2c/3) omega^2
+    for struct, c in _w2_cases():
+        w2 = w2_of(struct, c).w2
+        basis = primitive_11_oracle(struct.j.rows, kform_to_terms(struct.omega))
+        w2_terms = kform_to_terms(w2)
+        vectors = [[b.get(pair, F(0)) for pair in combinations(range(6), 2)]
+                   for b in basis + [w2_terms]]
+        assert sympy_rank(vectors[:-1]) == sympy_rank(vectors) == 8
+        rhs = ce_differential(struct.algebra, struct.psi_hat) \
+            + F(2, 3) * c * wedge(struct.omega, struct.omega)
+        assert wedge_oracle(w2_terms, 2, kform_to_terms(struct.omega), 2, 6) \
+            == kform_to_terms(rhs)
+
+
+def test_w2_guard_rejects_a_wrong_constant(s_n2):
+    for struct in (s_n2, s_n2.to_float()):
+        for c in (0, -2):
+            with pytest.raises(ArithmeticError, match="inconsistent"):
+                w2_of(struct, c)
+
+
+def test_float_w2_matches_exact():
+    for struct, c in _w2_cases()[:6]:
+        exact = w2_of(struct, c).w2
+        approx = w2_of(struct.to_float(), c).w2
+        assert float((approx - exact.to_float()).max_abs()) <= 1e-14
 
 
 def test_n2_w2_golden_value(s_n2):
