@@ -515,15 +515,16 @@ class MetricData:
         idxs = basis_indices(self.n, k)
         if k == 0:
             gram = ((Fraction(1) if self.backend == RATIONAL else 1.0,),)
+        elif k == 1 and self.backend == RATIONAL:
+            gram = ginv
         elif self.backend == RATIONAL:
-            gram = tuple(
-                tuple(
-                    linalg.det([[ginv[a][b] for b in j_idx] for a in i_idx])
-                    if k > 1 else ginv[i_idx[0]][j_idx[0]]
-                    for j_idx in idxs
-                )
-                for i_idx in idxs
-            )
+            # g^-1 is exactly symmetric, so minor(I, J) = minor(J, I): the upper half suffices
+            rows = [[None] * len(idxs) for _ in idxs]
+            for s, i_idx in enumerate(idxs):
+                for t in range(s, len(idxs)):
+                    rows[s][t] = rows[t][s] = linalg.det(
+                        [[ginv[a][b] for b in idxs[t]] for a in i_idx])
+            gram = tuple(tuple(row) for row in rows)
         else:
             gram = tuple(tuple(row) for row in gram_np(np.array(ginv), k).tolist())
         self._gram[k] = gram

@@ -474,10 +474,14 @@ def rank_one_extension(alg: LieAlgebra, d: Endo, name=None) -> LieAlgebra:
         raise ValueError("derivation must be exact-rational")
     if not is_derivation(alg, d):
         raise ValueError("endomorphism is not a derivation of the algebra")
-    out = _extension_structure(alg, d, name=name)
-    residual = check_jacobi(out)
+    return _jacobi_checked(_extension_structure(alg, d, name=name))
+
+
+def _jacobi_checked(ext: LieAlgebra) -> LieAlgebra:
+    """``ext``, after checking Jacobi on the extension by a known derivation."""
+    residual = check_jacobi(ext)
     if residual != 0:
         raise InvalidStructureError(
             "extension violates Jacobi (residual %s); derivation check is broken"
             % residual)
-    return out
+    return ext

@@ -1,11 +1,17 @@
-"""Dense exact-rational linear algebra.
+"""Exact-rational linear algebra over ``fractions.Fraction``.
 
-Small, self-contained Gaussian-elimination kernel over ``fractions.Fraction``.
 Matrices are lists of lists (row major); products skip zero entries.
-There are three elimination loops: ``rref`` (ranks, inverses, and each
-linear system, whose solution and kernel are read off one reduction),
-``det``, and ``positive_det``, the one positivity rule: positive definite
-by the pivots of an elimination without row exchanges (Sylvester).
+``rref`` is a sparse Gauss-Jordan elimination: each row is held as a
+``{column: value}`` dict of its nonzeros, and each column takes as pivot the
+unused row that holds it with the fewest nonzeros (lowest index on ties), a
+Markowitz-style rule that keeps fill-in small on the very sparse derivation
+and Chevalley-Eilenberg systems.  Only the rows that hold the pivot column
+are reduced, and entries that cancel are dropped.  The reduced row-echelon
+form of a matrix is unique, so the result does not depend on the pivot order.
+Ranks, inverses and each linear system (whose solution and kernel are read
+off one reduction) come from ``rref``; ``det`` and ``positive_det``, the one
+positivity rule (positive definite by the pivots of an elimination without
+row exchanges, Sylvester), are the other two elimination loops.
 Everything here is exact: ranks, nullspaces, positivity and least-squares
 solutions never depend on float thresholds.
 The float-backend counterparts of these routines live in numpy and are called
@@ -25,32 +31,54 @@ def mat_copy(m):
 
 
 def rref(m):
-    """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns)."""
-    a = mat_copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns).
+
+    The pivot rows come first in pivot-column order, then zero rows, so the
+    result has as many rows as ``m``; ``m`` itself is not changed.
+    """
+    ncols = len(m[0]) if m else 0
+    rows = [{j: x for j, x in enumerate(row) if x != 0} for row in m]
+    holders = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    free = set(range(len(rows)))
+    pivots, pivot_rows = [], []
+    for c in range(ncols):
+        hold = holders[c]
+        cand = [(len(rows[i]), i) for i in hold if i in free]
+        if not cand:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        p = min(cand)[1]
+        free.remove(p)
+        pv = rows[p][c]
+        prow = rows[p] = {j: x / pv for j, x in rows[p].items()}
+        tail = [(j, y) for j, y in prow.items() if j != c]
+        for i in hold:
+            if i == p:
+                continue
+            row = rows[i]
+            f = row.pop(c)
+            for j, y in tail:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
+                    holders[j].add(i)
+                else:
+                    x -= f * y
+                    if x != 0:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+        holders[c] = {p}
         pivots.append(c)
-        r += 1
-        if r == rows:
+        pivot_rows.append(prow)
+        if not free:
             break
-    return a, pivots
+    dense = [[row.get(j, ZERO) for j in range(ncols)] for row in pivot_rows]
+    dense += [[ZERO] * ncols for _ in range(len(rows) - len(pivots))]
+    return dense, pivots
 
 
 def rank(m) -> int:

@@ -43,10 +43,10 @@ from .g2 import G2Structure, positive_det_np
 from .liealg import (
     LieAlgebra,
     _extension_structure,
+    _jacobi_checked,
     ce_differential,
     derivation_equations,
     is_derivation,
-    rank_one_extension,
 )
 from .scalars import RATIONAL, ExactBackendUnavailable, rational_nth_root
 
@@ -435,14 +435,14 @@ def g2_from_extension(struct: SU3Structure, d: Endo) -> ExtensionResult:
     endomorphism need not be a derivation: the closedness conditions make
     sense formally for any D, but only derivations produce an actual Lie
     algebra (for other D the returned structure equations violate Jacobi).
+    D is tested as a derivation once; a derivation's extension is then
+    checked against Jacobi, as ``rank_one_extension`` does.
     """
     alg = struct.algebra
-    if is_derivation(alg, d):
-        ext = rank_one_extension(alg, d,
-                                 name=(alg.name + "+R") if alg.name else "ext")
-    else:
-        ext = _extension_structure(alg, d,
-                                   name=(alg.name + "+R") if alg.name else "ext")
+    derivation = is_derivation(alg, d)
+    ext = _extension_structure(alg, d, name=(alg.name + "+R") if alg.name else "ext")
+    if derivation:
+        _jacobi_checked(ext)
     eta = KForm.monomial(7, (7,), backend=struct.backend)
     phi = wedge(struct.omega.embedded(7), eta) + struct.psi.embedded(7)
     dpsi = struct.d(struct.psi)

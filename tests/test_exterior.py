@@ -251,6 +251,30 @@ def test_hodge_involution_sign():
             assert diff < 1e-12 * max(1.0, float(gamma.max_abs()))
 
 
+def test_rational_gram_is_every_minor_of_the_inverse():
+    # <e^I, e^J> = det g^-1[I, J]; g = A^T A is non-diagonal with det g = (det A)^2
+    import sympy
+
+    from g2lab.exterior import basis_indices
+
+    a = sympy.Matrix([[1, 2, 0, 0, F(1, 3), 0],
+                      [0, 1, -1, 0, 0, 2],
+                      [F(1, 2), 0, 1, 3, 0, 0],
+                      [0, 0, 0, 1, -2, F(2, 5)],
+                      [1, 0, 0, 0, 1, 1],
+                      [0, -1, 0, F(3, 4), 0, 1]])
+    g = a.T * a
+    n = g.rows
+    vol = KForm.monomial(n, tuple(range(1, n + 1)), F(str(abs(a.det()))))
+    m = MetricData([[F(str(x)) for x in g.row(i)] for i in range(n)], vol)
+    ginv = g.inv()
+    for k in range(2, 6):
+        idxs = basis_indices(n, k)
+        expected = [[F(str(ginv.extract(list(i), list(j)).det())) for j in idxs]
+                    for i in idxs]
+        assert [list(row) for row in m.gram(k)] == expected
+
+
 def test_hodge_rational_identity_backend():
     m = MetricData.identity(7)
     tau = KForm.from_terms(7, 2, {(1, 2): -1, (3, 4): 3, (5, 6): -2})

@@ -49,6 +49,58 @@ def _square_cases(rng):
     return cases
 
 
+def _sparse_cases(rng):
+    """Sparse rational matrices (5-30 % nonzeros) of every shape rref meets."""
+    cases = [[], [[F(0)]], [[F(0)], [F(0)]], [[F(0)], [F(3, 2)], [F(-1)]]]
+    for trial in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+        m = _rational(rng, rows, cols, density=float(rng.uniform(0.05, 0.3)))
+        if trial % 3 == 0:  # a full diagonal: full rank when square
+            for i in range(min(rows, cols)):
+                m[i][i] = F(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        if trial % 4 == 1 and rows > 1:  # duplicate and combined rows
+            m[-1] = list(m[0])
+            if rows > 2:
+                m[1] = [x - 2 * y for x, y in zip(m[0], m[-2])]
+        if trial % 5 == 2:  # a zero row and a zero column
+            m[int(rng.integers(rows))] = [F(0)] * cols
+            zero_col = int(rng.integers(cols))
+            for row in m:
+                row[zero_col] = F(0)
+        cases.append(m)
+    cases.append([[F(1), F(2)]] * 3)
+    return cases
+
+
+def _derivation_systems():
+    from g2lab import catalog
+    from g2lab.liealg import derivation_equations
+
+    return [derivation_equations(catalog.get(e).algebra)
+            for e in ("n1", "s_ab", "g_a", "nonsolv_2", "nonsolv_levi")]
+
+
+def test_rref_matches_sympy():
+    rng = np.random.default_rng(43)
+    kinds = dict.fromkeys(("full", "deficient", "tall", "wide", "zero_row", "zero_col"), 0)
+    for m in _sparse_cases(rng) + _derivation_systems():
+        before = [list(row) for row in m]
+        red, pivots = linalg.rref(m)
+        assert m == before
+        s = sympy.Matrix(m) if m else sympy.zeros(0, 0)
+        expected, expected_pivots = s.rref()
+        assert tuple(pivots) == expected_pivots
+        assert red == [[F(int(x.p), int(x.q)) for x in expected.row(i)]
+                       for i in range(s.rows)]
+        rank = len(pivots)
+        kinds["full" if rank == min(s.shape) else "deficient"] += 1
+        kinds["tall"] += s.rows > s.cols
+        kinds["wide"] += s.rows < s.cols
+        kinds["zero_row"] += any(all(x == 0 for x in row) for row in m)
+        kinds["zero_col"] += any(all(x == 0 for x in col) for col in zip(*m))
+    assert min(kinds.values()) >= 8, kinds
+
+
 def test_positive_det_is_sylvester_and_det():
     rng = np.random.default_rng(31)
     cases = _square_cases(rng)

@@ -370,6 +370,29 @@ def test_extension_threeway_agreement(s_n2):
         assert res.closed == cond == direct
 
 
+def test_extension_tests_derivation_once(s_n2, monkeypatch):
+    from g2lab import liealg, su3
+
+    counts = {"is_derivation": 0, "check_jacobi": 0}
+
+    def counting(name):
+        fn = getattr(liealg, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    is_derivation = counting("is_derivation")
+    monkeypatch.setattr(liealg, "is_derivation", is_derivation)
+    monkeypatch.setattr(su3, "is_derivation", is_derivation)
+    monkeypatch.setattr(liealg, "check_jacobi", counting("check_jacobi"))
+    res = g2_from_extension(s_n2, catalog.lauret_derivation(F(1, 2)))
+    assert res.closed
+    # one derivation test, and the derivation's extension keeps its Jacobi guard
+    assert counts == {"is_derivation": 1, "check_jacobi": 1}
+
+
 def test_su3_json_roundtrip(s_n2):
     data = s_n2.to_json_dict()
     assert KForm.from_json_dict(data["omega"]) == s_n2.omega
