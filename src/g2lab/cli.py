@@ -110,19 +110,25 @@ def _parse_rational_or_str(text):
     return Fraction(text)
 
 
+def _json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read(what, load):
+    """load(); a file that cannot be read or decoded is a parse error."""
+    try:
+        return load()
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            AttributeError, ZeroDivisionError) as exc:
+        raise CliError("cannot load %s: %s" % (what, exc), EXIT_PARSE) from None
+
+
 def _load_algebra(spec, params):
     """Resolve a catalog id or a JSON file path into a CatalogEntry."""
     if os.path.exists(spec) or spec.endswith(".json"):
-        try:
-            with open(spec) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError("cannot read algebra file %s: %s" % (spec, exc),
-                           EXIT_PARSE) from None
-        try:
-            alg = LieAlgebra.from_json_dict(data)
-        except (KeyError, ValueError) as exc:
-            raise CliError("malformed algebra JSON: %s" % exc, EXIT_PARSE) from None
+        alg = _read("algebra file %s" % spec,
+                    lambda: LieAlgebra.from_json_dict(_json(spec)))
         if params:
             raise CliError("--param applies to catalog entries only", EXIT_PARSE)
         if check_jacobi(alg) != 0:
@@ -194,11 +200,7 @@ def _cmd_analyze(entry, args):
 
 def _structure_from_args(entry, args):
     if getattr(args, "phi", None):
-        try:
-            with open(args.phi) as fh:
-                phi = KForm.from_json_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise CliError("cannot read phi: %s" % exc, EXIT_PARSE) from None
+        phi = _read("phi", lambda: KForm.from_json_dict(_json(args.phi)))
     else:
         phi = entry.phi
         if phi is None:
@@ -248,13 +250,8 @@ def _cmd_g2(entry, args):
 
 def _su3_from_args(entry, args):
     if args.omega and args.psi:
-        try:
-            with open(args.omega) as fh:
-                omega = KForm.from_json_dict(json.load(fh))
-            with open(args.psi) as fh:
-                psi = KForm.from_json_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise CliError("cannot read SU(3) pair: %s" % exc, EXIT_PARSE) from None
+        omega, psi = _read("SU(3) pair", lambda: tuple(
+            KForm.from_json_dict(_json(path)) for path in (args.omega, args.psi)))
     else:
         if entry.su3_pair is None:
             raise CliError("entry %s has no attached SU(3) pair; pass "
@@ -400,8 +397,8 @@ def _run_job(job):
     user_catalog = os.environ.get("G2LAB_CATALOG_PATH")
     if user_catalog and os.path.exists(user_catalog):
         try:
-            catalog.load_user_catalog(user_catalog)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
+            _read("user catalog", lambda: catalog.load_user_catalog(user_catalog))
+        except CliError:
             pass  # the parent already reported unusable catalogs
     args = argparse.Namespace(**args_dict)
     entry = _load_algebra(spec, params)
@@ -482,9 +479,9 @@ def main(argv=None) -> int:
     user_catalog = os.environ.get("G2LAB_CATALOG_PATH")
     if user_catalog:
         try:
-            catalog.load_user_catalog(user_catalog)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            print("cannot load user catalog: %s" % exc, file=sys.stderr)
+            _read("user catalog", lambda: catalog.load_user_catalog(user_catalog))
+        except CliError as exc:
+            print(exc, file=sys.stderr)
             return EXIT_PARSE
 
     try:

@@ -179,7 +179,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     struct = start.to_float()
-    if not struct.is_closed(1e-10):
+    if not struct.is_closed():
         raise NotClosedError("initial form is not closed")
     kernel = FlowKernel(struct.algebra)
     y = struct.phi.np_coeffs

@@ -211,6 +211,13 @@ class ERPDiagnostics:
                 and self.ric_matches_j_formula and self.ric_eigenvalue_pattern)
 
 
+def _closed(residual, backend, tol=1e-10) -> bool:
+    """The closedness rule on max |d phi|: exactly zero, or below tol in float."""
+    if backend == RATIONAL:
+        return residual == 0
+    return float(residual) < tol
+
+
 class G2Structure:
     """A positive 3-form on a 7-dimensional Lie algebra with derived metric.
 
@@ -242,9 +249,7 @@ class G2Structure:
         return self.d(self.phi).max_abs()
 
     def is_closed(self, tol=1e-10) -> bool:
-        if self.backend == RATIONAL:
-            return self.closedness_residual() == 0
-        return self.closedness_residual() < tol
+        return _closed(self.closedness_residual(), self.backend, tol)
 
     def to_float(self) -> "G2Structure":
         if self.backend == FLOAT:
@@ -279,10 +284,7 @@ def torsion_form(struct: G2Structure) -> TorsionData:
     torsion equation and tau in Lambda^2_14 (alpha wedge phi = -*alpha):
     a failure raises InconsistentTorsionError.
     """
-    if struct.backend == RATIONAL:
-        if struct.closedness_residual() != 0:
-            raise NotClosedError("structure is not closed")
-    elif struct.closedness_residual() >= 1e-10:
+    if not struct.is_closed():
         raise NotClosedError("structure is not closed")
     dstar = struct.d(struct.star(struct.phi))
     tau = -struct.star(dstar)
@@ -471,9 +473,8 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
     if alg.n != 7:
         raise ValueError("search needs a 7-dimensional algebra")
     if initial is not None:
-        closed = ce_differential(alg, initial).max_abs()
-        ok = closed == 0 if initial.backend == RATIONAL else float(closed) < 1e-10
-        if ok and is_positive(alg, initial):
+        residual = ce_differential(alg, initial).max_abs()
+        if _closed(residual, initial.backend) and is_positive(alg, initial):
             return initial
     kernel = closed_3form_basis(alg)
     if not kernel:

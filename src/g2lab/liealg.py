@@ -2,8 +2,11 @@
 
 An n-dimensional Lie algebra is stored as the degree-1 part of its
 Chevalley-Eilenberg differential: the list (de^1, ..., de^n) of 2-forms.
-The bracket is recovered through de^k(e_i, e_j) = -e^k([e_i, e_j]), and the
-Jacobi identity is equivalent to d o d = 0.
+The Jacobi identity is equivalent to d o d = 0.  The constructor reads the
+bracket off de^k(e_i, e_j) = -e^k([e_i, e_j]) once, into one table of the
+nonzero structure constants c_ij^k of every ordered pair; brackets,
+ad-matrices, unimodularity and the derivation equations read only that
+table.  ``is_derivation`` tests D against the derivation equations.
 
 Everything structural (ranks, series, radicals, derivation spaces) is
 computed over exact rationals; parameters must be rationals.
@@ -43,13 +46,14 @@ class LieAlgebra:
         self.d1 = d1
         self.name = name
         self.params = dict(params or {})
-        # bracket table: [e_i, e_j] = -sum_k de^k(e_i, e_j) e_k
-        table = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = tuple(-d1[k].value((i + 1, j + 1)) for k in range(n))
-                table[(i, j)] = v
-        self._brackets = table
+        # _sc[i][j]: the (k, c), c != 0, of [e_i, e_j] = sum_k c e_k; c = -de^k(e_i, e_j)
+        sc = [[[] for _ in range(n)] for _ in range(n)]
+        for k, f in enumerate(d1):
+            for (i, j), c in zip(basis_indices(n, 2), f.coeffs):
+                if c != 0:
+                    sc[i][j].append((k, -c))
+                    sc[j][i].append((k, c))
+        self._sc = tuple(tuple(tuple(pairs) for pairs in row) for row in sc)
         self._d_matrices = {}
         self._d_matrices_np = {}
         self._d_ranks = {}
@@ -60,11 +64,10 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int):
         """[e_i, e_j] for 0-based basis indices, as a coefficient tuple."""
-        if i == j:
-            return (ZERO,) * self.n
-        if i < j:
-            return self._brackets[(i, j)]
-        return tuple(-c for c in self._brackets[(j, i)])
+        out = [ZERO] * self.n
+        for k, c in self._sc[i][j]:
+            out[k] = c
+        return tuple(out)
 
     def bracket(self, x, y):
         """Bracket of two coefficient vectors (exact)."""
@@ -75,17 +78,18 @@ class LieAlgebra:
             if xi == 0:
                 continue
             for j, yj in enumerate(y):
-                if yj == 0 or i == j:
-                    continue
-                for k, c in enumerate(self.bracket_basis(i, j)):
-                    if c != 0:
+                if yj != 0:
+                    for k, c in self._sc[i][j]:
                         out[k] += xi * yj * c
         return tuple(out)
 
     def ad(self, i: int):
         """Matrix of ad_{e_i} acting on coefficient vectors."""
-        cols = [self.bracket_basis(i, j) for j in range(self.n)]
-        return [[cols[j][k] for j in range(self.n)] for k in range(self.n)]
+        m = [[ZERO] * self.n for _ in range(self.n)]
+        for j, pairs in enumerate(self._sc[i]):
+            for k, c in pairs:
+                m[k][j] = c
+        return m
 
     # -- differential ----------------------------------------------------------
 
@@ -207,14 +211,9 @@ def betti(alg: LieAlgebra, k: int) -> int:
 
 
 def is_unimodular(alg: LieAlgebra) -> bool:
-    """True iff tr(ad_X) = 0 for every basis vector X."""
-    for i in range(alg.n):
-        tr = ZERO
-        for j in range(alg.n):
-            tr += alg.bracket_basis(i, j)[j]
-        if tr != 0:
-            return False
-    return True
+    """True iff tr(ad_{e_i}) = sum_j c_ij^j = 0 for every i."""
+    return all(sum((c for j, pairs in enumerate(row) for k, c in pairs if k == j), ZERO)
+               == 0 for row in alg._sc)
 
 
 # -- structural classification ----------------------------------------------
@@ -377,55 +376,40 @@ class DerivationSpace:
         return linalg.solve(cols, target) is not None
 
 
-def derivation_residual(alg: LieAlgebra, d: Endo):
-    """Max |D[x,y] - [Dx,y] - [x,Dy]| over basis pairs (exact)."""
-    worst = ZERO
-    for i in range(alg.n):
-        for j in range(i + 1, alg.n):
-            v = alg.bracket_basis(i, j)
-            lhs = d.apply(v)
-            di = d.apply(tuple(Fraction(1) if t == i else ZERO for t in range(alg.n)))
-            dj = d.apply(tuple(Fraction(1) if t == j else ZERO for t in range(alg.n)))
-            rhs1 = alg.bracket(di, tuple(Fraction(1) if t == j else ZERO
-                                         for t in range(alg.n)))
-            rhs2 = alg.bracket(tuple(Fraction(1) if t == i else ZERO
-                                     for t in range(alg.n)), dj)
-            for a, b, c in zip(lhs, rhs1, rhs2):
-                worst = max(worst, abs(a - b - c))
-    return worst
-
-
 def is_derivation(alg: LieAlgebra, d: Endo) -> bool:
-    return derivation_residual(alg, d) == 0
+    """True iff D[x, y] = [Dx, y] + [x, Dy]: D solves the derivation equations."""
+    if d.n != alg.n:
+        raise ValueError("endomorphism has wrong dimension")
+    entries = [as_rational(x) for row in d.rows for x in row]
+    return not any(linalg.matvec(derivation_equations(alg), entries))
 
 
 def derivation_equations(alg: LieAlgebra):
     """Rows of the homogeneous linear system cutting out Der(alg).
 
-    Unknowns are the n^2 entries of D in row-major order.
+    Unknowns are the n^2 entries of D in row-major order.  Row (i, j, k),
+    i < j, is the e_k coefficient of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j];
+    all-zero rows are dropped.
     """
-    n = alg.n
+    n, sc = alg.n, alg._sc
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            v = alg.bracket_basis(i, j)
-            for k in range(n):
-                row = [ZERO] * (n * n)
-                # D[e_i,e_j]_k = sum_m D[k][m] v_m
-                for m in range(n):
-                    if v[m] != 0:
-                        row[k * n + m] += v[m]
-                # -[De_i, e_j]_k = -sum_m D[m][i] [e_m, e_j]_k
-                for m in range(n):
-                    c = alg.bracket_basis(m, j)[k]
-                    if c != 0:
-                        row[m * n + i] -= c
-                # -[e_i, De_j]_k = -sum_m D[m][j] [e_i, e_m]_k
-                for m in range(n):
-                    c = alg.bracket_basis(i, m)[k]
-                    if c != 0:
-                        row[m * n + j] -= c
-                if any(x != 0 for x in row):
+            eqs = [{} for _ in range(n)]  # per k: {row-major position: coefficient}
+            # D[e_i,e_j]_k = sum_m D[k][m] c_ij^m
+            for m, c in sc[i][j]:
+                for k in range(n):
+                    eqs[k][k * n + m] = c
+            # -[De_i, e_j]_k - [e_i, De_j]_k = -sum_m (D[m][i] c_mj^k + D[m][j] c_im^k)
+            for m in range(n):
+                for col, pairs in ((m * n + i, sc[m][j]), (m * n + j, sc[i][m])):
+                    for k, c in pairs:
+                        eqs[k][col] = eqs[k].get(col, ZERO) - c
+            for eq in eqs:
+                if any(c != 0 for c in eq.values()):
+                    row = [ZERO] * (n * n)
+                    for col, c in eq.items():
+                        row[col] = c
                     rows.append(row)
     return rows
 

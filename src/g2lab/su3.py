@@ -274,16 +274,22 @@ class Proportionality:
 
 
 def _proportionality(target: KForm, model: KForm):
-    """Least-squares fit target = factor * model on coefficient vectors."""
-    denom = sum((c * c for c in model.coeffs),
-                ZERO if model.backend == RATIONAL else 0.0)
+    """The factor of target = factor * model, or None when they are not proportional.
+
+    The factor is the least-squares fit on coefficient vectors; it counts when
+    the residual is exactly zero, or at most 1e-10 max(1, max |target|) in float.
+    """
+    zero = ZERO if model.backend == RATIONAL else 0.0
+    denom = sum((c * c for c in model.coeffs), zero)
     if denom == 0:
-        return None, target
-    num = sum((a * b for a, b in zip(target.coeffs, model.coeffs)),
-              ZERO if model.backend == RATIONAL else 0.0)
-    factor = num / denom
-    residual = target - factor * model
-    return factor, residual
+        return None
+    factor = sum((a * b for a, b in zip(target.coeffs, model.coeffs)), zero) / denom
+    residual = (target - factor * model).max_abs()
+    if model.backend == RATIONAL:
+        small = residual == 0
+    else:
+        small = float(residual) <= 1e-10 * max(1.0, float(target.max_abs()))
+    return factor if small else None
 
 
 def su3_torsion_class(struct: SU3Structure) -> TorsionClass:
@@ -293,12 +299,9 @@ def su3_torsion_class(struct: SU3Structure) -> TorsionClass:
     backend = struct.backend
     if _form_small(dom, backend) and _form_small(dpsi, backend):
         return TorsionClass(kind="symplectic_half_flat", c=None)
-    factor, residual = _proportionality(dom, struct.psi)
-    scale = max(1.0, float(dom.max_abs()))
-    small = residual.max_abs() == 0 if backend == RATIONAL \
-        else float(residual.max_abs()) <= 1e-10 * scale
-    nonzero = factor != 0 if backend == RATIONAL else abs(float(factor)) > 1e-12
-    if factor is not None and small and nonzero:
+    factor = _proportionality(dom, struct.psi)
+    if factor is not None and (factor != 0 if backend == RATIONAL
+                               else abs(float(factor)) > 1e-12):
         return TorsionClass(kind="coupled", c=factor)
     return TorsionClass(kind="generic", c=None)
 
@@ -336,13 +339,8 @@ def check_dw2_prop_psi(struct: SU3Structure, w2: KForm) -> Proportionality:
     dw2 = struct.d(w2)
     if _form_small(dw2, struct.backend) and _form_small(w2, struct.backend):
         return Proportionality(proportional=True, factor=0)
-    factor, residual = _proportionality(dw2, struct.psi)
-    scale = max(1.0, float(dw2.max_abs()))
-    if struct.backend == RATIONAL:
-        proportional = residual.max_abs() == 0
-    else:
-        proportional = float(residual.max_abs()) <= 1e-10 * scale
-    if not proportional:
+    factor = _proportionality(dw2, struct.psi)
+    if factor is None:
         return Proportionality(proportional=False, factor=None)
     w2_nsq = norm_sq(struct.metric, w2)
     quarter = w2_nsq / 4

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import g2lab
 from g2lab import catalog
 from g2lab.cli import CliError, main
@@ -91,6 +93,51 @@ def test_invalid_algebra_exit_3(capsys, tmp_path):
     path.write_text(json.dumps(_non_jacobi_n2()))
     code, report = run_json(capsys, "analyze", str(path))
     assert code == 3 and report["status"] == "error"
+
+
+def _n2_with_coefficient(c):
+    data = catalog.get("n2").algebra.to_json_dict()
+    data["d"][4]["terms"][0]["c"] = c
+    return data
+
+
+def _form_with_coefficient(n, c):
+    return {"n": n, "k": 3, "terms": [{"idx": [1, 2, 3], "c": c}]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("analyze", lambda: _n2_with_coefficient(0.5)),
+    ("analyze", lambda: [_n2_with_coefficient("1")]),
+    ("analyze", lambda: _n2_with_coefficient("1/0")),
+    ("g2", lambda: [_form_with_coefficient(7, "1")]),
+    ("g2", lambda: _form_with_coefficient(7, [1])),
+    ("g2", lambda: _form_with_coefficient(7, "1/0")),
+    ("su3", lambda: [_form_with_coefficient(6, "1")]),
+    ("su3", lambda: _form_with_coefficient(6, "1/0")),
+    ("catalog", lambda: {"entries": [{"id": "bad", "algebra": _n2_with_coefficient(0.5)}]}),
+    ("catalog", lambda: {"entries": [{"id": "bad", "algebra": _n2_with_coefficient("1/0")}]}),
+    ("catalog", lambda: [{"id": "bad", "algebra": _n2_with_coefficient("1")}]),
+], ids=["algebra-float", "algebra-list", "algebra-1/0", "phi-list", "phi-list-coefficient",
+        "phi-1/0", "su3-list", "su3-1/0", "catalog-float", "catalog-1/0", "catalog-list"])
+def test_malformed_json_exits_2(capsys, tmp_path, monkeypatch, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload()))
+    argv = {"analyze": ["analyze", str(path)],
+            "g2": ["g2", "abelian7", "--phi", str(path)],
+            "su3": ["su3", "n2", "--omega", str(path), "--psi", str(path)],
+            "catalog": ["analyze", "n2"]}[command]
+    if command == "catalog":
+        monkeypatch.setenv("G2LAB_CATALOG_PATH", str(path))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    if command == "catalog":
+        assert captured.out == ""
+        assert captured.err.startswith("cannot load user catalog: ")
+    else:
+        report = json.loads(captured.out)
+        assert report["schema"] == "g2lab-report/1" and report["status"] == "error"
+        assert report["command"] == argv[:2]
 
 
 # -- g2 ---------------------------------------------------------------------------

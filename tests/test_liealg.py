@@ -9,6 +9,7 @@ import sympy
 from g2lab import catalog, linalg
 from g2lab.catalog import (
     lauret_derivation,
+    n1_derivation,
     nilpotent_n1,
     nilpotent_n2,
     sab_derivation,
@@ -311,6 +312,67 @@ def test_derivations_commute_with_differential(n2_entry):
         lhs = endo_action(d, ce_differential(alg, gamma))
         rhs = ce_differential(alg, endo_action(d, gamma))
         assert lhs == rhs
+
+
+def _structure_constant(alg, i, j, k):
+    """c_ij^k = -de^k(e_i, e_j), read off the terms of the 2-form de^k."""
+    terms = alg.d1[k].terms()
+    if i < j:
+        return -terms.get((i + 1, j + 1), F(0))
+    if i > j:
+        return terms.get((j + 1, i + 1), F(0))
+    return F(0)
+
+
+def _random_rational(rng, size):
+    return [F(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(size)]
+
+
+def test_brackets_ad_and_unimodularity_match_structure_equations():
+    rng = np.random.default_rng(53)
+    for alg in oracle_algebras():
+        n = alg.n
+        c = [[[_structure_constant(alg, i, j, k) for k in range(n)] for j in range(n)]
+             for i in range(n)]
+        for i in range(n):
+            assert alg.ad(i) == [[c[i][j][k] for j in range(n)] for k in range(n)], alg
+            for j in range(n):
+                assert alg.bracket_basis(i, j) == tuple(c[i][j]), (alg, i, j)
+        for _ in range(5):
+            x, y = _random_rational(rng, n), _random_rational(rng, n)
+            x[int(rng.integers(0, n))] = F(0)
+            expected = tuple(sum((x[i] * y[j] * c[i][j][k] for i in range(n)
+                                  for j in range(n)), F(0)) for k in range(n))
+            assert alg.bracket(x, y) == expected, alg
+        traces = [sum((c[i][j][j] for j in range(n)), F(0)) for i in range(n)]
+        assert is_unimodular(alg) == all(t == 0 for t in traces), alg
+
+
+def _commutes_with_d(alg, d):
+    """D is a derivation iff D act de^k = d(D act e^k) for every k."""
+    return all(endo_action(d, alg.d1[k])
+               == ce_differential(alg, endo_action(d, KForm.monomial(alg.n, (k + 1,))))
+               for k in range(alg.n))
+
+
+def test_is_derivation_matches_commuting_with_d():
+    rng = np.random.default_rng(59)
+    known = [(nilpotent_n2(), lauret_derivation(a)) for a in (F(0), F(1, 3), F(1))]
+    known += [(nilpotent_n1(), n1_derivation(F(2), F(-3))),
+              (solvable_s_ab(1, 2), sab_derivation(2, 3)),
+              (solvable_s_ab(1, 1), sab_derivation(1, 0))]
+    for alg, d in known:
+        assert _commutes_with_d(alg, d) and is_derivation(alg, d), alg
+    for alg in oracle_algebras():
+        n = alg.n
+        space = derivation_space(alg)
+        for d in space.basis:
+            assert _commutes_with_d(alg, d) and is_derivation(alg, d), alg
+        for _ in range(3):
+            d = Endo([_random_rational(rng, n) for _ in range(n)])
+            derivation = _commutes_with_d(alg, d)
+            assert is_derivation(alg, d) == derivation, alg
+            assert derivation == (space.dim == n * n), alg
 
 
 # -- rank-one extensions ----------------------------------------------------------
