@@ -109,17 +109,11 @@ def _verify(entry: CatalogEntry):
     checks = []
     if "unimodular" in exp:
         checks.append(("unimodular", is_unimodular(alg), exp["unimodular"]))
-    flags = None
-    if {"solvable", "nilpotent_step", "levi_type", "radical_dim"} & set(exp):
+    flag_keys = [k for k in ("solvable", "nilpotent_step", "levi_type", "radical_dim")
+                 if k in exp]
+    if flag_keys:
         flags = structure_flags(alg)
-    if "solvable" in exp:
-        checks.append(("solvable", flags.solvable, exp["solvable"]))
-    if "nilpotent_step" in exp:
-        checks.append(("nilpotent_step", flags.nilpotent_step, exp["nilpotent_step"]))
-    if "levi_type" in exp:
-        checks.append(("levi_type", flags.levi_type, exp["levi_type"]))
-    if "radical_dim" in exp:
-        checks.append(("radical_dim", flags.radical_dim, exp["radical_dim"]))
+        checks += [(k, getattr(flags, k), exp[k]) for k in flag_keys]
     if "coupled_c" in exp and entry.su3_pair is not None:
         struct = reconstruct_su3(alg, *entry.su3_pair)
         tc = su3_torsion_class(struct)

@@ -14,6 +14,7 @@ additional user catalog entries.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -392,14 +393,22 @@ _COMMANDS = {
 }
 
 
+def _load_user_catalog():
+    """Register the entries of G2LAB_CATALOG_PATH, when it is set."""
+    user_catalog = os.environ.get("G2LAB_CATALOG_PATH")
+    if user_catalog:
+        _read("user catalog", lambda: catalog.load_user_catalog(user_catalog))
+
+
+def _init_worker():
+    """Pool initializer: a spawned worker registers the user catalog once
+    (main has already reported an unusable one; raising here would hang the pool)."""
+    with contextlib.suppress(CliError):
+        _load_user_catalog()
+
+
 def _run_job(job):
     command, spec, params, args_dict = job
-    user_catalog = os.environ.get("G2LAB_CATALOG_PATH")
-    if user_catalog and os.path.exists(user_catalog):
-        try:
-            _read("user catalog", lambda: catalog.load_user_catalog(user_catalog))
-        except CliError:
-            pass  # the parent already reported unusable catalogs
     args = argparse.Namespace(**args_dict)
     entry = _load_algebra(spec, params)
     results = _COMMANDS[command](entry, args)
@@ -476,13 +485,11 @@ def _render(report, fmt) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    user_catalog = os.environ.get("G2LAB_CATALOG_PATH")
-    if user_catalog:
-        try:
-            _read("user catalog", lambda: catalog.load_user_catalog(user_catalog))
-        except CliError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_PARSE
+    try:
+        _load_user_catalog()
+    except CliError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
 
     try:
         if args.command == "catalog":
@@ -502,7 +509,8 @@ def main(argv=None) -> int:
         if len(jobs) > 1 and args.jobs > 1:
             # spawn avoids inheriting BLAS thread state into the workers
             ctx = multiprocessing.get_context("spawn")
-            with ctx.Pool(processes=min(args.jobs, len(jobs))) as pool:
+            with ctx.Pool(processes=min(args.jobs, len(jobs)),
+                          initializer=_init_worker) as pool:
                 outcomes = pool.map(_run_job, jobs)
         else:
             outcomes = [_run_job(job) for job in jobs]

@@ -106,15 +106,18 @@ def induced_bilinear(phi: KForm):
         raise ValueError("expected a 3-form on R^7")
     if phi.backend == FLOAT:
         return [list(row) for row in induced_bilinear_np(phi.np_coeffs).tolist()]
+    return _top_pairing(phi, phi, 6)
+
+
+def _top_pairing(phi, gamma, divisor):
+    """Symmetric rows: top coefficient of i_i phi ^ i_j phi ^ gamma, over divisor."""
     iphi = [interior(basis_vector(7, i + 1, phi.backend), phi) for i in range(7)]
-    b = [[None] * 7 for _ in range(7)]
+    rows = [[None] * 7 for _ in range(7)]
     for i in range(7):
         for j in range(i, 7):
-            top = wedge(wedge(iphi[i], iphi[j]), phi)
-            c = top.coeffs[0] / 6
-            b[i][j] = c
-            b[j][i] = c
-    return b
+            top = wedge(wedge(iphi[i], iphi[j]), gamma)
+            rows[i][j] = rows[j][i] = top.coeffs[0] / divisor
+    return rows
 
 
 def positive_det_np(b: np.ndarray) -> Optional[float]:
@@ -308,17 +311,7 @@ def j_map(struct: G2Structure, gamma: KForm):
     """Symmetric tensor j(gamma)(X,Y) = *(i_X phi wedge i_Y phi wedge gamma)."""
     if gamma.k != 3 or gamma.n != 7:
         raise ValueError("expected a 3-form on R^7")
-    volc = struct.metric.vol_coeff
-    iphi = [interior(basis_vector(7, i + 1, struct.backend), struct.phi)
-            for i in range(7)]
-    rows = [[None] * 7 for _ in range(7)]
-    for i in range(7):
-        for j in range(i, 7):
-            top = wedge(wedge(iphi[i], iphi[j]), gamma)
-            val = top.coeffs[0] / volc
-            rows[i][j] = val
-            rows[j][i] = val
-    return tuple(tuple(r) for r in rows)
+    return tuple(tuple(r) for r in _top_pairing(struct.phi, gamma, struct.metric.vol_coeff))
 
 
 def _generalized_eigenvalues(ric, g) -> tuple:
@@ -335,7 +328,7 @@ def curvature(struct: G2Structure) -> CurvatureData:
 
     Ric = |tau|^2/4 g - (1/4) j(d tau - (1/2) *(tau wedge tau)); the scalar
     curvature is computed independently as -|tau|^2/2 and checked against the
-    metric trace of Ric.
+    metric trace of Ric, exactly in the rational backend.
     """
     tor = torsion(struct)
     half = Fraction(1, 2)
@@ -352,8 +345,11 @@ def curvature(struct: G2Structure) -> CurvatureData:
     scal = 0 - half * tor.tau_norm_sq  # not -half * x: zero torsion gives +0.0
     ginv = struct.metric.g_inv()
     trace = sum(ginv[i][k] * ric[i][k] for i in range(7) for k in range(7))
-    tol = 1e-8 * max(1.0, abs(float(scal)))
-    if abs(float(trace - scal)) > tol:
+    if struct.backend == RATIONAL:
+        disagree = trace != scal
+    else:
+        disagree = abs(float(trace - scal)) > 1e-8 * max(1.0, abs(float(scal)))
+    if disagree:
         raise ArithmeticError(
             "trace of Ric (%s) disagrees with -|tau|^2/2 (%s)" % (trace, scal))
     return CurvatureData(ric=ric, scal=scal,
@@ -420,12 +416,16 @@ def erp_diagnostics(struct: G2Structure) -> ERPDiagnostics:
 
 
 def hodge_laplacian_closed(struct: G2Structure) -> KForm:
-    """Hodge Laplacian of a closed structure: d tau, checked against -d*d*phi."""
+    """Hodge Laplacian of a closed structure: d tau, checked against -d*d*phi
+    (exactly in the rational backend)."""
     tor = torsion(struct)
     alt = -1 * struct.d(struct.star(struct.d(struct.star(struct.phi))))
     diff = (tor.dtau - alt).max_abs()
-    scale = max(1.0, float(tor.dtau.max_abs()))
-    if float(diff) > 1e-9 * scale:
+    if struct.backend == RATIONAL:
+        disagree = diff != 0
+    else:
+        disagree = float(diff) > 1e-9 * max(1.0, float(tor.dtau.max_abs()))
+    if disagree:
         raise ArithmeticError("d tau and -d*d*phi disagree: %s" % diff)
     return tor.dtau
 

@@ -7,6 +7,9 @@ bracket off de^k(e_i, e_j) = -e^k([e_i, e_j]) once, into one table of the
 nonzero structure constants c_ij^k of every ordered pair; brackets,
 ad-matrices, unimodularity and the derivation equations read only that
 table.  ``is_derivation`` tests D against the derivation equations.
+``structure_flags`` builds [g, g] once from the table: it opens both the
+derived series and the lower central series, and its Killing-orthogonal is
+the radical.
 
 Everything structural (ranks, series, radicals, derivation spaces) is
 computed over exact rationals; parameters must be rationals.
@@ -265,67 +268,58 @@ def killing_matrix(alg: LieAlgebra):
     return _trace_form([alg.ad(i) for i in range(alg.n)])
 
 
-def radical_basis(alg: LieAlgebra):
-    """Exact basis of the radical: the Killing-orthogonal of [g, g]."""
+def _derived(alg):
+    """Canonical basis of [g, g]: the span of the [e_i, e_j], i < j."""
     n = alg.n
-    full = [[Fraction(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-    kil = killing_matrix(alg)
-    derived = _bracket_span(alg, full, full)
-    if not derived:
-        return [tuple(row) for row in full]
+    return _span([alg.bracket_basis(i, j) for i in range(n) for j in range(i + 1, n)], n)
+
+
+def _series_dims(first, step, n):
+    """Dimensions of first, step(first), ... up to and including the first
+    repeat or zero; the series opens on g itself, of dimension n."""
+    dims, prev, cur = [len(first)], n, first
+    while dims[-1] not in (0, prev):
+        prev, cur = len(cur), step(cur)
+        dims.append(len(cur))
+    return dims
+
+
+def _radical(alg, derived):
+    """Canonical basis of the Killing-orthogonal of ``derived``, the basis of [g, g]."""
+    n, kil = alg.n, killing_matrix(alg)
     constraint = [linalg.matvec(kil, b) for b in derived]
     return [tuple(v) for v in _span(linalg.nullspace(constraint, ncols=n), n)]
+
+
+def radical_basis(alg: LieAlgebra):
+    """Exact basis of the radical: the Killing-orthogonal of [g, g]."""
+    return _radical(alg, _derived(alg))
 
 
 def structure_flags(alg: LieAlgebra) -> StructureFlags:
     """Solvability, nilpotency, radical and Levi-quotient type.
 
-    The radical is computed as the Killing-orthogonal complement of the
-    derived algebra.  When the semisimple quotient is 3-dimensional, its
-    Killing signature distinguishes sl(2,R) (indefinite) from su(2)
-    (negative-definite).
+    One [g, g] opens both the derived series and the lower central series,
+    and its Killing-orthogonal complement is the radical.  When the
+    semisimple quotient is 3-dimensional, its Killing signature
+    distinguishes sl(2,R) (indefinite) from su(2) (negative-definite).
     """
     n = alg.n
-    full = [[Fraction(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-
-    derived_dims = []
-    cur = full
-    while True:
-        nxt = _bracket_span(alg, cur, cur)
-        derived_dims.append(len(nxt))
-        if len(nxt) == len(cur) or len(nxt) == 0:
-            break
-        cur = nxt
-    solvable = derived_dims[-1] == 0
-
-    lcs_dims = []
-    cur = full
-    while True:
-        nxt = _bracket_span(alg, full, cur)
-        lcs_dims.append(len(nxt))
-        if len(nxt) == len(cur) or len(nxt) == 0:
-            break
-        cur = nxt
-    nilpotent = lcs_dims[-1] == 0
-    step = len(lcs_dims) if nilpotent else None
-
-    radical = [list(v) for v in radical_basis(alg)]
-    rad_dim = len(radical)
-    ss_dim = n - rad_dim
-
-    levi_type = None
-    if ss_dim == 3:
-        levi_type = _levi3_type(alg, radical)
-
+    full = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    derived = _derived(alg)
+    derived_dims = _series_dims(derived, lambda cur: _bracket_span(alg, cur, cur), n)
+    lcs_dims = _series_dims(derived, lambda cur: _bracket_span(alg, full, cur), n)
+    radical = _radical(alg, derived)
+    ss_dim = n - len(radical)
     return StructureFlags(
-        solvable=solvable,
-        nilpotent=nilpotent,
-        nilpotent_step=step,
+        solvable=derived_dims[-1] == 0,
+        nilpotent=lcs_dims[-1] == 0,
+        nilpotent_step=len(lcs_dims) if lcs_dims[-1] == 0 else None,
         derived_series_dims=tuple(derived_dims),
         lower_central_dims=tuple(lcs_dims),
-        radical_dim=rad_dim,
+        radical_dim=len(radical),
         semisimple_dim=ss_dim,
-        levi_type=levi_type,
+        levi_type=_levi3_type(alg, radical) if ss_dim == 3 else None,
     )
 
 
@@ -333,23 +327,21 @@ def _levi3_type(alg, radical):
     """Type of the 3-dim semisimple quotient g/rad from its Killing form K.
 
     "su2" when K is negative definite, "sl2R" when det K < 0 (exactly one
-    negative square), otherwise None.  The standard vectors on the non-pivot
-    columns of rref(radical) complete the radical to a basis of g.
+    negative square), otherwise None.  ``radical`` is in canonical rref form,
+    so its pivots are the leading nonzeros of its rows; the standard vectors
+    on the other columns complete the radical to a basis of g.
     """
-    n = alg.n
-    red, pivots = linalg.rref([list(b) for b in radical])
-    free = [c for c in range(n) if c not in pivots]
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in radical]
+    free = [c for c in range(alg.n) if c not in pivots]
 
     def quotient_coords(vec):
-        # vec = sum_r vec[p_r] red_r + sum_c beta_c e_c; read beta off the free columns
-        return [vec[c] - sum((vec[p] * red[r][c] for r, p in enumerate(pivots)), ZERO)
+        # vec = sum_r vec[p_r] radical_r + sum_c beta_c e_c; read beta off the free columns
+        return [vec[c] - sum((vec[p] * radical[r][c] for r, p in enumerate(pivots)), ZERO)
                 for c in free]
 
-    comp = [tuple(Fraction(int(i == c)) for i in range(n)) for c in free]
-    structure = [[quotient_coords(alg.bracket(u, v)) for v in comp] for u in comp]
-    q = len(comp)
-    ad_q = [[[structure[i][j][k] for j in range(q)] for k in range(q)]
-            for i in range(q)]
+    # ad_q[i][k][j]: coordinate k of [e_free[i], e_free[j]] modulo the radical
+    ad_q = [list(zip(*[quotient_coords(alg.bracket_basis(a, b)) for b in free]))
+            for a in free]
     kil = _trace_form(ad_q)
     if linalg.positive_det([[-x for x in row] for row in kil]) is not None:
         return "su2"

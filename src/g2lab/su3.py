@@ -335,7 +335,8 @@ def w2_of(struct: SU3Structure, c=None) -> CoupledData:
 
 
 def check_dw2_prop_psi(struct: SU3Structure, w2: KForm) -> Proportionality:
-    """Test d w2 = mu psi; proportional cases must satisfy mu = |w2|^2/4."""
+    """Test d w2 = mu psi; proportional cases must satisfy mu = |w2|^2/4
+    (exactly in the rational backend)."""
     dw2 = struct.d(w2)
     if _form_small(dw2, struct.backend) and _form_small(w2, struct.backend):
         return Proportionality(proportional=True, factor=0)
@@ -344,7 +345,11 @@ def check_dw2_prop_psi(struct: SU3Structure, w2: KForm) -> Proportionality:
         return Proportionality(proportional=False, factor=None)
     w2_nsq = norm_sq(struct.metric, w2)
     quarter = w2_nsq / 4
-    if abs(float(factor - quarter)) > 1e-8 * max(1.0, abs(float(quarter))):
+    if struct.backend == RATIONAL:
+        disagree = factor != quarter
+    else:
+        disagree = abs(float(factor - quarter)) > 1e-8 * max(1.0, abs(float(quarter)))
+    if disagree:
         raise ArithmeticError(
             "proportionality factor %s differs from |w2|^2/4 = %s"
             % (factor, quarter))

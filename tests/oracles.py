@@ -6,6 +6,7 @@ the shuffle-sum definition, and ranks come from sympy.  Slow but obviously
 correct on the small spaces involved.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -86,6 +87,50 @@ def sympy_rank(rows) -> int:
 
 def sympy_nullity(rows, ncols) -> int:
     return ncols - sympy_rank(rows)
+
+
+def series_dims_oracle(alg):
+    """Derived-series and lower-central-series dimensions of a Lie algebra.
+
+    The brackets come from c_ij^k = -de^k(e_i, e_j), read off the oracle
+    dicts of alg.d1 and scaled to integers (spans do not see the scale).
+    Each term is spanned by the brackets of a basis of the previous one (of
+    g itself for the lower central series), its dimension is a sympy rank,
+    and a series stops at its first zero or repeated dimension.  Returns
+    (derived dims, lower central dims).
+    """
+    n = alg.n
+    de = [kform_to_terms(f) for f in alg.d1]
+    c = [(i, j, k, -form_value(de[k], (i, j)))
+         for i in range(n) for j in range(n) for k in range(n)]
+    c = [t for t in c if t[3] != 0]
+    scale = math.lcm(*(t[3].denominator for t in c))
+    c = [(i, j, k, int(v * scale)) for i, j, k, v in c]
+
+    def bracket(x, y):
+        out = [0] * n
+        for i, j, k, v in c:
+            out[k] += x[i] * y[j] * v
+        return out
+
+    def integral(row):
+        return [int(x * math.lcm(*(int(y.q) for y in row))) for x in row]
+
+    full = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def series(step):
+        dims, prev, cur = [], n, full
+        while True:
+            m = sympy.Matrix(step(cur))
+            dims.append(m.rank(iszerofunc=lambda x: x == 0))  # exact entries
+            if dims[-1] in (0, prev):
+                return tuple(dims)
+            prev, cur = dims[-1], [integral(row) for row in m.rowspace()]
+
+    derived = series(lambda cur: [bracket(u, v) for a, u in enumerate(cur)
+                                  for v in cur[a + 1:]])
+    lower = series(lambda cur: [bracket(e, v) for e in full for v in cur])
+    return derived, lower
 
 
 def primitive_11_oracle(j_rows, omega_terms, n=6):

@@ -414,7 +414,7 @@ def test_sweep_starts_no_more_workers_than_jobs(capsys, monkeypatch):
     started = []
 
     class RecordingPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer):
             started.append(processes)
 
         def __enter__(self):
@@ -435,6 +435,36 @@ def test_sweep_starts_no_more_workers_than_jobs(capsys, monkeypatch):
                             "--param", "a=1/2,1", "--jobs", "8")
     assert code == 0 and len(report["results"]["sweep"]) == 2
     assert started == [2]
+
+
+def test_in_process_sweep_loads_user_catalog_once(capsys, tmp_path, monkeypatch):
+    _user_catalog(tmp_path, monkeypatch, "once_entry",
+                  {"algebra": catalog.get("n2").algebra.to_json_dict()})
+    load, calls = catalog.load_user_catalog, []
+    monkeypatch.setattr(catalog, "load_user_catalog",
+                        lambda path: calls.append(path) or load(path))
+    try:
+        code, report = run_json(capsys, "analyze", "g_a",
+                                "--param", "a=1/2,1,2", "--jobs", "1")
+    finally:
+        catalog._REGISTRY.pop("once_entry", None)
+    assert code == 0 and len(report["results"]["sweep"]) == 3
+    assert len(calls) == 1
+
+
+def test_spawned_workers_load_the_user_catalog(tmp_path):
+    # without the pool initializer a worker reports the entry as unknown
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps({"entries": [
+        {"id": "worker_entry", "algebra": catalog.get("n2").algebra.to_json_dict()}]}))
+    env = dict(os.environ, G2LAB_CATALOG_PATH=str(path),
+               PYTHONPATH=str(Path(g2lab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2lab.cli", "analyze", "worker_entry",
+         "--param", "a=1,2", "--jobs", "2"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert "does not accept parameters" in json.loads(proc.stdout)["results"]["error"]
 
 
 def test_catalog_non_derivation_exits_3(capsys, monkeypatch):

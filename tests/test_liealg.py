@@ -35,7 +35,13 @@ from g2lab.liealg import (
 )
 from g2lab.su3 import adapted_su3_pair
 
-from oracles import kform_to_terms, sympy_nullity, sympy_rank, wedge_oracle
+from oracles import (
+    kform_to_terms,
+    series_dims_oracle,
+    sympy_nullity,
+    sympy_rank,
+    wedge_oracle,
+)
 
 SO3 = {1: {(2, 3): -1}, 2: {(3, 1): -1}, 3: {(1, 2): -1}}
 SL2 = {1: {(2, 3): -1}, 2: {(1, 2): -2}, 3: {(1, 3): 2}}
@@ -256,6 +262,18 @@ def _euclidean3():
     return _from_brackets(6, bracket)
 
 
+def _random_basis_change(alg, rng):
+    """alg in the random rational basis f_i = sum_a p[a][i] e_a."""
+    n = alg.n
+    p = [[F(0)]]
+    while linalg.det(p) == 0:
+        p = [[F(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(n)]
+             for _ in range(n)]
+    cols, to_f = linalg.transpose(p), linalg.inverse(p)
+    return _from_brackets(
+        n, lambda i, j: linalg.matvec(to_f, alg.bracket(cols[i], cols[j])))
+
+
 def test_levi_type_survives_a_change_of_basis():
     # a random basis f_i = sum_a p[a][i] e_a puts the radical off the coordinate axes
     rng = np.random.default_rng(43)
@@ -266,14 +284,7 @@ def test_levi_type_survives_a_change_of_basis():
         n = alg.n
         flags = structure_flags(alg)
         assert flags.levi_type == levi and flags.radical_dim == n - 3
-        p = [[F(0)]]
-        while linalg.det(p) == 0:
-            p = [[F(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(n)]
-                 for _ in range(n)]
-        cols = linalg.transpose(p)
-        to_f = linalg.inverse(p)
-        moved = _from_brackets(
-            n, lambda i, j: linalg.matvec(to_f, alg.bracket(cols[i], cols[j])))
+        moved = _random_basis_change(alg, rng)
         assert check_jacobi(moved) == 0
         moved_flags = structure_flags(moved)
         assert moved_flags.levi_type == levi
@@ -281,6 +292,28 @@ def test_levi_type_survives_a_change_of_basis():
         red, pivots = linalg.rref(radical_basis(moved))
         assert any(red[r][c] != 0 for r in range(len(pivots))
                    for c in range(n) if c not in pivots)
+
+
+def test_structure_flags_match_series_oracle():
+    rng = np.random.default_rng(47)
+    for alg in oracle_algebras() + [_euclidean3()]:
+        for case in (alg, _random_basis_change(alg, rng)):
+            flags = structure_flags(case)
+            assert (flags.derived_series_dims, flags.lower_central_dims) \
+                == series_dims_oracle(case), alg.name
+
+
+def test_structure_flags_builds_derived_algebra_once(monkeypatch):
+    # one span for [g, g], one per further series term, one for the radical
+    import g2lab.liealg as liealg_mod
+
+    spans, span = [], liealg_mod._span
+    monkeypatch.setattr(liealg_mod, "_span", lambda v, n: spans.append(n) or span(v, n))
+    for alg in oracle_algebras():
+        spans.clear()
+        flags = structure_flags(alg)
+        series_terms = len(flags.derived_series_dims) + len(flags.lower_central_dims) - 1
+        assert len(spans) == series_terms + 1, alg.name
 
 
 # -- derivations -----------------------------------------------------------------

@@ -282,6 +282,13 @@ def test_n2_dw2_proportional(s_n2):
     assert norm_sq(s_n2.metric, data.w2) == F(32, 3)
 
 
+def test_exact_dw2_factor_rejects_a_scaled_w2(s_n2):
+    # d(l w2) = l mu psi but |l w2|^2/4 = l^2 mu: off by 1e-12, inside any float threshold
+    w2 = (1 + F(1, 10 ** 12)) * w2_of(s_n2, -1).w2
+    with pytest.raises(ArithmeticError, match="differs from"):
+        check_dw2_prop_psi(s_n2, w2)
+
+
 def test_sab_dw2_proportional():
     for b in (F(1), F(3)):
         entry = catalog.get("s_ab", a=2, b=b)
