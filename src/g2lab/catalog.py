@@ -21,12 +21,11 @@ from .liealg import (
     LieAlgebra,
     _bracket_span,
     _extension_structure,
+    _flags_and_radical,
     abelian,
     check_jacobi,
     from_structure_equations,
     is_unimodular,
-    radical_basis,
-    structure_flags,
 )
 from .scalars import RATIONAL, as_rational
 from .su3 import adapted_su3_pair, reconstruct_su3, su3_torsion_class
@@ -111,8 +110,8 @@ def _verify(entry: CatalogEntry):
         checks.append(("unimodular", is_unimodular(alg), exp["unimodular"]))
     flag_keys = [k for k in ("solvable", "nilpotent_step", "levi_type", "radical_dim")
                  if k in exp]
-    if flag_keys:
-        flags = structure_flags(alg)
+    if flag_keys or "radical_nonabelian" in exp:
+        flags, rad = _flags_and_radical(alg)
         checks += [(k, getattr(flags, k), exp[k]) for k in flag_keys]
     if "coupled_c" in exp and entry.su3_pair is not None:
         struct = reconstruct_su3(alg, *entry.su3_pair)
@@ -130,9 +129,7 @@ def _verify(entry: CatalogEntry):
         checks.append(("phi closed", closed, exp["phi_closed"]))
         checks.append(("phi positive", is_positive(alg, entry.phi), True))
     if "radical_nonabelian" in exp:
-        rad = radical_basis(alg)
-        derived_rad = _bracket_span(alg, rad, rad)
-        checks.append(("radical non-abelian", len(derived_rad) > 0,
+        checks.append(("radical non-abelian", len(_bracket_span(alg, rad, rad)) > 0,
                        exp["radical_nonabelian"]))
     for label, got, want in checks:
         if got != want:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -49,19 +49,6 @@ def index_position(n: int, k: int):
     return {idx: p for p, idx in enumerate(basis_indices(n, k))}
 
 
-def merge_sign(i_idx, j_idx):
-    """Sign and sorted union of two disjoint increasing tuples, or None."""
-    if set(i_idx) & set(j_idx):
-        return None
-    inv = 0
-    for a in i_idx:
-        for b in j_idx:
-            if a > b:
-                inv += 1
-    merged = tuple(sorted(i_idx + j_idx))
-    return (-1) ** inv, merged
-
-
 @lru_cache(maxsize=None)
 def wedge_pairs(n: int, p: int, q: int):
     """dict (pos_p, pos_q) -> (pos_{p+q}, sign) for nonzero basis wedges."""
@@ -69,11 +56,9 @@ def wedge_pairs(n: int, p: int, q: int):
     table = {}
     for ip, i_idx in enumerate(basis_indices(n, p)):
         for jp, j_idx in enumerate(basis_indices(n, q)):
-            ms = merge_sign(i_idx, j_idx)
-            if ms is None:
-                continue
-            sign, merged = ms
-            table[(ip, jp)] = (out_pos[merged], sign)
+            if not set(i_idx) & set(j_idx):
+                merged = i_idx + j_idx
+                table[(ip, jp)] = (out_pos[tuple(sorted(merged))], _permutation_sign(merged))
     return table
 
 
@@ -106,21 +91,42 @@ def complement_table(n: int, k: int):
     table = []
     for idx in basis_indices(n, k):
         comp = tuple(i for i in range(n) if i not in idx)
-        sign, _ = merge_sign(idx, comp)
-        table.append((out_pos[comp], sign))
+        table.append((out_pos[comp], _permutation_sign(idx + comp)))
     return tuple(table)
 
 
 @lru_cache(maxsize=None)
-def _index_array(n: int, k: int) -> np.ndarray:
-    return np.array(basis_indices(n, k))
+def complement_matrix(n: int, k: int) -> np.ndarray:
+    """Signed complement matrix S_k, (S_k a)_{I^c} = sign(I, I^c) a_I, read-only."""
+    s = np.zeros((len(basis_indices(n, n - k)), len(basis_indices(n, k))))
+    for i, (cpos, sign) in enumerate(complement_table(n, k)):
+        s[cpos, i] = sign
+    s.flags.writeable = False
+    return s
 
 
-def gram_np(ginv: np.ndarray, k: int) -> np.ndarray:
-    """Float Gram matrix on degree-k forms, k >= 1: the k x k minors of ginv."""
-    idx = _index_array(len(ginv), k)
-    sub = ginv[idx[:, None, :, None], idx[None, :, None, :]]
-    return np.linalg.det(sub) if k > 1 else sub[:, :, 0, 0]
+@lru_cache(maxsize=None)
+def _tensor_slots(n: int, k: int):
+    """(flat n^k-tensor slot, basis position, sign) of each permutation of each
+    basis multi-index, and the slot of each increasing one."""
+    idxs, slot = basis_indices(n, k), n ** np.arange(k - 1, -1, -1)
+    flat, pos, sign = zip(*[(s, p, _permutation_sign(s)) for p, idx in enumerate(idxs)
+                            for s in permutations(idx)])
+    return (np.array(flat, int).reshape(len(pos), k) @ slot, np.array(pos),
+            np.array(sign, float)[:, None], np.array(idxs, int).reshape(len(idxs), k) @ slot)
+
+
+def raise_np(m: np.ndarray, forms: np.ndarray, k: int) -> np.ndarray:
+    """Lambda^k m, (Lambda^k m a)_I = sum_J det m[I, J] a_J, on one k-form or on
+    the columns of a batch, for symmetric m: scatter into the antisymmetric
+    n^k tensor, contract each index with m by one matrix product (which moves
+    it behind the others), and read back at the increasing multi-indices."""
+    n, (flat, pos, sign, lex) = len(m), _tensor_slots(len(m), k)
+    t = np.zeros((n ** k, forms.size // len(forms)))
+    t[flat] = forms.reshape(len(forms), -1)[pos] * sign
+    for _ in range(k):
+        t = t.reshape(n, -1).T @ m
+    return t.reshape(-1, n ** k)[:, lex].T.reshape(forms.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -508,25 +514,27 @@ class MetricData:
         return self._ginv
 
     def gram(self, k: int):
-        """Gram matrix of the induced inner product on degree-k forms."""
+        """Gram matrix Lambda^k g^-1 on degree-k forms; column (= row) J is
+        g^-1 e^{j_1} ^ ... ^ g^-1 e^{j_k}.  Rational: column J[:-1] wedged with
+        g^-1 e^{j_k}.  Float: ``raise_np`` of the identity for k <= n/2, above
+        it Jacobi's identity Lambda^k g^-1 = S_k^T Lambda^{n-k} g S_k / det g."""
         if k in self._gram:
             return self._gram[k]
-        ginv = self.g_inv()
-        idxs = basis_indices(self.n, k)
-        if k == 0:
-            gram = ((Fraction(1) if self.backend == RATIONAL else 1.0,),)
-        elif k == 1 and self.backend == RATIONAL:
-            gram = ginv
+        n, ginv = self.n, self.g_inv()
+        if self.backend == RATIONAL and k <= 1:
+            gram = ginv if k else ((Fraction(1),),)
         elif self.backend == RATIONAL:
-            # g^-1 is exactly symmetric, so minor(I, J) = minor(J, I): the upper half suffices
-            rows = [[None] * len(idxs) for _ in idxs]
-            for s, i_idx in enumerate(idxs):
-                for t in range(s, len(idxs)):
-                    rows[s][t] = rows[t][s] = linalg.det(
-                        [[ginv[a][b] for b in idxs[t]] for a in i_idx])
-            gram = tuple(tuple(row) for row in rows)
+            prev, pos = self.gram(k - 1), index_position(n, k - 1)
+            gram = tuple(wedge(KForm(n, k - 1, prev[pos[idx[:-1]]], RATIONAL),
+                               KForm(n, 1, ginv[idx[-1]], RATIONAL)).coeffs
+                         for idx in basis_indices(n, k))
+        elif 2 * k <= n:
+            gram = raise_np(np.array(ginv), np.eye(len(basis_indices(n, k))), k)
         else:
-            gram = tuple(tuple(row) for row in gram_np(np.array(ginv), k).tolist())
+            g, s = np.array(self.g), complement_matrix(n, k)
+            gram = s.T @ raise_np(g, np.eye(len(s)), n - k) @ s / np.linalg.det(g)
+        if self.backend == FLOAT:
+            gram = tuple(tuple(row) for row in gram.tolist())
         self._gram[k] = gram
         return gram
 
@@ -633,7 +641,7 @@ def endo_action(a: Endo, gamma: KForm) -> KForm:
 
 
 def inner(metric: MetricData, alpha: KForm, beta: KForm):
-    """Metric inner product on degree-k forms (Gram-determinant extension)."""
+    """Metric inner product on degree-k forms: alpha . Lambda^k g^-1 . beta."""
     if (alpha.n, alpha.k) != (beta.n, beta.k):
         raise ValueError("form shape mismatch")
     require_same_backend(metric.backend, alpha.backend, beta.backend)

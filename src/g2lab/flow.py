@@ -4,8 +4,9 @@ The flow evolves the 35 coefficients of a closed 3-form by
 d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
 closed cone is preserved.  FlowKernel evaluates it in numpy with the same
 metric, positivity rule and torsion identity tau = -*d*phi as the float
-backend of g2, guarded by tau wedge phi = d*phi.  Integration uses a
-classical 4th-order one-step method with step-halving error control.
+backend of g2, guarded by tau wedge phi = d*phi, its stars raising indices
+without minors.  Integration uses a classical 4th-order one-step method
+with step-halving error control.
 
 Also provided: the closed-form self-similar solution on the one-parameter
 rank-one extensions of the coupled nilpotent algebra, the closed-form
@@ -28,9 +29,9 @@ from .exterior import (
     Endo,
     KForm,
     basis_indices,
-    complement_table,
+    complement_matrix,
     endo_action,
-    gram_np,
+    raise_np,
     wedge_tensor,
 )
 from .g2 import (
@@ -44,7 +45,6 @@ from .g2 import (
 from .liealg import LieAlgebra, derivation_space
 from .scalars import FLOAT, RATIONAL
 
-LAMBDA2 = tuple(basis_indices(7, 2))
 LAMBDA3 = tuple(basis_indices(7, 3))
 
 #: |tau|^2 beyond which the integrator reports an approaching blow-up
@@ -67,16 +67,6 @@ class FlowStalled(RuntimeError):
 # numpy kernel
 # ---------------------------------------------------------------------------
 
-def _signed_complement_matrix(n, k):
-    """Matrix of the index pairing used by the Hodge star on degree k."""
-    rows = len(basis_indices(n, n - k))
-    cols = len(basis_indices(n, k))
-    s = np.zeros((rows, cols))
-    for i, (cpos, sign) in enumerate(complement_table(n, k)):
-        s[cpos, i] = sign
-    return s
-
-
 class _Blowup(Exception):
     pass
 
@@ -92,8 +82,8 @@ class FlowKernel:
         self.d3 = alg.d_matrix_np(3)
         self.d4 = alg.d_matrix_np(4)
         self.w23 = wedge_tensor(7, 2, 3)
-        self.s3 = _signed_complement_matrix(7, 3)
-        self.s5 = _signed_complement_matrix(7, 5)
+        self.s3 = complement_matrix(7, 3)
+        self.s5 = complement_matrix(7, 5)
 
     def metric(self, y):
         b = induced_bilinear_np(y)
@@ -105,19 +95,19 @@ class FlowKernel:
         return g, np.linalg.inv(g), volc
 
     def torsion(self, y):
-        """tau = -*d*phi, |tau|^2 and the volume coefficient at phi = y."""
+        """tau = -*d*phi, |tau|^2 and the volume coefficient at phi = y.
+
+        *phi = vol S_3 Lambda^3 g^-1 phi, and as ** = 1 in dimension 7,
+        *_5 = (*_2)^-1 = Lambda^2 g S_5 / vol: each by ``raise_np``."""
         g, ginv, volc = self.metric(y)
-        star3 = volc * (self.s3 @ gram_np(ginv, 3))
-        dstar = self.d4 @ (star3 @ y)
-        # ** = 1 in dimension 7: *_5 = (*_2)^-1 = Lambda^2 g . S_5 / vol
-        star5 = (gram_np(g, 2) @ self.s5) / volc
-        tau = -(star5 @ dstar)
+        dstar = self.d4 @ (volc * (self.s3 @ raise_np(ginv, y, 3)))
+        tau = -raise_np(g, self.s5 @ dstar, 2) / volc
         wphi = np.einsum("aqc,q->ca", self.w23, y)        # (21c, 21a)
         res = float(np.linalg.norm(wphi @ tau - dstar))
         if res > 1e-9 * max(1.0, float(np.linalg.norm(dstar))):
             raise InconsistentTorsionError(
                 "tau = -*d*phi fails tau wedge phi = d*phi along the flow")
-        tau_nsq = float(tau @ gram_np(ginv, 2) @ tau)
+        tau_nsq = float(tau @ raise_np(ginv, tau, 2))
         if tau_nsq > BLOWUP_TAU_SQ:
             raise _Blowup("torsion blow-up")
         return tau, tau_nsq, volc

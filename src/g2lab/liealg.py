@@ -304,6 +304,11 @@ def structure_flags(alg: LieAlgebra) -> StructureFlags:
     semisimple quotient is 3-dimensional, its Killing signature
     distinguishes sl(2,R) (indefinite) from su(2) (negative-definite).
     """
+    return _flags_and_radical(alg)[0]
+
+
+def _flags_and_radical(alg):
+    """``structure_flags`` and the canonical radical basis it is read from."""
     n = alg.n
     full = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     derived = _derived(alg)
@@ -320,7 +325,7 @@ def structure_flags(alg: LieAlgebra) -> StructureFlags:
         radical_dim=len(radical),
         semisimple_dim=ss_dim,
         levi_type=_levi3_type(alg, radical) if ss_dim == 3 else None,
-    )
+    ), radical
 
 
 def _levi3_type(alg, radical):

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import sympy
 
 
@@ -133,6 +134,30 @@ def series_dims_oracle(alg):
     return derived, lower
 
 
+def gram_minor_oracle(m, k):
+    """Lambda^k m by k x k minors: entry (I, J) is det m[I, J], I, J increasing."""
+    combos = list(combinations(range(len(m)), k))
+    idx = np.array(combos, dtype=int).reshape(len(combos), k)
+    sub = np.asarray(m)[idx[:, None, :, None], idx[None, :, None, :]]
+    return np.linalg.det(sub)
+
+
+def star_oracle(g, volc, k):
+    """Matrix of the Hodge star on float k-forms, vol S_k Lambda^k g^-1 by minors.
+
+    S_k sends e^I to sign(I, I^c) e^{I^c}, the sign of the concatenated
+    permutation (I, I^c).
+    """
+    n = len(g)
+    idx = list(combinations(range(n), k))
+    comp = {c: p for p, c in enumerate(combinations(range(n), n - k))}
+    s = np.zeros((len(comp), len(idx)))
+    for p, i in enumerate(idx):
+        rest = tuple(j for j in range(n) if j not in i)
+        s[comp[rest], p] = perm_sign(i + rest)
+    return volc * s @ gram_minor_oracle(np.linalg.inv(g), k)
+
+
 def primitive_11_oracle(j_rows, omega_terms, n=6):
     """Basis of the J-invariant 2-forms alpha with alpha ^ omega^2 = 0.
 
@@ -165,8 +190,6 @@ def levi_civita_ricci(alg, g):
     2 <nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y> for left-invariant
     fields; then Ric(X,Y) = sum_{i,j} g^{ij} <R(e_i, X) Y, e_j>.
     """
-    import numpy as np
-
     n = alg.n
     g = np.array([[float(x) for x in row] for row in g])
     ginv = np.linalg.inv(g)

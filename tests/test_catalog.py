@@ -47,6 +47,16 @@ def test_extension_entry_checks_jacobi_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_levi_entry_builds_derived_algebra_once(monkeypatch):
+    # the radical-nonabelian check reads the radical structure_flags built
+    from g2lab import liealg
+
+    calls, derived = [], liealg._derived
+    monkeypatch.setattr(liealg, "_derived", lambda alg: calls.append(1) or derived(alg))
+    catalog.get("nonsolv_levi")
+    assert len(calls) == 1
+
+
 def test_attached_forms_are_closed_and_positive():
     for entry in catalog.closed_entry_instances():
         assert ce_differential(entry.algebra, entry.phi).is_zero()

@@ -21,7 +21,13 @@ from g2lab.g2 import adapted_phi
 from g2lab.scalars import FLOAT, RATIONAL, BackendMismatch
 from g2lab.su3 import adapted_su3_pair
 
-from oracles import endo_oracle, interior_oracle, kform_to_terms, wedge_oracle
+from oracles import (
+    endo_oracle,
+    gram_minor_oracle,
+    interior_oracle,
+    kform_to_terms,
+    wedge_oracle,
+)
 
 
 def random_form(rng, n, k, span=4):
@@ -273,6 +279,36 @@ def test_rational_gram_is_every_minor_of_the_inverse():
         expected = [[F(str(ginv.extract(list(i), list(j)).det())) for j in idxs]
                     for i in idxs]
         assert [list(row) for row in m.gram(k)] == expected
+
+
+def test_float_gram_matches_minor_oracle():
+    # raise of indices for k <= n/2, complementary minors of g above it
+    rng = np.random.default_rng(41)
+    for n in (6, 7, 8):
+        for _ in range(3):
+            a = rng.standard_normal((n, n))
+            g = a @ a.T + 0.5 * np.eye(n)
+            vol = KForm.monomial(n, tuple(range(1, n + 1)),
+                                 float(np.sqrt(np.linalg.det(g))), backend=FLOAT)
+            m = MetricData(g.tolist(), vol)
+            ginv = np.array(m.g_inv())
+            for k in range(n + 1):
+                ref = gram_minor_oracle(ginv, k)
+                err = np.max(np.abs(np.array(m.gram(k)) - ref))
+                assert err <= 1e-13 * np.max(np.abs(ref)), (n, k)
+
+
+def test_rational_gram_takes_no_determinant(monkeypatch, g_half):
+    from g2lab import linalg
+    from g2lab.g2 import G2Structure
+
+    dets, det = [], linalg.det
+    monkeypatch.setattr(linalg, "det", lambda m: dets.append(1) or det(m))
+    metric = G2Structure(g_half.algebra, g_half.phi).metric
+    fresh = MetricData(metric.g, metric.vol)
+    for k in range(8):
+        fresh.gram(k)
+    assert dets == []
 
 
 def test_hodge_rational_identity_backend():
