@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exterior import Endo, KForm, wedge
-from .g2 import adapted_phi, is_positive
+from .g2 import adapted_phi, is_positive, search_closed_positive
 from .liealg import (
     InvalidStructureError,
     LieAlgebra,
@@ -23,6 +23,7 @@ from .liealg import (
     _extension_structure,
     _flags_and_radical,
     abelian,
+    ce_differential,
     check_jacobi,
     from_structure_equations,
     is_unimodular,
@@ -123,8 +124,6 @@ def _verify(entry: CatalogEntry):
             checks.append(("torsion class", tc.kind, "coupled"))
             checks.append(("coupled c", tc.c, want))
     if "phi_closed" in exp and entry.phi is not None:
-        from .liealg import ce_differential
-
         closed = ce_differential(alg, entry.phi).max_abs() == 0
         checks.append(("phi closed", closed, exp["phi_closed"]))
         checks.append(("phi positive", is_positive(alg, entry.phi), True))
@@ -476,8 +475,6 @@ def search_derived_phi(entry: CatalogEntry, seed=None, attempts=30000):
     clearly search-derived rather than canonical.  With seed=None the
     documented retry ladder is walked until a form is found.
     """
-    from .g2 import search_closed_positive
-
     if entry.phi is not None:
         return entry.phi
     seeds = SEARCH_SEEDS if seed is None else (seed,)

@@ -205,8 +205,9 @@ def _structure_from_args(entry, args):
     else:
         phi = entry.phi
         if phi is None:
-            raise CliError("entry %s has no attached 3-form; pass --phi"
-                           % entry.id, EXIT_INVALID_STRUCTURE)
+            raise CliError("entry %s has no attached 3-form%s" % (
+                entry.id, "; pass --phi" if hasattr(args, "phi") else ""),
+                EXIT_INVALID_STRUCTURE)
     if args.backend == FLOAT:
         phi = phi.to_float()
     try:

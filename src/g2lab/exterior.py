@@ -27,7 +27,9 @@ from .scalars import (
     as_rational,
     backend_of,
     coerce,
+    negligible,
     require_same_backend,
+    zero,
 )
 
 MAX_DIM = 8
@@ -166,8 +168,7 @@ class KForm:
 
     @classmethod
     def zero(cls, n, k, backend=RATIONAL):
-        zero = Fraction(0) if backend == RATIONAL else 0.0
-        return cls(n, k, [zero] * len(basis_indices(n, k)), backend)
+        return cls(n, k, [zero(backend)] * len(basis_indices(n, k)), backend)
 
     @classmethod
     def from_terms(cls, n, k, terms, backend=None):
@@ -208,7 +209,7 @@ class KForm:
         """Coefficient of a (possibly unsorted) 1-based multi-index."""
         zero_based = tuple(i - 1 for i in idx)
         if len(set(zero_based)) != len(zero_based):
-            return Fraction(0) if self.backend == RATIONAL else 0.0
+            return zero(self.backend)
         order = tuple(sorted(zero_based))
         sign = _permutation_sign(zero_based)
         return sign * self.coeffs[index_position(self.n, self.k)[order]]
@@ -415,8 +416,7 @@ class Endo:
         return hash((self.backend, self.rows))
 
     def trace(self):
-        return sum((self.rows[i][i] for i in range(self.n)),
-                   Fraction(0) if self.backend == RATIONAL else 0.0)
+        return sum((self.rows[i][i] for i in range(self.n)), zero(self.backend))
 
     def apply(self, v):
         """Matrix-vector product A v."""
@@ -455,13 +455,9 @@ class MetricData:
         if vol.n != n or vol.k != n:
             raise ValueError("volume form must have top degree on the same space")
         rows = [coerce(r, backend) for r in rows]
-        for i in range(n):
-            for j in range(n):
-                if backend == RATIONAL:
-                    if rows[i][j] != rows[j][i]:
-                        raise ValueError("metric must be symmetric")
-                elif abs(rows[i][j] - rows[j][i]) > 1e-12 * (1 + abs(rows[i][j])):
-                    raise ValueError("metric must be symmetric")
+        if not all(negligible(rows[i][j] - rows[j][i], rows[i][j], 1e-12)
+                   for i in range(n) for j in range(i + 1, n)):
+            raise ValueError("metric must be symmetric")
         volc = vol.coeffs[0]
         if volc <= 0:
             raise ValueError("volume coefficient must be positive")
@@ -561,8 +557,7 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
         return alpha.coeffs[0] * beta
     if q == 0:
         return beta.coeffs[0] * alpha
-    out = [Fraction(0) if backend == RATIONAL else 0.0] \
-        * len(basis_indices(alpha.n, p + q))
+    out = [zero(backend)] * len(basis_indices(alpha.n, p + q))
     pairs = wedge_pairs(alpha.n, p, q)
     for ip, a in enumerate(alpha.coeffs):
         if a == 0:
@@ -587,8 +582,7 @@ def interior(vector, alpha: KForm) -> KForm:
         raise ValueError("vector length mismatch")
     backend = require_same_backend(backend_of(vector), alpha.backend)
     vector = coerce(vector, backend)
-    out = [Fraction(0) if backend == RATIONAL else 0.0] \
-        * len(basis_indices(alpha.n, alpha.k - 1))
+    out = [zero(backend)] * len(basis_indices(alpha.n, alpha.k - 1))
     table = interior_table(alpha.n, alpha.k)
     for i, x in enumerate(vector):
         if x == 0:
@@ -619,7 +613,7 @@ def endo_action(a: Endo, gamma: KForm) -> KForm:
     if gamma.k == 0:
         return KForm.zero(gamma.n, 0, backend)
     pos = index_position(gamma.n, gamma.k)
-    out = [Fraction(0) if backend == RATIONAL else 0.0] * len(gamma.coeffs)
+    out = [zero(backend)] * len(gamma.coeffs)
     for p, idx in enumerate(basis_indices(gamma.n, gamma.k)):
         c = gamma.coeffs[p]
         if c == 0:
@@ -646,7 +640,7 @@ def inner(metric: MetricData, alpha: KForm, beta: KForm):
         raise ValueError("form shape mismatch")
     require_same_backend(metric.backend, alpha.backend, beta.backend)
     gram = metric.gram(alpha.k)
-    total = Fraction(0) if metric.backend == RATIONAL else 0.0
+    total = zero(metric.backend)
     for i, a in enumerate(alpha.coeffs):
         if a == 0:
             continue
@@ -678,8 +672,7 @@ def hodge(metric: MetricData, gamma: KForm) -> KForm:
     n, k = gamma.n, gamma.k
     gram = metric.gram(k)
     volc = metric.vol_coeff
-    out = [Fraction(0) if metric.backend == RATIONAL else 0.0] \
-        * len(basis_indices(n, n - k))
+    out = [zero(metric.backend)] * len(basis_indices(n, n - k))
     comp = complement_table(n, k)
     for i in range(len(gamma.coeffs)):
         s = sum(gram[i][j] * c for j, c in enumerate(gamma.coeffs) if c != 0)

@@ -31,6 +31,7 @@ from .exterior import (
     basis_indices,
     complement_matrix,
     endo_action,
+    index_position,
     raise_np,
     wedge_tensor,
 )
@@ -43,7 +44,7 @@ from .g2 import (
     torsion,
 )
 from .liealg import LieAlgebra, derivation_space
-from .scalars import FLOAT, RATIONAL
+from .scalars import FLOAT, RATIONAL, negligible
 
 LAMBDA3 = tuple(basis_indices(7, 3))
 
@@ -179,8 +180,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     samples = []
 
     def record(t_now, y_now):
-        residual = kernel.closedness_residual(y_now)
-        if residual > 1e-8 * max(1.0, float(np.max(np.abs(y_now)))):
+        if not negligible(kernel.closedness_residual(y_now), np.max(np.abs(y_now)), 1e-8):
             raise ArithmeticError("closedness lost along the flow")
         tau, tau_nsq, _ = kernel.torsion(y_now)
         samples.append(FlowSample(
@@ -379,24 +379,17 @@ def ansatz_coefficients(phi: KForm) -> Optional[AnsatzCoefficients]:
     positions = [  # lexicographic positions of the ansatz monomials
         index_of(m) for m in ANSATZ_MONOMIALS
     ]
-    scale = max(1.0, float(phi.max_abs()))
-    off_tol = 0.0 if phi.backend == RATIONAL else 1e-12 * scale
+    scale = phi.max_abs()
     for pos, c in enumerate(phi.coeffs):
-        if pos not in positions and abs(float(c)) > off_tol:
+        if pos not in positions and not negligible(c, scale, 1e-12):
             return None
     cs = tuple(s * phi.coeffs[p] for p, s in zip(positions, ANSATZ_SIGNS))
-    c2, c4, c5, c6, c7 = cs[1], cs[3], cs[4], cs[5], cs[6]
-    if phi.backend == RATIONAL:
-        closed = c2 == c4 == c5 == c6 == c7
-    else:
-        ref = max(1.0, abs(float(c2)))
-        closed = all(abs(float(x - c2)) <= 1e-9 * ref for x in (c4, c5, c6, c7))
+    c2 = cs[1]
+    closed = all(negligible(x - c2, c2) for x in cs[3:])
     return AnsatzCoefficients(c=cs, closed_reduction=closed)
 
 
 def index_of(monomial) -> int:
-    from .exterior import index_position
-
     return index_position(7, 3)[tuple(i - 1 for i in monomial)]
 
 
@@ -421,68 +414,55 @@ class SolitonSolution:
         return "SolitonSolution(lambda=%s, %s)" % (self.lam, self.character)
 
 
-def _character(lam, backend) -> str:
-    if backend == RATIONAL:
-        if lam < 0:
-            return "shrinking"
-        if lam > 0:
-            return "expanding"
+def _character(lam) -> str:
+    if negligible(lam):
         return "steady"
-    if lam < -1e-9:
-        return "shrinking"
-    if lam > 1e-9:
-        return "expanding"
-    return "steady"
+    return "shrinking" if lam < 0 else "expanding"
 
 
 def algebraic_soliton_solve(struct: G2Structure) -> SolitonSolution:
     """Least-squares solve of d tau = lambda phi + (B act phi) over Der.
 
-    Feasible when the residual is below 1e-8 |d tau|, infeasible above
-    1e-6 |d tau|; the band in between raises AmbiguousResidualError so no
-    false soliton claim can slip through.
+    In the rational backend the least-squares residual is exact, and the
+    soliton is feasible exactly when it is zero.  In floats it is feasible
+    when the residual is below 1e-8 |d tau|, infeasible above 1e-6 |d tau|,
+    and the band in between raises AmbiguousResidualError so no false
+    soliton claim can slip through.
     """
     tor = torsion(struct)
-    der = derivation_space(struct.algebra)
-    basis = der.basis
+    basis = derivation_space(struct.algebra).basis
     target_norm = tor.dtau.norm_l2()
     if struct.backend == RATIONAL:
-        cols = [list(struct.phi.coeffs)]
-        for b in basis:
-            cols.append(list(endo_action(b, struct.phi).coeffs))
-        a = [[cols[j][i] for j in range(len(cols))] for i in range(35)]
-        x, res_sq = linalg.lstsq(a, list(tor.dtau.coeffs))
+        cols = [struct.phi.coeffs] + [endo_action(b, struct.phi).coeffs for b in basis]
+        x, res_sq = linalg.lstsq(linalg.transpose(cols), list(tor.dtau.coeffs))
         residual = math.sqrt(float(res_sq))
-        lam = x[0]
-        coeffs = tuple(x[1:])
     else:
-        cols = [struct.phi.np_coeffs]
-        for b in basis:
-            cols.append(endo_action(b.to_float(), struct.phi).np_coeffs)
-        a = np.array(cols).T
+        basis = [b.to_float() for b in basis]
+        a = np.array([struct.phi.np_coeffs]
+                     + [endo_action(b, struct.phi).np_coeffs for b in basis]).T
         x, *_ = np.linalg.lstsq(a, tor.dtau.np_coeffs, rcond=None)
         residual = float(np.linalg.norm(a @ x - tor.dtau.np_coeffs))
-        lam = float(x[0])
-        coeffs = tuple(float(c) for c in x[1:])
-    if target_norm == 0.0:
-        ratio = 0.0
-    else:
-        ratio = residual / target_norm
-    if target_norm > 0.0 and ratio >= INFEASIBLE_RATIO:
-        return SolitonSolution(feasible=False, lam=None, derivation=None,
-                               residual=residual, residual_ratio=ratio,
-                               character=None, structure=struct)
-    if target_norm > 0.0 and ratio >= FEASIBLE_RATIO:
+        x = [float(c) for c in x]
+    ratio = residual / target_norm if target_norm else 0.0
+    if struct.backend == RATIONAL:
+        feasible = res_sq == 0
+    elif FEASIBLE_RATIO <= ratio < INFEASIBLE_RATIO:
         raise AmbiguousResidualError(
             "soliton residual ratio %.3g lies in the ambiguous band [1e-8, 1e-6)"
             % ratio)
+    else:
+        feasible = ratio < FEASIBLE_RATIO
+    if not feasible:
+        return SolitonSolution(feasible=False, lam=None, derivation=None,
+                               residual=residual, residual_ratio=ratio,
+                               character=None, structure=struct)
+    lam, coeffs = x[0], tuple(x[1:])
     b_total = Endo.zero(7, struct.backend)
     for c, b in zip(coeffs, basis):
-        member = b if struct.backend == RATIONAL else b.to_float()
-        b_total = b_total + c * member
+        b_total = b_total + c * b
     return SolitonSolution(feasible=True, lam=lam, derivation=b_total,
                            residual=residual, residual_ratio=ratio,
-                           character=_character(lam, struct.backend),
+                           character=_character(lam),
                            structure=struct, coefficients=coeffs)
 
 

@@ -31,11 +31,19 @@ from .exterior import (
     hodge,
     identity_holds,
     interior,
+    interior_table,
     norm_sq,
     wedge,
+    wedge_tensor,
 )
 from .liealg import LieAlgebra, ce_differential
-from .scalars import FLOAT, RATIONAL, ExactBackendUnavailable, rational_nth_root
+from .scalars import (
+    FLOAT,
+    RATIONAL,
+    ExactBackendUnavailable,
+    negligible,
+    rational_nth_root,
+)
 
 CHOLESKY_PIVOT_TOL = 1e-12
 
@@ -78,8 +86,6 @@ def _np_bilinear_tables():
     (alpha, beta) -> alpha ^ beta ^ phi on 2-forms.
     """
     if not hasattr(_np_bilinear_tables, "_cache"):
-        from .exterior import interior_table, wedge_tensor
-
         t1 = np.zeros((35, 7, 21))
         for i, rows in enumerate(interior_table(7, 3)):
             for pos_in, pos_out, sign in rows:
@@ -214,13 +220,6 @@ class ERPDiagnostics:
                 and self.ric_matches_j_formula and self.ric_eigenvalue_pattern)
 
 
-def _closed(residual, backend, tol=1e-10) -> bool:
-    """The closedness rule on max |d phi|: exactly zero, or below tol in float."""
-    if backend == RATIONAL:
-        return residual == 0
-    return float(residual) < tol
-
-
 class G2Structure:
     """A positive 3-form on a 7-dimensional Lie algebra with derived metric.
 
@@ -252,7 +251,8 @@ class G2Structure:
         return self.d(self.phi).max_abs()
 
     def is_closed(self, tol=1e-10) -> bool:
-        return _closed(self.closedness_residual(), self.backend, tol)
+        """d phi = 0: exactly, or max |d phi| <= tol max(1, max |phi|) in float."""
+        return negligible(self.closedness_residual(), self.phi.max_abs(), tol)
 
     def to_float(self) -> "G2Structure":
         if self.backend == FLOAT:
@@ -345,11 +345,7 @@ def curvature(struct: G2Structure) -> CurvatureData:
     scal = 0 - half * tor.tau_norm_sq  # not -half * x: zero torsion gives +0.0
     ginv = struct.metric.g_inv()
     trace = sum(ginv[i][k] * ric[i][k] for i in range(7) for k in range(7))
-    if struct.backend == RATIONAL:
-        disagree = trace != scal
-    else:
-        disagree = abs(float(trace - scal)) > 1e-8 * max(1.0, abs(float(scal)))
-    if disagree:
+    if not negligible(trace - scal, scal, 1e-8):
         raise ArithmeticError(
             "trace of Ric (%s) disagrees with -|tau|^2/2 (%s)" % (trace, scal))
     return CurvatureData(ric=ric, scal=scal,
@@ -378,7 +374,6 @@ def erp_diagnostics(struct: G2Structure) -> ERPDiagnostics:
     res = erp_residual(struct)
     if float(tor.tau_norm_sq) <= 1e-12 or res >= 1e-8:
         raise NotERPError("not ERP")
-    tol = 1e-9
     tt = wedge(tor.tau, tor.tau)
     ttt = wedge(tt, tor.tau)
     star_tt = struct.star(tt)
@@ -394,10 +389,8 @@ def erp_diagnostics(struct: G2Structure) -> ERPDiagnostics:
                                                 tol=1e-10))
     cur = curvature(struct)
     j_alt = j_map(struct, star_tt)
-    ric_match = max(
-        abs(float(cur.ric[i][k] - Fraction(1, 12) * j_alt[i][k]))
-        for i in range(7) for k in range(7)
-    ) < 1e-8
+    ric_match = all(negligible(cur.ric[i][k] - Fraction(1, 12) * j_alt[i][k], tol=1e-8)
+                    for i in range(7) for k in range(7))
     lam = -float(tor.tau_norm_sq) / 6.0
     eigs = cur.ric_eigenvalues
     pattern = (all(abs(e - lam) < 1e-7 for e in eigs[:3])
@@ -405,9 +398,9 @@ def erp_diagnostics(struct: G2Structure) -> ERPDiagnostics:
     return ERPDiagnostics(
         residual=res,
         tau_norm_sq=float(tor.tau_norm_sq),
-        tau_cubed_zero=float(ttt.max_abs()) < tol,
-        tau_tau_closed=float(d_tt.max_abs()) < tol,
-        star_tau_tau_closed=float(d_star_tt.max_abs()) < tol,
+        tau_cubed_zero=negligible(ttt.max_abs()),
+        tau_tau_closed=negligible(d_tt.max_abs()),
+        star_tau_tau_closed=negligible(d_star_tt.max_abs()),
         tau_tau_simple=(ann_dim == 3),
         annihilator_dim=ann_dim,
         ric_matches_j_formula=ric_match,
@@ -421,11 +414,7 @@ def hodge_laplacian_closed(struct: G2Structure) -> KForm:
     tor = torsion(struct)
     alt = -1 * struct.d(struct.star(struct.d(struct.star(struct.phi))))
     diff = (tor.dtau - alt).max_abs()
-    if struct.backend == RATIONAL:
-        disagree = diff != 0
-    else:
-        disagree = float(diff) > 1e-9 * max(1.0, float(tor.dtau.max_abs()))
-    if disagree:
+    if not negligible(diff, tor.dtau.max_abs()):
         raise ArithmeticError("d tau and -d*d*phi disagree: %s" % diff)
     return tor.dtau
 
@@ -474,7 +463,7 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
         raise ValueError("search needs a 7-dimensional algebra")
     if initial is not None:
         residual = ce_differential(alg, initial).max_abs()
-        if _closed(residual, initial.backend) and is_positive(alg, initial):
+        if negligible(residual, initial.max_abs(), 1e-10) and is_positive(alg, initial):
             return initial
     kernel = closed_3form_basis(alg)
     if not kernel:

@@ -19,6 +19,7 @@ d omega = -(D act psi) and d psi = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -48,7 +49,13 @@ from .liealg import (
     derivation_equations,
     is_derivation,
 )
-from .scalars import RATIONAL, ExactBackendUnavailable, rational_nth_root
+from .scalars import (
+    RATIONAL,
+    ExactBackendUnavailable,
+    negligible,
+    rational_nth_root,
+    zero,
+)
 
 ZERO = Fraction(0)
 
@@ -100,31 +107,25 @@ def reconstruct_su3(alg: LieAlgebra, omega: KForm, psi: KForm) -> "SU3Structure"
     if backend != psi.backend:
         raise ValueError("omega and psi must share a backend")
     om3 = wedge(wedge(omega, omega), omega)
-    if _is_small(om3.coeffs[0], backend):
+    if negligible(om3.coeffs[0]):
         raise SU3ConstructionError("omega degenerate")
 
     k = stable_form_endomorphism(psi)
-    if backend == RATIONAL:
-        ksq = linalg.matmul(k, k)
-        lam = sum((ksq[i][i] for i in range(6)), ZERO) / 6
-        if lam >= 0 or any(ksq[i][j] != (lam if i == j else 0)
-                           for i in range(6) for j in range(6)):
-            raise SU3ConstructionError("psi not stable")
-        root = rational_nth_root(-lam, 2)
-        if root is None:
-            raise ExactBackendUnavailable(
-                "sqrt(-lambda) is irrational; convert the pair with to_float()")
-        j_rows = [[k[i][m] / root for m in range(6)] for i in range(6)]
-    else:
-        karr = np.array(k, dtype=float)
-        ksq = karr @ karr
-        lam = float(np.trace(ksq)) / 6.0
-        scale = max(1.0, float(np.max(np.abs(ksq))))
-        if lam >= -1e-12 * scale or np.max(np.abs(ksq - lam * np.eye(6))) > 1e-9 * scale:
-            raise SU3ConstructionError("psi not stable")
-        j_rows = (karr / np.sqrt(-lam)).tolist()
+    ksq = linalg.matmul(k, k) if backend == RATIONAL else \
+        (np.array(k, dtype=float) @ np.array(k, dtype=float)).tolist()
+    lam = sum(ksq[i][i] for i in range(6)) / 6
+    scale = max(abs(x) for row in ksq for x in row)
+    if lam >= 0 or negligible(lam, scale, 1e-12) or not all(
+            negligible(ksq[i][j] - (lam if i == j else 0), scale)
+            for i in range(6) for j in range(6)):
+        raise SU3ConstructionError("psi not stable")
+    root = rational_nth_root(-lam, 2) if backend == RATIONAL else math.sqrt(-lam)
+    if root is None:
+        raise ExactBackendUnavailable(
+            "sqrt(-lambda) is irrational; convert the pair with to_float()")
+    j_rows = [[k[i][m] / root for m in range(6)] for i in range(6)]
 
-    if not _form_small(wedge(omega, psi), backend):
+    if not negligible(wedge(omega, psi).max_abs()):
         raise SU3ConstructionError("incompatible pair")
 
     omega_matrix = [[omega.value((i + 1, m + 1)) for m in range(6)] for i in range(6)]
@@ -141,9 +142,9 @@ def reconstruct_su3(alg: LieAlgebra, omega: KForm, psi: KForm) -> "SU3Structure"
     psi_hat = _apply_j_first_slot(psi, j_rows, backend)
     lhs = 3 * wedge(psi, psi_hat)
     rhs = 2 * om3
-    if not _form_small(lhs - rhs, backend, scale=float(rhs.max_abs())):
+    if not negligible((lhs - rhs).max_abs(), rhs.max_abs()):
         raise SU3ConstructionError("incompatible pair")
-    if not _form_small(wedge(omega, psi_hat), backend):
+    if not negligible(wedge(omega, psi_hat).max_abs()):
         raise SU3ConstructionError("incompatible pair")
 
     vol = Fraction(1, 6) * om3
@@ -159,7 +160,7 @@ def _apply_j_first_slot(psi, j_rows, backend):
     coeffs = {}
     for idx in basis_indices(6, 3):
         i, a, b = idx
-        total = ZERO if backend == RATIONAL else 0.0
+        total = zero(backend)
         for m in range(6):
             jm = j_rows[m][i]
             if jm == 0:
@@ -168,16 +169,6 @@ def _apply_j_first_slot(psi, j_rows, backend):
         if total != 0:
             coeffs[(i + 1, a + 1, b + 1)] = -total
     return KForm.from_terms(6, 3, coeffs, backend)
-
-
-def _is_small(x, backend, scale=1.0) -> bool:
-    if backend == RATIONAL:
-        return x == 0
-    return abs(float(x)) <= 1e-9 * max(1.0, scale)
-
-
-def _form_small(form: KForm, backend, scale=1.0) -> bool:
-    return _is_small(form.max_abs(), backend, scale)
 
 
 def _definiteness_sign(g_rows, backend) -> int:
@@ -239,10 +230,7 @@ class SU3Structure:
         struct = reconstruct_su3(alg, omega, psi)
         if "psi_hat" in data:
             stated = KForm.from_json_dict(data["psi_hat"])
-            diff = (stated - struct.psi_hat).max_abs()
-            ok = diff == 0 if struct.backend == RATIONAL \
-                else float(diff) < 1e-9 * max(1.0, float(stated.max_abs()))
-            if not ok:
+            if not negligible((stated - struct.psi_hat).max_abs(), stated.max_abs()):
                 raise SU3ConstructionError(
                     "stated psi_hat disagrees with the reconstruction")
         return struct
@@ -279,29 +267,23 @@ def _proportionality(target: KForm, model: KForm):
     The factor is the least-squares fit on coefficient vectors; it counts when
     the residual is exactly zero, or at most 1e-10 max(1, max |target|) in float.
     """
-    zero = ZERO if model.backend == RATIONAL else 0.0
-    denom = sum((c * c for c in model.coeffs), zero)
+    denom = sum((c * c for c in model.coeffs), zero(model.backend))
     if denom == 0:
         return None
-    factor = sum((a * b for a, b in zip(target.coeffs, model.coeffs)), zero) / denom
+    factor = sum((a * b for a, b in zip(target.coeffs, model.coeffs)),
+                 zero(model.backend)) / denom
     residual = (target - factor * model).max_abs()
-    if model.backend == RATIONAL:
-        small = residual == 0
-    else:
-        small = float(residual) <= 1e-10 * max(1.0, float(target.max_abs()))
-    return factor if small else None
+    return factor if negligible(residual, target.max_abs(), 1e-10) else None
 
 
 def su3_torsion_class(struct: SU3Structure) -> TorsionClass:
     """Classify: symplectic half-flat, coupled (d omega = c psi), or generic."""
     dom = struct.d(struct.omega)
     dpsi = struct.d(struct.psi)
-    backend = struct.backend
-    if _form_small(dom, backend) and _form_small(dpsi, backend):
+    if negligible(dom.max_abs()) and negligible(dpsi.max_abs()):
         return TorsionClass(kind="symplectic_half_flat", c=None)
     factor = _proportionality(dom, struct.psi)
-    if factor is not None and (factor != 0 if backend == RATIONAL
-                               else abs(float(factor)) > 1e-12):
+    if factor is not None and not negligible(factor, tol=1e-12):
         return TorsionClass(kind="coupled", c=factor)
     return TorsionClass(kind="generic", c=None)
 
@@ -338,18 +320,14 @@ def check_dw2_prop_psi(struct: SU3Structure, w2: KForm) -> Proportionality:
     """Test d w2 = mu psi; proportional cases must satisfy mu = |w2|^2/4
     (exactly in the rational backend)."""
     dw2 = struct.d(w2)
-    if _form_small(dw2, struct.backend) and _form_small(w2, struct.backend):
+    if negligible(dw2.max_abs()) and negligible(w2.max_abs()):
         return Proportionality(proportional=True, factor=0)
     factor = _proportionality(dw2, struct.psi)
     if factor is None:
         return Proportionality(proportional=False, factor=None)
     w2_nsq = norm_sq(struct.metric, w2)
     quarter = w2_nsq / 4
-    if struct.backend == RATIONAL:
-        disagree = factor != quarter
-    else:
-        disagree = abs(float(factor - quarter)) > 1e-8 * max(1.0, abs(float(quarter)))
-    if disagree:
+    if not negligible(factor - quarter, quarter, 1e-8):
         raise ArithmeticError(
             "proportionality factor %s differs from |w2|^2/4 = %s"
             % (factor, quarter))
@@ -451,9 +429,9 @@ def g2_from_extension(struct: SU3Structure, d: Endo) -> ExtensionResult:
     dpsi = struct.d(struct.psi)
     action = endo_action(d if struct.backend == RATIONAL else d.to_float(),
                          struct.psi)
-    cond = _form_small(struct.d(struct.omega) + action, struct.backend) \
-        and _form_small(dpsi, struct.backend)
-    direct = _form_small(ce_differential(ext, phi), struct.backend)
+    cond = negligible((struct.d(struct.omega) + action).max_abs()) \
+        and negligible(dpsi.max_abs())
+    direct = negligible(ce_differential(ext, phi).max_abs())
     if cond != direct:
         raise ArithmeticError("closedness criteria disagree with direct d phi")
     return ExtensionResult(structure=G2Structure(ext, phi), closed=direct,

@@ -181,8 +181,9 @@ def test_g2_non_positive_exit_4(capsys, tmp_path):
 
 
 def test_g2_missing_form_exit_4(capsys):
-    code, _ = run_json(capsys, "g2", "n2", "--default")
+    code, report = run_json(capsys, "g2", "n2", "--default")
     assert code == 4
+    assert "pass --phi" in report["results"]["error"]
 
 
 # -- su3 --------------------------------------------------------------------------
@@ -247,11 +248,24 @@ def test_soliton_abelian(capsys):
 def test_soliton_ambiguous_band_exit_5(capsys, monkeypatch):
     import g2lab.flow as flow_mod
 
+    # the residual band is float-only: rational feasibility is exact
     monkeypatch.setattr(flow_mod, "INFEASIBLE_RATIO", 1.0)
     code, report = run_json(capsys, "soliton", "g_abk",
-                            "--param", "a=1", "b=1", "k=0")
+                            "--param", "a=1", "b=1", "k=0", "--backend", "float")
     assert code == 5
     assert report["status"] == "ambiguous"
+    code, report = run_json(capsys, "soliton", "g_abk",
+                            "--param", "a=1", "b=1", "k=0")
+    assert code == 0 and report["results"]["feasible"] is False
+
+
+@pytest.mark.parametrize("argv", [("soliton", "nonsolv_3", "--param", "mu=1"),
+                                  ("flow", "ffkm_n", "--t-end", "0.1")])
+def test_missing_form_names_no_option_the_command_lacks(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 4 and report["status"] == "error"
+    assert "has no attached 3-form" in report["results"]["error"]
+    assert "--phi" not in report["results"]["error"]
 
 
 def test_torsion_guard_failure_is_a_well_formed_error(capsys, monkeypatch):

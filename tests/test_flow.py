@@ -405,14 +405,30 @@ def test_soliton_float_backend_agrees(g_half):
 
 def test_soliton_ambiguous_band_raises(monkeypatch):
     # widen the infeasible threshold past the known residual ratio: the
-    # solve must refuse to call it either way
+    # float solve must refuse to call it either way
     import g2lab.flow as flow_mod
 
     entry = catalog.get("g_abk", a=1, b=1, k=0)
-    struct = G2Structure(entry.algebra, entry.phi)
+    struct = G2Structure(entry.algebra, entry.phi.to_float())
     monkeypatch.setattr(flow_mod, "INFEASIBLE_RATIO", 1.0)
     with pytest.raises(AmbiguousResidualError):
         algebraic_soliton_solve(struct)
+
+
+def test_rational_soliton_feasibility_is_exact(monkeypatch, g_half):
+    # an exact residual decides alone: any nonzero one is infeasible, however
+    # small against |d tau|, and the float band plays no part
+    import g2lab.flow as flow_mod
+
+    struct = G2Structure(g_half.algebra, g_half.phi)
+    monkeypatch.setattr(flow_mod, "INFEASIBLE_RATIO", 1.0)
+    sol = algebraic_soliton_solve(struct)
+    assert sol.feasible and sol.residual == 0
+    lstsq = flow_mod.linalg.lstsq
+    monkeypatch.setattr(flow_mod.linalg, "lstsq",
+                        lambda a, b: (lstsq(a, b)[0], F(1, 10 ** 30)))
+    sol = algebraic_soliton_solve(struct)
+    assert not sol.feasible and 0 < sol.residual_ratio < 1e-8
 
 
 # -- self-similarity -----------------------------------------------------------------------

@@ -400,6 +400,18 @@ def test_search_with_initial_candidate(g110_entry):
     assert phi == g110_entry.phi
 
 
+def test_closedness_is_relative_to_the_form():
+    # a closed float form stays closed when scaled up: d phi grows with phi
+    # (2.3e-10 at 10^6 here), so the rule is relative to max |phi|
+    entry = catalog.get("nonsolv_3", mu=F(1))
+    phi = catalog.search_derived_phi(entry)
+    for p in range(8):
+        scaled = float(10 ** p) * phi
+        assert G2Structure(entry.algebra, scaled).is_closed(), p
+        assert search_closed_positive(entry.algebra, attempts=0,
+                                      initial=scaled) is scaled, p
+
+
 def test_search_zero_attempts_without_candidate(n2_entry, abelian7_entry):
     assert search_closed_positive(abelian7_entry.algebra, attempts=0, seed=0) is None
 

@@ -1,12 +1,17 @@
-"""Hypothesis properties of the Hodge star on random rational metrics.
+"""Hypothesis properties of the exterior algebra and the Hodge star.
 
-g = A^T A for an integer matrix A, so vol = |det A| e^{1...n} is rational:
-the exact backend checks each identity with equality, and the float backend
-checks it on the same metric and forms converted to floats.  Examples are
-derandomized and bounded, so the suite stays deterministic.
+Wedge products are graded-commutative and associative, and the
+Chevalley-Eilenberg differential of each catalog algebra is an
+antiderivation (Leibniz rule); integer coefficients make these exact in
+both backends.  For the Hodge star, g = A^T A for an integer matrix A, so
+vol = |det A| e^{1...n} is rational: the exact backend checks each identity
+with equality, and the float backend checks it on the same metric and forms
+converted to floats.  Examples are derandomized and bounded, so the suite
+stays deterministic.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,10 +21,47 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from g2lab import catalog  # noqa: E402
 from g2lab.exterior import KForm, MetricData, basis_indices, hodge, inner, wedge  # noqa: E402
+from g2lab.liealg import ce_differential  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 EPS = np.finfo(float).eps
+
+#: catalog algebras for the Leibniz rule: nilpotent, solvable and non-solvable
+ALGEBRAS = (("n2", ()), ("s_ab", (("a", 1), ("b", 2))), ("g_a", (("a", F(1, 2)),)),
+            ("g_abk", (("a", 1), ("b", 1), ("k", 0))), ("ffkm_n", ()),
+            ("nonsolv_levi", ()), ("nonsolv_3", (("mu", 1),)))
+
+
+@lru_cache(maxsize=None)
+def _algebra(entry_id, params):
+    return catalog.get(entry_id, **dict(params)).algebra
+
+
+def _form(draw, n, k):
+    size = len(basis_indices(n, k))
+    return KForm(n, k, [F(c) for c in draw(st.lists(st.integers(-2, 2),
+                                                     min_size=size, max_size=size))])
+
+
+@st.composite
+def forms(draw, count):
+    """count rational forms on R^n whose degrees sum to at most n."""
+    n = draw(st.integers(3, 8))
+    degrees = []
+    for _ in range(count):
+        degrees.append(draw(st.integers(0, n - sum(degrees))))
+    return [_form(draw, n, k) for k in degrees]
+
+
+@st.composite
+def algebra_and_forms(draw):
+    """A catalog algebra and two rational forms with p + q < n."""
+    alg = _algebra(*draw(st.sampled_from(ALGEBRAS)))
+    p = draw(st.integers(0, alg.n - 1))
+    q = draw(st.integers(0, alg.n - 1 - p))
+    return alg, _form(draw, alg.n, p), _form(draw, alg.n, q)
 
 
 @st.composite
@@ -37,6 +79,35 @@ def metric_and_forms(draw):
     coeffs = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
     alpha, beta = (KForm(n, k, [F(c) for c in draw(coeffs)]) for _ in range(2))
     return metric, alpha, beta
+
+
+@PROPERTY
+@given(forms(2))
+def test_wedge_is_graded_commutative(case):
+    alpha, beta = case
+    sign = (-1) ** (alpha.k * beta.k)
+    assert wedge(alpha, beta) == sign * wedge(beta, alpha)
+    assert wedge(alpha.to_float(), beta.to_float()) == wedge(alpha, beta).to_float()
+
+
+@PROPERTY
+@given(forms(3))
+def test_wedge_is_associative(case):
+    alpha, beta, gamma = case
+    assert wedge(wedge(alpha, beta), gamma) == wedge(alpha, wedge(beta, gamma))
+
+
+@PROPERTY
+@given(algebra_and_forms())
+def test_differential_obeys_leibniz_rule(case):
+    alg, alpha, beta = case
+    sign = (-1) ** alpha.k
+    lhs = ce_differential(alg, wedge(alpha, beta))
+    rhs = wedge(ce_differential(alg, alpha), beta) \
+        + sign * wedge(alpha, ce_differential(alg, beta))
+    assert lhs == rhs
+    flhs = ce_differential(alg, wedge(alpha.to_float(), beta.to_float()))
+    assert (flhs - lhs.to_float()).max_abs() <= 1e-12 * max(1, lhs.max_abs())
 
 
 def _condition(metric):
