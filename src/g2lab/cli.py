@@ -307,8 +307,9 @@ def _cmd_soliton(entry, args):
 
 
 def _cmd_flow(entry, args):
-    if not 0 < args.t_end < float("inf"):
-        raise CliError("--t-end must be a positive number", EXIT_PARSE)
+    for flag, value in (("--t-end", args.t_end), ("--dt", args.dt), ("--tol", args.tol)):
+        if not 0 < value < float("inf"):
+            raise CliError("%s must be a finite positive number" % flag, EXIT_PARSE)
     struct = _structure_from_args(entry, args)
     try:
         traj = laplacian_flow(struct, args.t_end, dt0=args.dt, tol=args.tol)

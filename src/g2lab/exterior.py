@@ -510,27 +510,25 @@ class MetricData:
         return self._ginv
 
     def gram(self, k: int):
-        """Gram matrix Lambda^k g^-1 on degree-k forms; column (= row) J is
-        g^-1 e^{j_1} ^ ... ^ g^-1 e^{j_k}.  Rational: column J[:-1] wedged with
-        g^-1 e^{j_k}.  Float: ``raise_np`` of the identity for k <= n/2, above
-        it Jacobi's identity Lambda^k g^-1 = S_k^T Lambda^{n-k} g S_k / det g."""
+        """Gram matrix Lambda^k g^-1 on degree-k forms, cached per degree; entry
+        (I, J) is det g^-1[I, J], and column J is g^-1 e^{j_1} ^ ... ^ g^-1 e^{j_k}.
+        Float: every k x k minor by one batched LU determinant.  Rational:
+        column J[:-1] wedged with g^-1 e^{j_k}."""
         if k in self._gram:
             return self._gram[k]
         n, ginv = self.n, self.g_inv()
-        if self.backend == RATIONAL and k <= 1:
+        if self.backend == FLOAT:
+            idx = basis_indices(n, k)
+            idx = np.array(idx, int).reshape(len(idx), k)
+            sub = np.array(ginv)[idx[:, None, :, None], idx[None, :, None, :]]  # (N, N, k, k)
+            gram = tuple(tuple(row) for row in np.linalg.det(sub).tolist())
+        elif k <= 1:
             gram = ginv if k else ((Fraction(1),),)
-        elif self.backend == RATIONAL:
+        else:
             prev, pos = self.gram(k - 1), index_position(n, k - 1)
             gram = tuple(wedge(KForm(n, k - 1, prev[pos[idx[:-1]]], RATIONAL),
                                KForm(n, 1, ginv[idx[-1]], RATIONAL)).coeffs
                          for idx in basis_indices(n, k))
-        elif 2 * k <= n:
-            gram = raise_np(np.array(ginv), np.eye(len(basis_indices(n, k))), k)
-        else:
-            g, s = np.array(self.g), complement_matrix(n, k)
-            gram = s.T @ raise_np(g, np.eye(len(s)), n - k) @ s / np.linalg.det(g)
-        if self.backend == FLOAT:
-            gram = tuple(tuple(row) for row in gram.tolist())
         self._gram[k] = gram
         return gram
 

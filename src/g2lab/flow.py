@@ -60,7 +60,7 @@ class AmbiguousResidualError(ArithmeticError):
     """Soliton residual falls between the feasible and infeasible thresholds."""
 
 
-class FlowStalled(RuntimeError):
+class FlowStalled(ArithmeticError):
     """Adaptive step size underflowed before reaching the target time."""
 
 
@@ -79,9 +79,12 @@ class FlowKernel:
         if alg.n != 7:
             raise ValueError("flow needs a 7-dimensional algebra")
         self.algebra = alg
-        self.d2 = alg.d_matrix_np(2)
-        self.d3 = alg.d_matrix_np(3)
-        self.d4 = alg.d_matrix_np(4)
+        self.d2, self.d3, self.d4 = ds = (np.zeros((35, 21)), np.zeros((35, 35)),
+                                          np.zeros((21, 35)))
+        for k, m in zip((2, 3, 4), ds):
+            for j, col in enumerate(alg.d_columns(k)):
+                for r, c in col:
+                    m[r, j] = c
         self.w23 = wedge_tensor(7, 2, 3)
         self.s3 = complement_matrix(7, 3)
         self.s5 = complement_matrix(7, 5)
@@ -165,10 +168,11 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     half steps and kept below tol * h (tol is per unit time); both start from
     the right-hand side at the accepted state, computed once with its sample.
     The integrator stops early with status "blowup-approach" when |tau|^2
-    exceeds 1e12 or positivity fails inside a step.
+    exceeds 1e12 or positivity fails inside a step.  t_end, dt0 and tol must
+    be finite and positive.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not all(0 < x < math.inf for x in (t_end, dt0, tol)):
+        raise ValueError("t_end, dt0 and tol must be finite and positive")
     struct = start.to_float()
     if not struct.is_closed():
         raise NotClosedError("initial form is not closed")

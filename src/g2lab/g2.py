@@ -130,8 +130,9 @@ def positive_det_np(b: np.ndarray) -> Optional[float]:
     """det b if the float bilinear form b is positive-definite, else None.
 
     The float positivity rule: det b > 0, then a Cholesky factor L exists
-    with min L_ii^2 > CHOLESKY_PIVOT_TOL * max(1, max |b_ii|).  The cheap
-    determinant test comes first; it rejects most random search draws.
+    with min L_ii^2 > CHOLESKY_PIVOT_TOL * max |b_ii|, a bound relative to b
+    so that it holds at every scale of phi.  The cheap determinant test
+    comes first; it rejects most random search draws.
     """
     det_b = float(np.linalg.det(b))
     if det_b <= 0:
@@ -140,7 +141,7 @@ def positive_det_np(b: np.ndarray) -> Optional[float]:
         l = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
         return None
-    scale = max(1.0, float(np.max(np.abs(np.diagonal(b)))))
+    scale = float(np.max(np.abs(np.diagonal(b))))
     if float(np.min(np.diagonal(l))) ** 2 <= CHOLESKY_PIVOT_TOL * scale:
         return None
     return det_b

@@ -2,7 +2,9 @@
 
 An n-dimensional Lie algebra is stored as the degree-1 part of its
 Chevalley-Eilenberg differential: the list (de^1, ..., de^n) of 2-forms.
-The Jacobi identity is equivalent to d o d = 0.  The constructor reads the
+d in each degree is kept once, as the sparse columns of d e^I that
+``ce_differential`` reads in both scalar backends.  The Jacobi identity
+is equivalent to d o d = 0.  The constructor reads the
 bracket off de^k(e_i, e_j) = -e^k([e_i, e_j]) once, into one table of the
 nonzero structure constants c_ij^k of every ordered pair; brackets,
 ad-matrices, unimodularity and the derivation equations read only that
@@ -21,11 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import linalg
 from .exterior import Endo, KForm, basis_indices, index_position, wedge, wedge_pairs
-from .scalars import RATIONAL, as_rational
+from .scalars import RATIONAL, as_rational, zero
 
 ZERO = Fraction(0)
 
@@ -57,8 +57,7 @@ class LieAlgebra:
                     sc[i][j].append((k, -c))
                     sc[j][i].append((k, c))
         self._sc = tuple(tuple(tuple(pairs) for pairs in row) for row in sc)
-        self._d_matrices = {}
-        self._d_matrices_np = {}
+        self._d_columns = {}
         self._d_ranks = {}
         if check and check_jacobi(self) != 0:
             raise InvalidStructureError("structure equations violate the Jacobi identity")
@@ -96,47 +95,42 @@ class LieAlgebra:
 
     # -- differential ----------------------------------------------------------
 
-    def d_matrix(self, k: int):
-        """Exact matrix of d: degree k -> degree k+1 (rows = target basis).
+    def d_columns(self, k: int):
+        """Sparse columns of d: degree k -> degree k+1, built once per degree.
 
-        Column e^I is d e^I = sum_p (-1)^p de^{I_p} ^ e^{I - I_p}.
+        Entry I lists the (row, c), c != 0, of
+        d e^I = sum_p (-1)^p de^{I_p} ^ e^{I - I_p}.
         """
-        if k not in self._d_matrices:
+        if k not in self._d_columns:
             n = self.n
-            src = basis_indices(n, k)
-            m = [[ZERO] * len(src) for _ in basis_indices(n, k + 1)]  # [] for k >= n
+            cols = [{} for _ in basis_indices(n, k)]
             if 0 < k < n:  # d of constants vanishes
                 pairs, rest_pos = wedge_pairs(n, 2, k - 1), index_position(n, k - 1)
                 terms = [[(pos, c) for pos, c in enumerate(f.coeffs) if c != 0]
                          for f in self.d1]
-                for col, idx in enumerate(src):
+                for col, idx in zip(cols, basis_indices(n, k)):
                     for p, i in enumerate(idx):
                         rest = rest_pos[idx[:p] + idx[p + 1:]]
                         for pos, c in terms[i]:
                             hit = pairs.get((pos, rest))
                             if hit is not None:
-                                m[hit[0]][col] += (-1) ** p * hit[1] * c
-            self._d_matrices[k] = m
-        return self._d_matrices[k]
+                                col[hit[0]] = col.get(hit[0], ZERO) + (-1) ** p * hit[1] * c
+            self._d_columns[k] = tuple(tuple((r, c) for r, c in col.items() if c != 0)
+                                       for col in cols)
+        return self._d_columns[k]
+
+    def d_matrix(self, k: int):
+        """Exact dense matrix of d: degree k -> degree k+1 (rows = target
+        basis), assembled afresh from ``d_columns(k)``; [] for k >= n."""
+        cols = [dict(col) for col in self.d_columns(k)]
+        return [[col.get(r, ZERO) for col in cols]
+                for r in range(len(basis_indices(self.n, k + 1)))]
 
     def d_rank(self, k: int) -> int:
         """Exact rank of d_matrix(k), computed once per degree."""
         if k not in self._d_ranks:
             self._d_ranks[k] = linalg.rank(self.d_matrix(k))
         return self._d_ranks[k]
-
-    def d_matrix_np(self, k: int) -> np.ndarray:
-        if k not in self._d_matrices_np:
-            m = self.d_matrix(k)
-            rows = len(basis_indices(self.n, k + 1)) if k < self.n else 0
-            cols = len(basis_indices(self.n, k))
-            arr = np.zeros((rows, cols))
-            for i, row in enumerate(m):
-                for j, c in enumerate(row):
-                    if c != 0:
-                        arr[i, j] = float(c)
-            self._d_matrices_np[k] = arr
-        return self._d_matrices_np[k]
 
     # -- serialization -----------------------------------------------------------
 
@@ -176,7 +170,9 @@ def from_structure_equations(n, equations, name="", params=None) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 def ce_differential(alg: LieAlgebra, gamma: KForm) -> KForm:
-    """Extend (de^1, ..., de^n) to an antiderivation on all degrees.
+    """Extend (de^1, ..., de^n) to an antiderivation on all degrees: the sum
+    of c * gamma_I over the nonzero gamma_I and the (row, c) of ``d_columns``,
+    exact for a rational gamma and float(c) * gamma_I for a float one.
 
     For a top-degree input the differential is the zero map; the zero form of
     top degree is returned so callers can still test for vanishing.
@@ -186,11 +182,11 @@ def ce_differential(alg: LieAlgebra, gamma: KForm) -> KForm:
     n, k = alg.n, gamma.k
     if k >= n:
         return KForm.zero(n, n, gamma.backend)
-    if gamma.backend == RATIONAL:
-        m = alg.d_matrix(k)
-        out = linalg.matvec(m, list(gamma.coeffs))
-    else:
-        out = alg.d_matrix_np(k) @ gamma.np_coeffs
+    out = [zero(gamma.backend)] * len(basis_indices(n, k + 1))
+    for x, col in zip(gamma.coeffs, alg.d_columns(k)):
+        if x != 0:
+            for r, c in col:
+                out[r] += c * x
     return KForm(n, k + 1, out, gamma.backend)
 
 

@@ -8,6 +8,7 @@ correct on the small spaces involved.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -78,6 +79,61 @@ def kform_to_terms(form):
 
 def terms_match(oracle_terms, form) -> bool:
     return oracle_terms == kform_to_terms(form)
+
+
+@lru_cache(maxsize=None)
+def structure_constants_oracle(alg):
+    """{(i, j): [(k, c_ij^k), ...]} of [e_i, e_j] = sum_k c_ij^k e_k over the
+    nonzero c_ij^k, i != j, read off c_ij^k = -de^k(e_i, e_j) by form_value."""
+    n = alg.n
+    de = [kform_to_terms(f) for f in alg.d1]
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c = -form_value(de[k], (i, j))
+                if c != 0:
+                    out.setdefault((i, j), []).append((k, c))
+    return out
+
+
+def ce_differential_oracle(alg, terms, k):
+    """Koszul formula on basis vectors:
+    d gamma(X_0..X_k) = sum_{i<j} (-1)^(i+j) gamma([X_i, X_j], X_0..^i..^j..X_k)."""
+    n = alg.n
+    brackets = structure_constants_oracle(alg)
+    out = {}
+    for idx in combinations(range(n), k + 1):
+        total = Fraction(0)
+        for a, b in combinations(range(k + 1), 2):
+            rest = tuple(x for p, x in enumerate(idx) if p not in (a, b))
+            for m, c in brackets.get((idx[a], idx[b]), ()):
+                total += (-1) ** (a + b) * c * form_value(terms, (m,) + rest)
+        if total:
+            out[idx] = total
+    return out
+
+
+def jacobiator_oracle(alg):
+    """Largest |coefficient| of [[e_i, e_j], e_k] + cyclic over i < j < k."""
+    n, brackets = alg.n, structure_constants_oracle(alg)
+
+    def bracket(x, y):  # x, y: dicts {basis index: coefficient}
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                for k, v in brackets.get((i, j), ()):
+                    out[k] = out.get(k, 0) + xi * yj * v
+        return out
+
+    worst = Fraction(0)
+    for i, j, k in combinations(range(n), 3):
+        total = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in bracket(bracket({x: 1}, {y: 1}), {z: 1}).items():
+                total[m] = total.get(m, 0) + v
+        worst = max([worst] + [abs(v) for v in total.values()])
+    return worst
 
 
 def sympy_rank(rows) -> int:

@@ -365,6 +365,26 @@ def test_flow_non_positive_t_end_exit_2(capsys):
     assert "--t-end" in report["results"]["error"]
 
 
+@pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "-1"), ("--dt", "nan"),
+                                         ("--dt", "inf"), ("--tol", "0"), ("--tol", "-1"),
+                                         ("--tol", "nan"), ("--t-end", "nan")])
+def test_flow_bad_step_or_tolerance_exit_2(capsys, flag, value):
+    argv = {"--t-end": "0.05", flag: value}
+    code, report = run_json(capsys, "flow", "g_a", "--param", "a=1/2",
+                            *(x for pair in argv.items() for x in pair))
+    assert_parse_error_report(code, report, ["flow", "g_a"])
+    assert flag in report["results"]["error"]
+
+
+def test_flow_stall_exit_5(capsys):
+    # no step can meet tol = 1e-300, and the torsion does not grow: a genuine stall
+    code, report = run_json(capsys, "flow", "g_a", "--param", "a=1/2",
+                            "--t-end", "0.05", "--tol", "1e-300")
+    assert code == 5 and report["status"] == "error"
+    assert report["schema"] == "g2lab-report/1" and len(report["input_digest"]) == 64
+    assert "step size underflow" in report["results"]["error"]
+
+
 # -- search-closed -------------------------------------------------------------------
 
 def test_search_closed_ffkm(capsys):

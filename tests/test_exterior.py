@@ -26,6 +26,7 @@ from oracles import (
     gram_minor_oracle,
     interior_oracle,
     kform_to_terms,
+    perm_sign,
     wedge_oracle,
 )
 
@@ -282,7 +283,6 @@ def test_rational_gram_is_every_minor_of_the_inverse():
 
 
 def test_float_gram_matches_minor_oracle():
-    # raise of indices for k <= n/2, complementary minors of g above it
     rng = np.random.default_rng(41)
     for n in (6, 7, 8):
         for _ in range(3):
@@ -296,6 +296,39 @@ def test_float_gram_matches_minor_oracle():
                 ref = gram_minor_oracle(ginv, k)
                 err = np.max(np.abs(np.array(m.gram(k)) - ref))
                 assert err <= 1e-13 * np.max(np.abs(ref)), (n, k)
+
+
+def test_float_gram_is_accurate_on_ill_conditioned_metrics():
+    # g = A^T A with integer A and cond(g) in [1e4, 1.4e5]: every entry is
+    # within cond(g) eps max|entry| of the exact minor of g^-1 = adj(g) / det g
+    from itertools import permutations
+    from math import prod
+
+    from g2lab import linalg
+    from g2lab.exterior import basis_indices
+
+    def minor(m, rows, cols):  # Leibniz, exact on integers
+        return sum(perm_sign(p) * prod(m[i][j] for i, j in zip(rows, p))
+                   for p in permutations(cols))
+
+    rng, eps, checked = np.random.default_rng(7), np.finfo(float).eps, 0
+    while checked < 6:
+        a = rng.integers(-2, 3, size=(7, 7))
+        g = a.T @ a
+        vol = abs(round(np.linalg.det(a)))
+        if vol == 0 or not 1e4 <= np.linalg.cond(g) <= 1.4e5:
+            continue
+        checked += 1
+        m = MetricData(g.astype(float).tolist(),
+                       KForm.monomial(7, tuple(range(1, 8)), float(vol), backend=FLOAT))
+        adj = [[int(x * vol ** 2) for x in row]
+               for row in linalg.inverse([[F(int(x)) for x in row] for row in g])]
+        for k in (2, 3, 4):
+            idxs = basis_indices(7, k)
+            exact = np.array([[float(F(minor(adj, ii, jj), vol ** (2 * k))) for jj in idxs]
+                              for ii in idxs])
+            err = np.max(np.abs(np.array(m.gram(k)) - exact))
+            assert err <= np.linalg.cond(g) * eps * np.max(np.abs(exact)), k
 
 
 def test_rational_gram_takes_no_determinant(monkeypatch, g_half):

@@ -323,6 +323,14 @@ def test_flow_requires_closed_start(g110_entry):
         laplacian_flow(struct, 0.1)
 
 
+@pytest.mark.parametrize("kwargs", [{"t_end": math.nan}, {"t_end": math.inf},
+                                    {"dt0": 0.0}, {"dt0": -1e-3}, {"dt0": math.nan},
+                                    {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan}])
+def test_flow_rejects_non_finite_or_non_positive_inputs(g_half_struct, kwargs):
+    with pytest.raises(ValueError, match="finite and positive"):
+        laplacian_flow(g_half_struct, **{"t_end": 0.05, **kwargs})
+
+
 # -- solitons ----------------------------------------------------------------------------
 
 def test_soliton_constants_on_lauret_family():

@@ -128,6 +128,16 @@ def test_float_positivity_rule_agrees_with_exact():
     assert det == pytest.approx(10 * CHOLESKY_PIVOT_TOL)
 
 
+def test_float_positivity_does_not_depend_on_scale(g_one):
+    # b scales like s^3, so an absolute pivot floor would refuse small s phi
+    phi = g_one.phi.to_float()
+    for s in 10.0 ** np.arange(-6, 4):
+        struct = G2Structure(g_one.algebra, s * phi)
+        assert is_positive(7, -s * phi) is False
+        assert struct.metric.vol_coeff == pytest.approx(s ** (7 / 3) * G2Structure(
+            g_one.algebra, phi).metric.vol_coeff, rel=1e-12)
+
+
 # -- the 14-dimensional projection ---------------------------------------------
 
 def test_project_14_fixes_torsion_form(g110_structure):

@@ -36,6 +36,7 @@ from g2lab.liealg import (
 from g2lab.su3 import adapted_su3_pair
 
 from oracles import (
+    ce_differential_oracle,
     kform_to_terms,
     series_dims_oracle,
     sympy_nullity,
@@ -104,6 +105,58 @@ def test_differential_float_backend_matches_rational(g110_entry):
     exact = ce_differential(alg, gamma)
     approx = ce_differential(alg, gamma.to_float())
     assert float((exact.to_float() - approx).max_abs()) < 1e-12
+
+
+def _random_rational_form(rng, n, k):
+    size = len(basis_indices(n, k))
+    return KForm(n, k, [F(int(p), int(q)) for p, q in
+                        zip(rng.integers(-3, 4, size), rng.integers(1, 4, size))])
+
+
+def test_ce_differential_matches_koszul_oracle():
+    # every degree, both backends, each catalog algebra and a change of its basis
+    rng = np.random.default_rng(53)
+    for alg in oracle_algebras():
+        for case in (alg, _random_basis_change(alg, rng)):
+            for k in range(case.n):
+                gamma = _random_rational_form(rng, case.n, k)
+                expected = ce_differential_oracle(case, kform_to_terms(gamma), k)
+                assert kform_to_terms(ce_differential(case, gamma)) == expected, (alg, k)
+                approx = ce_differential(case, gamma.to_float()).coeffs
+                exact = [float(expected.get(idx, 0)) for idx in basis_indices(case.n, k + 1)]
+                scale = max([1.0] + [abs(x) for x in exact])
+                assert max(abs(x - y) for x, y in zip(approx, exact)) <= 1e-12 * scale
+
+
+def test_d_matrix_columns_match_koszul_oracle():
+    for alg in oracle_algebras():
+        for k in range(alg.n):
+            m = alg.d_matrix(k)
+            rows = basis_indices(alg.n, k + 1)
+            for col, idx in enumerate(basis_indices(alg.n, k)):
+                got = {rows[r]: row[col] for r, row in enumerate(m) if row[col] != 0}
+                assert got == ce_differential_oracle(alg, {idx: F(1)}, k), (alg, idx)
+
+
+def test_ce_differential_reads_only_the_sparse_columns(monkeypatch, g110_entry):
+    # one path for both backends: no dense d, no matvec, no float copy of d
+    import inspect
+
+    def dense(*_):
+        raise AssertionError("ce_differential used a dense matrix of d")
+
+    alg = LieAlgebra(g110_entry.algebra.d1)  # nothing cached yet
+    assert not hasattr(alg, "d_matrix_np")
+    assert not any(name.startswith("_d_matrices") for name in vars(alg))
+    assert "backend ==" not in inspect.getsource(ce_differential)
+    monkeypatch.setattr(LieAlgebra, "d_matrix", dense)
+    monkeypatch.setattr(linalg, "matvec", dense)
+    gamma = _random_rational_form(np.random.default_rng(59), 7, 3)
+    exact = ce_differential(alg, gamma)
+    assert kform_to_terms(exact) == ce_differential_oracle(alg, kform_to_terms(gamma), 3)
+    approx = ce_differential(alg, gamma.to_float())
+    assert approx.backend == "float"
+    assert float((exact.to_float() - approx).max_abs()) <= 1e-12 * float(exact.max_abs())
 
 
 def test_top_degree_differential_is_zero(n2_entry):

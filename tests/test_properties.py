@@ -3,7 +3,9 @@
 Wedge products are graded-commutative and associative, and the
 Chevalley-Eilenberg differential of each catalog algebra is an
 antiderivation (Leibniz rule); integer coefficients make these exact in
-both backends.  For the Hodge star, g = A^T A for an integer matrix A, so
+both backends.  On rational structure constants, Jacobi holds (check_jacobi
+is 0) exactly when the oracle's Jacobiator vanishes and exactly when d o d
+vanishes in every degree.  For the Hodge star, g = A^T A for an integer matrix A, so
 vol = |det A| e^{1...n} is rational: the exact backend checks each identity
 with equality, and the float backend checks it on the same metric and forms
 converted to floats.  Examples are derandomized and bounded, so the suite
@@ -23,7 +25,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from g2lab import catalog  # noqa: E402
 from g2lab.exterior import KForm, MetricData, basis_indices, hodge, inner, wedge  # noqa: E402
-from g2lab.liealg import ce_differential  # noqa: E402
+from g2lab.liealg import ce_differential, check_jacobi, from_structure_equations  # noqa: E402
+
+from oracles import jacobiator_oracle, structure_constants_oracle  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 EPS = np.finfo(float).eps
@@ -108,6 +112,50 @@ def test_differential_obeys_leibniz_rule(case):
     assert lhs == rhs
     flhs = ce_differential(alg, wedge(alpha.to_float(), beta.to_float()))
     assert (flhs - lhs.to_float()).max_abs() <= 1e-12 * max(1, lhs.max_abs())
+
+
+@st.composite
+def structure_equations(draw):
+    """A catalog algebra in the drawn basis f_i = sum_a p[a][i] e_a, p = L U
+    with unit-triangular integer L and U, and possibly with one structure
+    constant shifted: rational constants that may or may not satisfy Jacobi."""
+    alg = _algebra(*draw(st.sampled_from(ALGEBRAS)))
+    n = alg.n
+    entries = st.integers(-1, 1)
+    low = sympy.Matrix(n, n, lambda i, j: draw(entries) if i > j else int(i == j))
+    up = sympy.Matrix(n, n, lambda i, j: draw(entries) if i < j else int(i == j))
+    p = [[int(x) for x in row] for row in (low * up).tolist()]
+    q = [[int(x) for x in row] for row in (low * up).inv().tolist()]
+    eqs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            in_e = [0] * n  # [f_i, f_j] in the basis e
+            for (a, b), pairs in structure_constants_oracle(alg).items():
+                for m, c in pairs:
+                    in_e[m] += p[a][i] * p[b][j] * c
+            for k in range(n):
+                c = sum((q[k][m] * in_e[m] for m in range(n)), F(0))
+                if c != 0:
+                    eqs.setdefault(k + 1, {})[(i + 1, j + 1)] = -c
+    if draw(st.booleans()):
+        i = draw(st.integers(1, n - 1))
+        j, k = draw(st.integers(i + 1, n)), draw(st.integers(1, n))
+        shift = draw(st.sampled_from((F(-1), F(1, 2), F(2))))
+        terms = eqs.setdefault(k, {})
+        terms[(i, j)] = terms.get((i, j), F(0)) + shift
+    return from_structure_equations(n, eqs)
+
+
+@settings(PROPERTY, max_examples=12)  # d o d on every monomial of a dense d is slow
+@given(structure_equations())
+def test_jacobi_iff_jacobiator_and_d_squared_vanish(alg):
+    jacobi = check_jacobi(alg) == 0
+    assert jacobi == (jacobiator_oracle(alg) == 0)
+    monomials = (KForm.monomial(alg.n, tuple(i + 1 for i in idx))
+                 for k in range(1, alg.n - 1) for idx in basis_indices(alg.n, k))
+    d_squared_zero = all(ce_differential(alg, ce_differential(alg, e)).is_zero()
+                         for e in monomials)
+    assert jacobi == d_squared_zero
 
 
 def _condition(metric):
