@@ -44,8 +44,10 @@ struct = G2Structure(entry.algebra, entry.phi)
 traj = laplacian_flow(struct, 0.3, dt0=1e-3, tol=1e-9)
 worst = max(float((s.phi - lauret_solution(F(1, 2), s.t)).max_abs())
             for s in traj.samples)
-print("integrated to t = %.2f in %d steps; max deviation from the closed "
-      "form: %.2e" % (traj.samples[-1].t, len(traj.samples) - 1, worst))
+print("integrated to t = %.2f in %d steps (%d torsion evaluations, %d rejected); "
+      "max deviation from the closed form: %.2e"
+      % (traj.samples[-1].t, traj.stats.accepted, traj.stats.rhs_evals,
+         traj.stats.rejected, worst))
 
 sol = algebraic_soliton_solve(struct)
 report = self_similar_check(traj, sol)

@@ -5,8 +5,10 @@ d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
 closed cone is preserved.  FlowKernel evaluates it in numpy with the same
 metric, positivity rule and torsion identity tau = -*d*phi as the float
 backend of g2, guarded by tau wedge phi = d*phi, its stars raising indices
-without minors.  Integration uses a classical 4th-order one-step method
-with step-halving error control.
+without minors.  Integration uses the embedded Dormand-Prince 5(4) pair:
+the 5th-order solution advances, the difference to the 4th-order one
+controls the step, and the last stage, taken at the new state, is the next
+step's first (FSAL), so an accepted step costs six evaluations.
 
 Also provided: the closed-form self-similar solution on the one-parameter
 rank-one extensions of the coupled nilpotent algebra, the closed-form
@@ -51,6 +53,22 @@ LAMBDA3 = tuple(basis_indices(7, 3))
 #: |tau|^2 beyond which the integrator reports an approaching blow-up
 BLOWUP_TAU_SQ = 1e12
 
+#: Dormand & Prince (1980): the stage matrix, whose last row is the weights
+#: b of the 5th-order solution (FSAL), and the 4th-order weights b-hat
+DP_A = tuple(tuple(Fraction(x) for x in row.split()) for row in (
+    "",
+    "1/5",
+    "3/40 9/40",
+    "44/45 -56/15 32/9",
+    "19372/6561 -25360/2187 64448/6561 -212/729",
+    "9017/3168 -355/33 46732/5247 49/176 -5103/18656",
+    "35/384 0 500/1113 125/192 -2187/6784 11/84",
+))
+DP_B_HAT = tuple(Fraction(x) for x in
+                 "5179/57600 0 7571/16695 393/640 -92097/339200 187/2100 1/40".split())
+_A = np.array([[float(x) for x in row] + [0.0] * (7 - len(row)) for row in DP_A])
+_E = np.array([float(b - bh) for b, bh in zip(DP_A[-1] + (0,), DP_B_HAT)])
+
 #: soliton feasibility thresholds relative to |d tau|
 FEASIBLE_RATIO = 1e-8
 INFEASIBLE_RATIO = 1e-6
@@ -68,7 +86,7 @@ class FlowStalled(ArithmeticError):
 # numpy kernel
 # ---------------------------------------------------------------------------
 
-class _Blowup(Exception):
+class _PositivityLost(Exception):
     pass
 
 
@@ -93,7 +111,7 @@ class FlowKernel:
         b = induced_bilinear_np(y)
         det_b = positive_det_np(b)
         if det_b is None:
-            raise _Blowup("positivity lost")
+            raise _PositivityLost("positivity lost")
         volc = det_b ** (1.0 / 9.0)
         g = b / volc
         return g, np.linalg.inv(g), volc
@@ -111,14 +129,12 @@ class FlowKernel:
         if res > 1e-9 * max(1.0, float(np.linalg.norm(dstar))):
             raise InconsistentTorsionError(
                 "tau = -*d*phi fails tau wedge phi = d*phi along the flow")
-        tau_nsq = float(tau @ raise_np(ginv, tau, 2))
-        if tau_nsq > BLOWUP_TAU_SQ:
-            raise _Blowup("torsion blow-up")
-        return tau, tau_nsq, volc
+        return tau, float(tau @ raise_np(ginv, tau, 2)), volc
 
     def rhs(self, y):
-        tau, _, _ = self.torsion(y)
-        return self.d2 @ tau
+        """d tau at phi = y, and |tau|^2 for the sample taken there."""
+        tau, tau_nsq, _ = self.torsion(y)
+        return self.d2 @ tau, tau_nsq
 
     def closedness_residual(self, y) -> float:
         return float(np.max(np.abs(self.d3 @ y)))
@@ -137,11 +153,23 @@ class FlowSample:
 
 
 @dataclass(frozen=True)
+class FlowStats:
+    """What the integrator did: steps, right-hand sides, step sizes, drift."""
+    accepted: int
+    rejected: int
+    rhs_evals: int
+    h_min: float  # smallest and largest accepted step; the last is cut to t_end
+    h_max: float
+    max_closedness_drift: float  # max |d phi| over the samples
+
+
+@dataclass(frozen=True)
 class FlowTrajectory:
     algebra: LieAlgebra
     samples: tuple
     status: str  # "completed" | "blowup-approach"
     config: dict
+    stats: FlowStats
 
     @property
     def times(self):
@@ -151,25 +179,18 @@ class FlowTrajectory:
         return self.samples[-1]
 
 
-def _rk4_step(f, y, h, k1=None):
-    if k1 is None:
-        k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
                    tol: float = 1e-9) -> FlowTrajectory:
     """Integrate d phi/dt = Delta phi from a closed positive structure.
 
-    Local error per step is estimated by comparing one full step against two
-    half steps and kept below tol * h (tol is per unit time); both start from
-    the right-hand side at the accepted state, computed once with its sample.
-    The integrator stops early with status "blowup-approach" when |tau|^2
-    exceeds 1e12 or positivity fails inside a step.  t_end, dt0 and tol must
-    be finite and positive.
+    Each step is one Dormand-Prince 5(4) step of six new right-hand sides;
+    the 5th-order solution advances.  The local error estimate
+    h max|sum (b_i - bhat_i) k_i|, the gap to the embedded 4th-order
+    solution, is kept below tol * h, so tol bounds the error per unit time.
+    Positivity lost inside a step rejects it.  The integrator stops early
+    with status "blowup-approach" when |tau|^2 exceeds 1e12 at an accepted
+    state, or when the step size underflows after the torsion grew.
+    t_end, dt0 and tol must be finite and positive.
     """
     if not all(0 < x < math.inf for x in (t_end, dt0, tol)):
         raise ValueError("t_end, dt0 and tol must be finite and positive")
@@ -182,75 +203,74 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     h = float(dt0)
     status = "completed"
     samples = []
+    steps = []
+    drift = 0.0
 
-    def record(t_now, y_now):
-        if not negligible(kernel.closedness_residual(y_now), np.max(np.abs(y_now)), 1e-8):
+    def record(t_now, y_now, tau_nsq):
+        nonlocal drift
+        resid = kernel.closedness_residual(y_now)
+        if not negligible(resid, np.max(np.abs(y_now)), 1e-8):
             raise ArithmeticError("closedness lost along the flow")
-        tau, tau_nsq, _ = kernel.torsion(y_now)
+        drift = max(drift, resid)
         samples.append(FlowSample(
             t=t_now,
             phi=KForm(7, 3, y_now, FLOAT),
             tau_norm_sq=tau_nsq,
             scal=0.0 - 0.5 * tau_nsq,  # +0.0, not -0.0, at zero torsion
         ))
-        return kernel.d2 @ tau  # f(y_now), the next step's k1
 
-    k1 = record(t, y)
-    stalled = False
+    k = np.empty((7, 35))  # the stages; k[0] is f at the accepted state
+    k[0], tau_nsq = kernel.rhs(y)
+    record(t, y, tau_nsq)
+    evals, rejected = 1, 0
     just_rejected = False
-    try:
-        while t < t_end - 1e-15:
-            h = min(h, t_end - t)
-            if h < 1e-13:
-                stalled = True
-                break
-            try:
-                full = _rk4_step(kernel.rhs, y, h, k1)
-                half = _rk4_step(kernel.rhs, y, 0.5 * h, k1)
-                half = _rk4_step(kernel.rhs, half, 0.5 * h)
-            except _Blowup:
-                # positivity lost inside a trial: may be pure overshoot, so
-                # treat it as a rejected step; the guards on accepted states
-                # decide whether this is a genuine blow-up approach
-                h *= 0.1
-                just_rejected = True
-                if h < 1e-13:
-                    stalled = True
-                    break
-                continue
-            err = float(np.max(np.abs(full - half))) / 15.0
-            bound = tol * h
-            if err <= bound:
-                y = half
-                t = t + h
-                k1 = record(t, y)
-                growth = 1.0 if just_rejected else 2.0
-                factor = growth if err == 0 \
-                    else min(growth, 0.9 * (bound / err) ** 0.25)
-                h *= max(factor, 0.1)
-                just_rejected = False
-            else:
-                h *= max(0.1, 0.9 * (bound / err) ** 0.25)
-                just_rejected = True
-                if h < 1e-13:
-                    stalled = True
-                    break
-    except _Blowup:
-        status = "blowup-approach"
-    if stalled:
-        # the step size underflows exactly when the right-hand side becomes
-        # singular at the requested tolerance: approaching finite-time blow-up
-        grew = samples[-1].tau_norm_sq > max(10.0 * samples[0].tau_norm_sq, 1.0)
-        if grew:
+    while t < t_end - 1e-15 and tau_nsq <= BLOWUP_TAU_SQ:
+        h = min(h, t_end - t)
+        if h < 1e-13:
+            # the step size underflows exactly when the right-hand side becomes
+            # singular at the requested tolerance: approaching finite-time blow-up
+            if samples[-1].tau_norm_sq <= max(10.0 * samples[0].tau_norm_sq, 1.0):
+                raise FlowStalled("step size underflow at t=%g without torsion "
+                                  "growth" % t)
             status = "blowup-approach"
+            break
+        try:
+            for i in range(1, 7):
+                # at i = 6 this is the 5th-order solution: the last row of A is b
+                y_new = y + h * (_A[i, :i] @ k[:i])
+                k[i], tau_new = kernel.rhs(y_new)
+        except _PositivityLost:
+            err = math.inf  # may be pure overshoot: a rejected step
         else:
-            raise FlowStalled("step size underflow at t=%g without torsion "
-                              "growth" % t)
+            err = h * float(np.max(np.abs(_E @ k)))
+        evals += i  # stages 1..i were evaluated
+        bound = tol * h
+        if err <= bound:
+            y, t, tau_nsq = y_new, t + h, tau_new
+            if tau_nsq > BLOWUP_TAU_SQ:
+                break  # the torsion guard reads the accepted state
+            k[0] = k[6]
+            record(t, y, tau_nsq)
+            steps.append(h)
+            growth = 1.0 if just_rejected else 2.0
+            factor = growth if err == 0 \
+                else min(growth, 0.9 * (bound / err) ** 0.25)
+            just_rejected = False
+        else:
+            factor = 0.9 * (bound / err) ** 0.25
+            rejected += 1
+            just_rejected = True
+        h *= max(factor, 0.1)
+    if tau_nsq > BLOWUP_TAU_SQ:
+        status = "blowup-approach"
     return FlowTrajectory(
         algebra=struct.algebra,
         samples=tuple(samples),
         status=status,
         config={"t_end": t_end, "dt0": dt0, "tol": tol},
+        stats=FlowStats(accepted=len(steps), rejected=rejected, rhs_evals=evals,
+                        h_min=min(steps, default=0.0), h_max=max(steps, default=0.0),
+                        max_closedness_drift=drift),
     )
 
 

@@ -256,6 +256,38 @@ def test_flow_reports_blowup_approach(g_half_struct, monkeypatch):
     assert traj.samples[-1].tau_norm_sq > 100.0 * traj.samples[0].tau_norm_sq
 
 
+def test_flow_torsion_guard_ends_the_run_without_a_rejection(g_half_struct, monkeypatch):
+    # the guard reads |tau|^2 at the accepted state, which the last stage of
+    # the step evaluated: the run ends there, before that state is sampled
+    import g2lab.flow as flow_mod
+
+    monkeypatch.setattr(flow_mod, "BLOWUP_TAU_SQ", 100.0)
+    traj = laplacian_flow(g_half_struct, 0.37, dt0=1e-3, tol=1e-9)
+    assert traj.status == "blowup-approach"
+    assert traj.stats.rejected == 0
+    assert traj.stats.accepted == len(traj.samples) - 1
+    assert 90.0 < traj.samples[-1].tau_norm_sq <= 100.0
+
+
+def test_flow_positivity_lost_in_a_stage_is_a_rejection(g_half_struct, monkeypatch):
+    import g2lab.flow as flow_mod
+
+    calls = []
+    metric = flow_mod.FlowKernel.metric
+
+    def failing_once(self, y):
+        calls.append(1)
+        if len(calls) == 20:
+            raise flow_mod._PositivityLost("positivity lost")
+        return metric(self, y)
+
+    monkeypatch.setattr(flow_mod.FlowKernel, "metric", failing_once)
+    traj = laplacian_flow(g_half_struct, 0.05, dt0=1e-3, tol=1e-9)
+    assert traj.status == "completed" and traj.samples[-1].t == 0.05
+    assert traj.stats.rejected == 1
+    assert traj.stats.rhs_evals == len(calls)  # the failed stage counts too
+
+
 def test_kernel_torsion_matches_exact():
     from g2lab.flow import FlowKernel
 
@@ -295,9 +327,9 @@ def test_kernel_torsion_takes_one_determinant(g_half, monkeypatch):
     assert len(dets) == 1
 
 
-def test_flow_evaluates_torsion_at_most_11_times_per_step(g_half_struct, monkeypatch):
-    # the full step and the first half step share k1, taken from the torsion
-    # the accepted state's sample already computed
+def test_flow_evaluates_torsion_at_most_6_times_per_step(g_half_struct, monkeypatch):
+    # six new stages per attempted step; the seventh, at the new state, is
+    # the next step's first and gives the sample its |tau|^2 (FSAL)
     from g2lab.flow import FlowKernel
 
     calls = []
@@ -309,9 +341,38 @@ def test_flow_evaluates_torsion_at_most_11_times_per_step(g_half_struct, monkeyp
 
     monkeypatch.setattr(FlowKernel, "torsion", counted)
     traj = laplacian_flow(g_half_struct, 0.05, dt0=1e-3, tol=1e-9)
-    accepted = len(traj.samples) - 1
-    assert traj.status == "completed" and accepted > 5
-    assert len(calls) <= 11 * accepted + 1
+    stats = traj.stats
+    assert traj.status == "completed" and stats.accepted > 5
+    assert stats.accepted == len(traj.samples) - 1
+    assert len(calls) == stats.rhs_evals
+    assert len(calls) <= 6 * (stats.accepted + stats.rejected) + 1
+
+
+def test_flow_stats_record_the_run(g_half_traj):
+    stats = g_half_traj.stats
+    hs = [b - a for a, b in zip(g_half_traj.times, g_half_traj.times[1:])]
+    assert stats.accepted == len(hs) and stats.rejected == 0
+    assert stats.rhs_evals == 6 * stats.accepted + 1
+    assert stats.h_min == pytest.approx(min(hs)) and stats.h_max == pytest.approx(max(hs))
+    assert 0.0 <= stats.max_closedness_drift < 1e-8
+
+
+def test_dormand_prince_tableau():
+    # nodes c_i, FSAL (last row of A = b), and the quadrature conditions
+    # sum b_i c_i^(q-1) = 1/q for q <= 5 on b and q <= 4 on b-hat
+    from g2lab.flow import DP_A, DP_B_HAT
+
+    c = [F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1)]
+    assert len(DP_A) == len(DP_B_HAT) == 7
+    assert [sum(row, F(0)) for row in DP_A] == c
+    assert all(len(row) == i for i, row in enumerate(DP_A))
+    b = DP_A[-1] + (F(0),)
+    for weights, order in ((b, 5), (DP_B_HAT, 4)):
+        for q in range(1, order + 1):
+            assert sum(w * ci ** (q - 1) for w, ci in zip(weights, c)) == F(1, q)
+    assert sum(bi - bh for bi, bh in zip(b, DP_B_HAT)) == 0
+    # b-hat is only 4th order: it fails the 5th quadrature condition
+    assert sum(w * ci ** 4 for w, ci in zip(DP_B_HAT, c)) != F(1, 5)
 
 
 def test_flow_requires_closed_start(g110_entry):
