@@ -87,7 +87,7 @@ def _parse_params(tokens):
     keys = []
     values = []
     for tok in tokens or []:
-        if "=" not in tok:
+        if tok.count("=") != 1:  # in a=1,b=2 "b=2" would be read as a value of a
             raise CliError("malformed parameter %r (expected name=value)" % tok,
                            EXIT_PARSE)
         name, _, raw = tok.partition("=")

@@ -30,6 +30,7 @@ from .exterior import (
     basis_vector,
     hodge,
     identity_holds,
+    index_position,
     interior,
     interior_table,
     norm_sq,
@@ -104,6 +105,35 @@ def induced_bilinear_np(y: np.ndarray) -> np.ndarray:
     q = ((y @ w43t) @ t2).reshape(lead + (21, 21))
     b = (iphi @ q @ np.swapaxes(iphi, -1, -2)) / 6.0
     return (b + np.swapaxes(b, -1, -2)) / 2.0
+
+
+def _matchings(axes):
+    """(sign, pairs) over the perfect matchings of axes, as in the Pfaffian expansion."""
+    if not axes:
+        return [(1, ())]
+    return [((-1) ** (k - 1) * sign, ((axes[0], b),) + rest)
+            for k, b in enumerate(axes[1:], 1)
+            for sign, rest in _matchings(axes[1:k] + axes[k + 1:])]
+
+
+def _pfaffian_diagonal(y: np.ndarray):
+    """The diagonal of the induced bilinear form, (..., 35) -> (..., 7), float or
+    Fraction, and the absolute sums of its terms.  With w = i_{e_i} phi, b_ii e^{1..7} =
+    (1/6) w^3 ^ e^i = (-1)^i Pf(w) e^{1..7}, a sign that w_ab = +-y_iab cancels: the sum
+    over the 15 matchings {ab, cd, ef} of the other axes of sign(abcdef) y_iab y_icd y_ief.
+    """
+    if not hasattr(_pfaffian_diagonal, "_cache"):
+        pos, matchings = index_position(7, 3), _matchings(tuple(range(6)))
+        idx = [[pos[tuple(sorted((i, a + (a >= i), b + (b >= i))))] for a, b in pairs]
+               for i in range(7) for _, pairs in matchings]
+        signs = np.eye(7, dtype=int).repeat(15, axis=0) * [[s] for s, _ in matchings * 7]
+        _pfaffian_diagonal._cache = np.array(idx).T, signs
+    idx, signs = _pfaffian_diagonal._cache
+    terms = y[..., idx[0]]
+    terms *= y[..., idx[1]]  # in place: a block's temporaries cost more than its products
+    terms *= y[..., idx[2]]
+    diag = terms @ signs
+    return diag, np.abs(terms, out=terms) @ abs(signs)
 
 
 def induced_bilinear(phi: KForm):
@@ -430,24 +460,6 @@ def closed_3form_basis(alg: LieAlgebra):
     return [KForm(alg.n, 3, v, RATIONAL) for v in null]
 
 
-def _maybe_positive(bs: np.ndarray) -> np.ndarray:
-    """Mask of the stacked forms bs (B, 7, 7) that may pass positive_det_np.
-
-    Drops only rows with a clearly negative leading principal minor, below
-    -1e-8 * max|b|^k for the k x k minor.  A form the serial rule
-    accepts is positive-definite, so all its leading minors are positive,
-    and the margin covers the rounding gap between stacked and single-row
-    arithmetic.  det b comes first; the k = 1..6 minors are computed only
-    for the rows that survive it.
-    """
-    scale = np.max(np.abs(bs), axis=(1, 2))
-    keep = ~(np.linalg.det(bs) < -1e-8 * scale ** 7)
-    for k in range(1, 7):
-        rows = np.flatnonzero(keep)
-        keep[rows] = ~(np.linalg.det(bs[rows, :k, :k]) < -1e-8 * scale[rows] ** k)
-    return keep
-
-
 def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
                            initial: Optional[KForm] = None) -> Optional[KForm]:
     """Randomized search for a closed positive 3-form.
@@ -456,9 +468,11 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
     with a seeded generator and returns the first positive sample as a
     float-backend form, or None.  An optional initial candidate is tried
     first and returned unchanged.  Draws are screened in blocks of
-    SEARCH_BLOCK by _maybe_positive, and the survivors are tested in draw
-    order with the serial rule positive_det_np, so the first hit is the
-    one a draw-by-draw loop returns.
+    SEARCH_BLOCK by the diagonal of b (_pfaffian_diagonal), and the survivors
+    are tested in draw order with the serial rule positive_det_np, so the first
+    hit is the one a draw-by-draw loop returns.  The screen drops a draw only if
+    some b_ii < -1e-8 * (sum of its |terms|); a form the serial rule accepts has
+    positive Cholesky pivots, so b_ii > 0 up to rounding near 1e-15 of that sum.
     """
     if alg.n != 7:
         raise ValueError("search needs a 7-dimensional algebra")
@@ -473,7 +487,8 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
     kernel_np = np.array([f.np_coeffs for f in kernel])
     for start in range(0, attempts, SEARCH_BLOCK):
         xs = rng.standard_normal((min(SEARCH_BLOCK, attempts - start), len(kernel)))
-        for x in xs[_maybe_positive(induced_bilinear_np(xs @ kernel_np))]:
+        diag, scale = _pfaffian_diagonal(xs @ kernel_np)
+        for x in xs[(diag > -1e-8 * scale).all(axis=-1)]:
             y = kernel_np.T @ x
             if positive_det_np(induced_bilinear_np(y)) is not None:
                 return KForm(7, 3, y, FLOAT)

@@ -72,6 +72,15 @@ def test_analyze_bad_param_exit_2(capsys):
     assert code == 2
 
 
+def test_param_value_naming_a_second_key_exit_2(capsys):
+    # a comma separates values of one name; "b=1" is not a value of a
+    code, report = run_json(capsys, "flow", "g_abk", "--param", "a=1,b=1,k=0",
+                            "--t-end", "0.3")
+    assert code == 2 and report["status"] == "error"
+    assert report["schema"] == "g2lab-report/1"
+    assert "malformed parameter" in report["results"]["error"]
+
+
 def test_analyze_json_file_input(capsys, tmp_path):
     entry = catalog.get("n2")
     path = tmp_path / "alg.json"

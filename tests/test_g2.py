@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from g2lab import catalog
+from g2lab import catalog, g2
 from g2lab.exterior import KForm, basis_indices, interior, wedge
 from g2lab.g2 import (
     CHOLESKY_PIVOT_TOL,
@@ -13,7 +13,7 @@ from g2lab.g2 import (
     G2Structure,
     NotERPError,
     NotPositiveError,
-    _maybe_positive,
+    _pfaffian_diagonal,
     adapted_phi,
     closed_3form_basis,
     curvature,
@@ -30,7 +30,7 @@ from g2lab.g2 import (
     torsion_form,
 )
 from g2lab.liealg import abelian, ce_differential
-from g2lab.scalars import FLOAT
+from g2lab.scalars import FLOAT, RATIONAL
 
 IDENTITY7 = tuple(tuple(F(1) if i == j else F(0) for j in range(7))
                   for i in range(7))
@@ -475,6 +475,25 @@ def _phi_with_pivot(eps, axis):
     return adapted_phi(FLOAT).np_coeffs * np.where(has_axis, eps ** (1 / 3), eps ** (-1 / 6))
 
 
+def _screen(ys):
+    """The search's screen: keep a draw unless some b_ii < -1e-8 * (sum of its |terms|)."""
+    diag, scale = _pfaffian_diagonal(ys)
+    return (diag > -1e-8 * scale).all(axis=-1)
+
+
+def test_search_tests_exactly_the_screened_draws(monkeypatch):
+    # with the 35 unit 3-forms as the kernel every draw is its own coefficient vector y
+    units = [KForm(7, 3, [F(int(i == j)) for j in range(35)]) for i in range(35)]
+    monkeypatch.setattr(g2, "closed_3form_basis", lambda alg: units)
+    tested = []
+    monkeypatch.setattr(g2, "induced_bilinear_np", lambda y: tested.append(y) or -np.eye(7))
+    assert search_closed_positive(abelian(7), attempts=3000, seed=5) is None
+    ys = np.random.default_rng(5).standard_normal((3000, 35))
+    kept = ys[_screen(ys)]
+    assert 0 < len(kept) < 300
+    assert np.array(tested).tobytes() == kept.tobytes()
+
+
 def test_screen_keeps_every_form_the_serial_rule_accepts():
     phi0 = adapted_phi(FLOAT).np_coeffs
     split = phi0.copy()
@@ -484,7 +503,7 @@ def test_screen_keeps_every_form_the_serial_rule_accepts():
     ys += list(np.random.default_rng(3).standard_normal((2000, 35)))
     ys = np.array(ys)
     accepted = np.array([positive_det_np(induced_bilinear_np(y)) is not None for y in ys])
-    kept = _maybe_positive(induced_bilinear_np(ys))
+    kept = _screen(ys)
     assert accepted[:7].all() and accepted[9:11].all()
     assert not accepted[11:13].any()
     assert not (accepted & ~kept).any()
@@ -494,15 +513,34 @@ def test_screen_keeps_every_form_the_serial_rule_accepts():
     assert (np.linalg.eigvalsh(b)[:, 0] < 0).all()
 
 
-def test_screen_tests_every_leading_minor():
-    # diag with d_k = d_{k+1} = -1 has exactly one negative leading minor, the k-th
-    stack = []
-    for k in range(1, 8):
-        d = np.ones(7)
-        d[k - 1:k + 1] = -1
-        stack.append(np.diag(d))
-    assert not _maybe_positive(np.array(stack)).any()
-    assert _maybe_positive(np.eye(7)[None]).all()
+def test_screen_drops_each_single_negative_diagonal_entry():
+    ys = np.random.default_rng(4).standard_normal((4000, 35))
+    diag = np.diagonal(induced_bilinear_np(ys), axis1=1, axis2=2)
+    for i in range(7):
+        only_i = (diag[:, i] < 0) & (np.delete(diag, i, axis=1) > 0).all(axis=1)
+        assert only_i.sum() >= 5, i
+        assert not _screen(ys[only_i]).any(), i
+
+
+def test_pfaffian_diagonal_matches_top_pairing_oracle():
+    from oracles import interior_oracle, wedge_oracle
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        coeffs = [F(int(p), int(q)) for p, q in
+                  zip(rng.integers(-5, 6, 35), rng.integers(1, 5, 35))]
+        terms = {idx: c for idx, c in zip(basis_indices(7, 3), coeffs) if c}
+        diag, _ = _pfaffian_diagonal(np.array(coeffs, dtype=object))
+        for i in range(7):
+            w = interior_oracle(i, terms, 3, 7)
+            top = wedge_oracle(wedge_oracle(w, 2, w, 2, 7), 4, terms, 3, 7)
+            assert diag[i] == top.get(tuple(range(7)), 0) / 6
+    ys = rng.standard_normal((500, 35))
+    diag, scale = _pfaffian_diagonal(ys)
+    ref = np.diagonal(induced_bilinear_np(ys), axis1=1, axis2=2)
+    assert (np.abs(diag - ref) <= 1e-14 * scale).all()
+    for backend in (FLOAT, RATIONAL):
+        diag, scale = _pfaffian_diagonal(np.array(adapted_phi(backend).coeffs))
+        assert list(diag) == [1] * 7 and list(scale) == [1] * 7
 
 
 def test_induced_bilinear_stack_matches_rows():
