@@ -512,8 +512,9 @@ class MetricData:
     def gram(self, k: int):
         """Gram matrix Lambda^k g^-1 on degree-k forms, cached per degree; entry
         (I, J) is det g^-1[I, J], and column J is g^-1 e^{j_1} ^ ... ^ g^-1 e^{j_k}.
-        Float: every k x k minor by one batched LU determinant.  Rational:
-        column J[:-1] wedged with g^-1 e^{j_k}."""
+        Float: every k x k minor by one batched LU determinant.  Rational: Laplace
+        expansion along the last column over the cached degree-(k-1) table,
+        sum_r (-1)^(k+r) g^-1[i_r, j_k] gram_{k-1}[I - i_r][J - j_k] (r = 1..k)."""
         if k in self._gram:
             return self._gram[k]
         n, ginv = self.n, self.g_inv()
@@ -525,10 +526,18 @@ class MetricData:
         elif k <= 1:
             gram = ginv if k else ((Fraction(1),),)
         else:
-            prev, pos = self.gram(k - 1), index_position(n, k - 1)
-            gram = tuple(wedge(KForm(n, k - 1, prev[pos[idx[:-1]]], RATIONAL),
-                               KForm(n, 1, ginv[idx[-1]], RATIONAL)).coeffs
-                         for idx in basis_indices(n, k))
+            prev, pos, idxs = self.gram(k - 1), index_position(n, k - 1), basis_indices(n, k)
+            ends = [[(b, pos[idx[:-1]]) for b, idx in enumerate(idxs) if idx[-1] == j]
+                    for j in range(n)]
+            support = [[(j, x) for j, x in enumerate(row) if x] for row in ginv]
+            rows = [[Fraction(0)] * len(idxs) for _ in idxs]
+            # e^{I - i_r} ^ e^{i_r} = (-1)^(k+r) e^I: one wedge pair per term
+            for (p, i), (a, sign) in wedge_pairs(n, k - 1, 1).items():
+                for j, gij in support[i]:
+                    for b, rest in ends[j]:
+                        if prev[p][rest]:
+                            rows[a][b] += sign * gij * prev[p][rest]
+            gram = tuple(map(tuple, rows))
         self._gram[k] = gram
         return gram
 

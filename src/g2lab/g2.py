@@ -2,7 +2,10 @@
 
 A positive 3-form phi induces a metric and volume via
     g(X,Y) dV = (1/6) i_X phi wedge i_Y phi wedge phi,
-and, when d phi = 0, an intrinsic torsion 2-form tau characterised by
+a cubic form in the coefficients of phi kept once, as one table of signed
+monomials that also gives j(gamma) for the Ricci tensor and the Pfaffians that
+screen the search (_cubic_table), and, when d phi = 0, an intrinsic torsion
+2-form tau characterised by
     d(*phi) = tau wedge phi,   tau in the 14-dimensional component of Lambda^2.
 With this module's convention Lambda^2_14 = {alpha : alpha wedge phi = -*alpha}
 and ** = 1 in dimension 7, so tau is given by the closed identity
@@ -16,8 +19,11 @@ and the extremally-Ricci-pinched diagnostics.
 from __future__ import annotations
 
 import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -30,12 +36,11 @@ from .exterior import (
     basis_vector,
     hodge,
     identity_holds,
-    index_position,
     interior,
     interior_table,
     norm_sq,
     wedge,
-    wedge_tensor,
+    wedge_pairs,
 )
 from .liealg import LieAlgebra, ce_differential
 from .scalars import (
@@ -44,6 +49,8 @@ from .scalars import (
     ExactBackendUnavailable,
     negligible,
     rational_nth_root,
+    require_same_backend,
+    zero,
 )
 
 CHOLESKY_PIVOT_TOL = 1e-12
@@ -78,82 +85,93 @@ def adapted_phi(backend=RATIONAL) -> KForm:
     )
 
 
-def _np_bilinear_tables():
-    """Cached tables of induced_bilinear_np, flattened for row-vector products.
+_CubicTable = namedtuple("_CubicTable", "j b idx coef starts sym signs")
 
-    T1 (35, 147): y @ T1 lists i_{e_i} phi, i = 1..7, as 7 x 21 2-form
-    coefficients.  w43t (35, 35): y @ w43t is the 4-form pairing with phi.
-    T2 (35, 441): (y @ w43t) @ T2 is the 21 x 21 matrix of
-    (alpha, beta) -> alpha ^ beta ^ phi on 2-forms.
+
+@lru_cache(maxsize=None)
+def _cubic_table() -> _CubicTable:
+    """The one table of b and j, by one loop over the interior and wedge tables.
+
+    j lists the 2 205 terms (i, j, a, b, c, k), i <= j, a <= b, k = +-1, +-2, of
+    top(i_i phi ^ i_j phi ^ gamma) = sum k y_a y_b gamma_c.  b lists the 735 terms of
+    b_ij = sum k y_a y_b y_c, a <= b <= c, k = +-1, +-1/2: j at gamma = phi over 6,
+    summed over the orderings of (a, b, c); the 105 diagonal (Pfaffian) terms come
+    first, 15 per i, then 30 per i < j.  As arrays, idx (3, 735) and coef hold b's
+    (a, b, c) and k, starts the first row of each entry i <= j, sym (49,) the entry
+    of each (i, j), and signs (105, 7) the diagonal k in column i.
     """
-    if not hasattr(_np_bilinear_tables, "_cache"):
-        t1 = np.zeros((35, 7, 21))
-        for i, rows in enumerate(interior_table(7, 3)):
-            for pos_in, pos_out, sign in rows:
-                t1[pos_in, i, pos_out] = sign
-        t2 = wedge_tensor(7, 2, 2).transpose(2, 0, 1).reshape(35, 441)
-        _np_bilinear_tables._cache = (
-            t1.reshape(35, 147), wedge_tensor(7, 4, 3)[:, :, 0].T, t2)
-    return _np_bilinear_tables._cache
+    iphi = [{q: (a, sign) for a, q, sign in rows} for rows in interior_table(7, 3)]
+    top = {r: (c, sign) for (r, c), (_, sign) in wedge_pairs(7, 4, 3).items()}
+    jt, bt = Counter(), Counter()
+    for (q1, q2), (r, sign) in wedge_pairs(7, 2, 2).items():
+        c, sign = top[r][0], sign * top[r][1]
+        for i, j in combinations_with_replacement(range(7), 2):
+            if q1 in iphi[i] and q2 in iphi[j]:
+                (a1, s1), (a2, s2) = iphi[i][q1], iphi[j][q2]
+                jt[i, j, min(a1, a2), max(a1, a2), c] += sign * s1 * s2
+                bt[(i, j) + tuple(sorted((a1, a2, c)))] += sign * s1 * s2
+    b = sorted((key + (Fraction(k, 6),) for key, k in bt.items() if k),
+               key=lambda t: (t[0] != t[1], t))
+    ij = [t[:2] for t in b]
+    cells = list(dict.fromkeys(ij))  # the 28 entries i <= j in table order
+    coef = np.array([t[5] for t in b], float)
+    table = _CubicTable(
+        tuple(sorted(key + (k,) for key, k in jt.items() if k)), tuple(b),
+        np.array([t[2:5] for t in b]).T, coef, np.array([ij.index(e) for e in cells]),
+        np.array([cells.index((min(i, j), max(i, j))) for i in range(7) for j in range(7)]),
+        np.eye(7, dtype=int).repeat(15, axis=0) * coef[:105, None].astype(int))
+    for array in table[2:]:
+        array.flags.writeable = False  # shared by every caller of the cache
+    return table
+
+
+def _monomials(y: np.ndarray, rows: int) -> np.ndarray:
+    """y_a y_b y_c for the first rows of the b table: (..., 35) -> (..., rows)."""
+    a, b, c = _cubic_table().idx[:, :rows]
+    terms = y[..., a]
+    terms *= y[..., b]  # in place: a block's temporaries cost more than its products
+    terms *= y[..., c]
+    return terms
 
 
 def induced_bilinear_np(y: np.ndarray) -> np.ndarray:
-    """Float induced bilinear form: (35,) -> (7, 7), or a stack (B, 35) -> (B, 7, 7)."""
-    t1, w43t, t2 = _np_bilinear_tables()
-    lead = y.shape[:-1]
-    iphi = (y @ t1).reshape(lead + (7, 21))
-    q = ((y @ w43t) @ t2).reshape(lead + (21, 21))
-    b = (iphi @ q @ np.swapaxes(iphi, -1, -2)) / 6.0
-    return (b + np.swapaxes(b, -1, -2)) / 2.0
+    """Float induced bilinear form: (35,) -> (7, 7), or a stack (B, 35) -> (B, 7, 7).
 
-
-def _matchings(axes):
-    """(sign, pairs) over the perfect matchings of axes, as in the Pfaffian expansion."""
-    if not axes:
-        return [(1, ())]
-    return [((-1) ** (k - 1) * sign, ((axes[0], b),) + rest)
-            for k, b in enumerate(axes[1:], 1)
-            for sign, rest in _matchings(axes[1:k] + axes[k + 1:])]
+    The 735 terms of _cubic_table by one gather, summed per entry by
+    np.add.reduceat, which sums a row of a stack bit for bit as a single form
+    (a BLAS product need not, and b's entries cancel to 1e-14 of their terms).
+    """
+    table = _cubic_table()
+    b = np.add.reduceat(_monomials(y, len(table.b)) * table.coef, table.starts, axis=-1)
+    return b[..., table.sym].reshape(y.shape[:-1] + (7, 7))
 
 
 def _pfaffian_diagonal(y: np.ndarray):
     """The diagonal of the induced bilinear form, (..., 35) -> (..., 7), float or
-    Fraction, and the absolute sums of its terms.  With w = i_{e_i} phi, b_ii e^{1..7} =
-    (1/6) w^3 ^ e^i = (-1)^i Pf(w) e^{1..7}, a sign that w_ab = +-y_iab cancels: the sum
-    over the 15 matchings {ab, cd, ef} of the other axes of sign(abcdef) y_iab y_icd y_ief.
+    Fraction, and the absolute sums of its terms: the 105 diagonal rows of
+    _cubic_table.  With w = i_{e_i} phi, b_ii e^{1..7} = (1/6) w^3 ^ e^i = +-Pf(w) e^{1..7},
+    a sum over the 15 matchings {ab, cd, ef} of the other axes of +-y_iab y_icd y_ief.
     """
-    if not hasattr(_pfaffian_diagonal, "_cache"):
-        pos, matchings = index_position(7, 3), _matchings(tuple(range(6)))
-        idx = [[pos[tuple(sorted((i, a + (a >= i), b + (b >= i))))] for a, b in pairs]
-               for i in range(7) for _, pairs in matchings]
-        signs = np.eye(7, dtype=int).repeat(15, axis=0) * [[s] for s, _ in matchings * 7]
-        _pfaffian_diagonal._cache = np.array(idx).T, signs
-    idx, signs = _pfaffian_diagonal._cache
-    terms = y[..., idx[0]]
-    terms *= y[..., idx[1]]  # in place: a block's temporaries cost more than its products
-    terms *= y[..., idx[2]]
-    diag = terms @ signs
-    return diag, np.abs(terms, out=terms) @ abs(signs)
+    signs = _cubic_table().signs
+    terms = _monomials(y, len(signs))
+    return terms @ signs, np.abs(terms, out=terms) @ abs(signs)
+
+
+def _contract(terms, y, z, acc):
+    """The symmetric rows acc + sum k y_a y_b z_c over (i, j, a, b, c, k) terms of
+    _cubic_table, skipping the terms with a zero factor."""
+    rows = [[acc] * 7 for _ in range(7)]
+    for i, j, a, b, c, k in terms:
+        if y[a] and y[b] and z[c]:
+            rows[i][j] += k * y[a] * y[b] * z[c]
+    return [[rows[min(i, j)][max(i, j)] for j in range(7)] for i in range(7)]
 
 
 def induced_bilinear(phi: KForm):
     """The symmetric bilinear form b with b_ij e^{1..7} = (1/6) i_i phi ^ i_j phi ^ phi."""
     if phi.n != 7 or phi.k != 3:
         raise ValueError("expected a 3-form on R^7")
-    if phi.backend == FLOAT:
-        return [list(row) for row in induced_bilinear_np(phi.np_coeffs).tolist()]
-    return _top_pairing(phi, phi, 6)
-
-
-def _top_pairing(phi, gamma, divisor):
-    """Symmetric rows: top coefficient of i_i phi ^ i_j phi ^ gamma, over divisor."""
-    iphi = [interior(basis_vector(7, i + 1, phi.backend), phi) for i in range(7)]
-    rows = [[None] * 7 for _ in range(7)]
-    for i in range(7):
-        for j in range(i, 7):
-            top = wedge(wedge(iphi[i], iphi[j]), gamma)
-            rows[i][j] = rows[j][i] = top.coeffs[0] / divisor
-    return rows
+    return _contract(_cubic_table().b, phi.coeffs, phi.coeffs, zero(phi.backend))
 
 
 def positive_det_np(b: np.ndarray) -> Optional[float]:
@@ -342,7 +360,9 @@ def j_map(struct: G2Structure, gamma: KForm):
     """Symmetric tensor j(gamma)(X,Y) = *(i_X phi wedge i_Y phi wedge gamma)."""
     if gamma.k != 3 or gamma.n != 7:
         raise ValueError("expected a 3-form on R^7")
-    return tuple(tuple(r) for r in _top_pairing(struct.phi, gamma, struct.metric.vol_coeff))
+    rows = _contract(_cubic_table().j, struct.phi.coeffs, gamma.coeffs,
+                     zero(require_same_backend(struct.backend, gamma.backend)))
+    return tuple(tuple(x / struct.metric.vol_coeff for x in r) for r in rows)
 
 
 def _generalized_eigenvalues(ric, g) -> tuple:
@@ -468,7 +488,8 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
     with a seeded generator and returns the first positive sample as a
     float-backend form, or None.  An optional initial candidate is tried
     first and returned unchanged.  Draws are screened in blocks of
-    SEARCH_BLOCK by the diagonal of b (_pfaffian_diagonal), and the survivors
+    SEARCH_BLOCK by the diagonal of b (_pfaffian_diagonal: the 105 diagonal
+    rows of the cubic table that also gives b and j), and the survivors
     are tested in draw order with the serial rule positive_det_np, so the first
     hit is the one a draw-by-draw loop returns.  The screen drops a draw only if
     some b_ii < -1e-8 * (sum of its |terms|); a form the serial rule accepts has

@@ -332,16 +332,19 @@ def test_float_gram_is_accurate_on_ill_conditioned_metrics():
 
 
 def test_rational_gram_takes_no_determinant(monkeypatch, g_half):
-    from g2lab import linalg
+    # the columns come by Laplace expansion over the degree k - 1 table: no
+    # determinant and no wedge product
+    from g2lab import exterior, linalg
     from g2lab.g2 import G2Structure
 
-    dets, det = [], linalg.det
-    monkeypatch.setattr(linalg, "det", lambda m: dets.append(1) or det(m))
+    calls, det, wedge_ = [], linalg.det, exterior.wedge
+    monkeypatch.setattr(linalg, "det", lambda m: calls.append("det") or det(m))
+    monkeypatch.setattr(exterior, "wedge", lambda a, b: calls.append("wedge") or wedge_(a, b))
     metric = G2Structure(g_half.algebra, g_half.phi).metric
     fresh = MetricData(metric.g, metric.vol)
     for k in range(8):
         fresh.gram(k)
-    assert dets == []
+    assert calls == []
 
 
 def test_hodge_rational_identity_backend():

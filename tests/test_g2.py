@@ -20,6 +20,7 @@ from g2lab.g2 import (
     erp_diagnostics,
     erp_residual,
     hodge_laplacian_closed,
+    induced_bilinear,
     induced_bilinear_np,
     is_positive,
     j_map,
@@ -30,7 +31,9 @@ from g2lab.g2 import (
     torsion_form,
 )
 from g2lab.liealg import abelian, ce_differential
-from g2lab.scalars import FLOAT, RATIONAL
+from g2lab.scalars import FLOAT, RATIONAL, BackendMismatch
+
+from oracles import interior_oracle, wedge_oracle
 
 IDENTITY7 = tuple(tuple(F(1) if i == j else F(0) for j in range(7))
                   for i in range(7))
@@ -522,18 +525,28 @@ def test_screen_drops_each_single_negative_diagonal_entry():
         assert not _screen(ys[only_i]).any(), i
 
 
+def _rational_form(rng):
+    return KForm(7, 3, [F(int(p), int(q)) for p, q in
+                        zip(rng.integers(-5, 6, 35), rng.integers(1, 5, 35))])
+
+
+def _top_oracle(phi, gamma, i, j):
+    """top(i_i phi ^ i_j phi ^ gamma) by the oracle's interior and wedge."""
+    terms, gterms = (dict(zip(basis_indices(7, 3), f.coeffs)) for f in (phi, gamma))
+    wi, wj = interior_oracle(i, terms, 3, 7), interior_oracle(j, terms, 3, 7)
+    return wedge_oracle(wedge_oracle(wi, 2, wj, 2, 7), 4, gterms, 3, 7).get(tuple(range(7)), 0)
+
+
 def test_pfaffian_diagonal_matches_top_pairing_oracle():
-    from oracles import interior_oracle, wedge_oracle
     rng = np.random.default_rng(8)
     for _ in range(3):
-        coeffs = [F(int(p), int(q)) for p, q in
-                  zip(rng.integers(-5, 6, 35), rng.integers(1, 5, 35))]
-        terms = {idx: c for idx, c in zip(basis_indices(7, 3), coeffs) if c}
-        diag, _ = _pfaffian_diagonal(np.array(coeffs, dtype=object))
+        phi = _rational_form(rng)
+        b = induced_bilinear(phi)
+        diag, _ = _pfaffian_diagonal(np.array(phi.coeffs, dtype=object))
         for i in range(7):
-            w = interior_oracle(i, terms, 3, 7)
-            top = wedge_oracle(wedge_oracle(w, 2, w, 2, 7), 4, terms, 3, 7)
-            assert diag[i] == top.get(tuple(range(7)), 0) / 6
+            assert diag[i] == b[i][i]
+            for j in range(7):
+                assert b[i][j] == F(_top_oracle(phi, phi, i, j), 6), (i, j)
     ys = rng.standard_normal((500, 35))
     diag, scale = _pfaffian_diagonal(ys)
     ref = np.diagonal(induced_bilinear_np(ys), axis1=1, axis2=2)
@@ -541,6 +554,48 @@ def test_pfaffian_diagonal_matches_top_pairing_oracle():
     for backend in (FLOAT, RATIONAL):
         diag, scale = _pfaffian_diagonal(np.array(adapted_phi(backend).coeffs))
         assert list(diag) == [1] * 7 and list(scale) == [1] * 7
+
+
+def test_j_map_matches_top_pairing_oracle():
+    # A* phi0 for integer A with det A > 0 has the exact metric A^T A and volume det A
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        a = rng.integers(-1, 2, (7, 7))
+        while round(np.linalg.det(a)) <= 0:
+            a = rng.integers(-1, 2, (7, 7))
+        struct = G2Structure(abelian(7), pullback(a.tolist(), adapted_phi()))
+        assert struct.metric.vol_coeff == round(np.linalg.det(a))
+        for gamma in (struct.phi, _rational_form(rng)):
+            j = j_map(struct, gamma)
+            for i in range(7):
+                for k in range(7):
+                    top = _top_oracle(struct.phi, gamma, i, k)
+                    assert j[i][k] == top / struct.metric.vol_coeff, (i, k)
+
+
+def test_metric_and_j_map_take_no_wedge_or_interior(monkeypatch, g_half):
+    from g2lab import exterior
+
+    structs = [G2Structure(g_half.algebra, g_half.phi)]
+    structs.append(structs[0].to_float())
+    calls = []
+    for module in (exterior, g2):
+        for name in ("wedge", "interior"):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    for struct in structs:
+        induced_bilinear(struct.phi)
+        j_map(struct, struct.phi)
+    assert calls == []
+
+
+def test_j_map_rejects_mixed_backends(g_half):
+    struct = G2Structure(g_half.algebra, g_half.phi)
+    with pytest.raises(BackendMismatch):
+        j_map(struct, g_half.phi.to_float())
+    with pytest.raises(BackendMismatch):
+        j_map(struct.to_float(), g_half.phi)
 
 
 def test_induced_bilinear_stack_matches_rows():

@@ -8,8 +8,11 @@ is 0) exactly when the oracle's Jacobiator vanishes and exactly when d o d
 vanishes in every degree.  For the Hodge star, g = A^T A for an integer matrix A, so
 vol = |det A| e^{1...n} is rational: the exact backend checks each identity
 with equality, and the float backend checks it on the same metric and forms
-converted to floats.  Examples are derandomized and bounded, so the suite
-stays deterministic.
+converted to floats.  The induced bilinear form of a 3-form on R^7 is
+equivariant, b_{A* phi} = det(A) A^T b_phi A for integer A, with A* phi built
+from wedges of the 1-forms A* e^i, so the identity does not use b's term
+table.  Examples are derandomized and bounded, so the suite stays
+deterministic.
 """
 
 from fractions import Fraction as F
@@ -25,6 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from g2lab import catalog  # noqa: E402
 from g2lab.exterior import KForm, MetricData, basis_indices, hodge, inner, wedge  # noqa: E402
+from g2lab.g2 import induced_bilinear  # noqa: E402
 from g2lab.liealg import ce_differential, check_jacobi, from_structure_equations  # noqa: E402
 
 from oracles import jacobiator_oracle, structure_constants_oracle  # noqa: E402
@@ -185,3 +189,29 @@ def test_wedge_star_is_inner_product_times_volume(case):
     fm, fa, fb = metric.to_float(), alpha.to_float(), beta.to_float()
     gap = abs(wedge(fa, hodge(fm, fb)).coeffs[0] - inner(fm, fa, fb) * fm.vol_coeff)
     assert gap <= 100 * EPS * _condition(metric) * max(1.0, abs(float(exact.coeffs[0])))
+
+
+@st.composite
+def pulled_back_forms(draw):
+    """(A, phi, A* phi): an integer 7 x 7 matrix with det A != 0, a rational
+    3-form and its pullback, e^i -> sum_j A[i][j] e^j wedged term by term."""
+    a = [[draw(st.integers(-2, 2)) for _ in range(7)] for _ in range(7)]
+    assume(sympy.Matrix(a).det() != 0)
+    phi = _form(draw, 7, 3)
+    ones = [KForm(7, 1, [F(x) for x in row]) for row in a]
+    pulled = KForm.zero(7, 3)
+    for (i, j, k), c in zip(basis_indices(7, 3), phi.coeffs):
+        if c:
+            pulled = pulled + c * wedge(wedge(ones[i], ones[j]), ones[k])
+    return a, phi, pulled
+
+
+@PROPERTY
+@given(pulled_back_forms())
+def test_induced_bilinear_is_equivariant(case):
+    a, phi, pulled = case
+    det = int(sympy.Matrix(a).det())
+    b = induced_bilinear(phi)
+    expected = [[det * sum(a[p][i] * b[p][q] * a[q][j] for p in range(7) for q in range(7))
+                 for j in range(7)] for i in range(7)]
+    assert induced_bilinear(pulled) == expected
