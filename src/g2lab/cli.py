@@ -21,6 +21,7 @@ import multiprocessing
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import catalog
 from .exterior import KForm
@@ -421,6 +422,7 @@ def _run_job(job):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)  # once per process: parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=["json", "pretty"], default="json")

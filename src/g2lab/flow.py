@@ -2,9 +2,9 @@
 
 The flow evolves the 35 coefficients of a closed 3-form by
 d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
-closed cone is preserved.  FlowKernel evaluates it in numpy with the same
-metric, positivity rule and torsion identity tau = -*d*phi as the float
-backend of g2, guarded by tau wedge phi = d*phi, its stars raising indices
+closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
+the one float metric and positivity rule of g2, and the torsion identity
+tau = -*d*phi, guarded by tau wedge phi = d*phi, its stars raising indices
 without minors.  Integration uses the embedded Dormand-Prince 5(4) pair:
 the 5th-order solution advances, the difference to the 4th-order one
 controls the step, and the last stage, taken at the new state, is the next
@@ -41,8 +41,8 @@ from .g2 import (
     G2Structure,
     InconsistentTorsionError,
     NotClosedError,
-    induced_bilinear_np,
-    positive_det_np,
+    NotPositiveError,
+    metric_np,
     torsion,
 )
 from .liealg import LieAlgebra, derivation_space
@@ -86,10 +86,6 @@ class FlowStalled(ArithmeticError):
 # numpy kernel
 # ---------------------------------------------------------------------------
 
-class _PositivityLost(Exception):
-    pass
-
-
 class FlowKernel:
     """Vectorised evaluation of phi -> d tau(phi) on a fixed 7-dim algebra."""
 
@@ -108,12 +104,7 @@ class FlowKernel:
         self.s5 = complement_matrix(7, 5)
 
     def metric(self, y):
-        b = induced_bilinear_np(y)
-        det_b = positive_det_np(b)
-        if det_b is None:
-            raise _PositivityLost("positivity lost")
-        volc = det_b ** (1.0 / 9.0)
-        g = b / volc
+        g, volc = metric_np(y)
         return g, np.linalg.inv(g), volc
 
     def torsion(self, y):
@@ -239,7 +230,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
                 # at i = 6 this is the 5th-order solution: the last row of A is b
                 y_new = y + h * (_A[i, :i] @ k[:i])
                 k[i], tau_new = kernel.rhs(y_new)
-        except _PositivityLost:
+        except NotPositiveError:
             err = math.inf  # may be pure overshoot: a rejected step
         else:
             err = h * float(np.max(np.abs(_E @ k)))

@@ -177,22 +177,28 @@ def induced_bilinear(phi: KForm):
 def positive_det_np(b: np.ndarray) -> Optional[float]:
     """det b if the float bilinear form b is positive-definite, else None.
 
-    The float positivity rule: det b > 0, then a Cholesky factor L exists
+    The float positivity rule, by one Cholesky factor b = L L^T: it must exist
     with min L_ii^2 > CHOLESKY_PIVOT_TOL * max |b_ii|, a bound relative to b
-    so that it holds at every scale of phi.  The cheap determinant test
-    comes first; it rejects most random search draws.
+    so that it holds at every scale of phi.  Then det b = prod L_ii^2.
     """
-    det_b = float(np.linalg.det(b))
-    if det_b <= 0:
-        return None
     try:
-        l = np.linalg.cholesky(b)
+        pivots = np.diagonal(np.linalg.cholesky(b)) ** 2
     except np.linalg.LinAlgError:
         return None
-    scale = float(np.max(np.abs(np.diagonal(b))))
-    if float(np.min(np.diagonal(l))) ** 2 <= CHOLESKY_PIVOT_TOL * scale:
-        return None
-    return det_b
+    if not pivots.min() > CHOLESKY_PIVOT_TOL * np.max(np.abs(np.diagonal(b))):
+        return None  # also refuses a NaN pivot
+    return float(np.prod(pivots))
+
+
+def metric_np(y: np.ndarray):
+    """The float metric b / (det b)^(1/9) and volume coefficient (det b)^(1/9)
+    of the 3-form with coefficients y; NotPositiveError unless it is positive."""
+    b = induced_bilinear_np(y)
+    det_b = positive_det_np(b)
+    if det_b is None:
+        raise NotPositiveError("not a positive 3-form")
+    volc = det_b ** (1.0 / 9.0)
+    return b / volc, volc
 
 
 def is_positive(alg_or_n, phi: KForm) -> bool:
@@ -227,13 +233,8 @@ def metric_from_phi(alg_or_n, phi: KForm) -> MetricData:
         g = [[x / root for x in row] for row in b]
         vol = KForm.monomial(7, tuple(range(1, 8)), root)
         return MetricData(g, vol)
-    b = induced_bilinear_np(phi.np_coeffs)
-    det_b = positive_det_np(b)
-    if det_b is None:
-        raise NotPositiveError("not a positive 3-form")
-    root = det_b ** (1.0 / 9.0)
-    vol = KForm.monomial(7, tuple(range(1, 8)), root, backend=FLOAT)
-    return MetricData((b / root).tolist(), vol)
+    g, volc = metric_np(phi.np_coeffs)
+    return MetricData(g.tolist(), KForm.monomial(7, tuple(range(1, 8)), volc, backend=FLOAT))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ Markowitz-style rule that keeps fill-in small on the very sparse derivation
 and Chevalley-Eilenberg systems.  Only the rows that hold the pivot column
 are reduced, and entries that cancel are dropped.  The reduced row-echelon
 form of a matrix is unique, so the result does not depend on the pivot order.
-Ranks, inverses and each linear system (whose solution and kernel are read
-off one reduction) come from ``rref``; ``det`` and ``positive_det``, the one
+Ranks, inverses, each linear system (whose solution and kernel are read off
+one reduction) and least squares (by the rank factorisation one reduction
+gives) come from ``rref``; ``det`` and ``positive_det``, the one
 positivity rule (positive definite by the pivots of an elimination without
 row exchanges, Sylvester), are the other two elimination loops.
 Everything here is exact: ranks, nullspaces, positivity and least-squares
@@ -206,22 +207,19 @@ def solve(m, b):
 
 
 def lstsq(a, b):
-    """Exact least squares: minimise |a x - b|^2 over rational x.
+    """Exact least squares: the minimum-norm x minimising |a x - b|^2 over rational x.
 
-    Solves the normal equations and projects onto the minimum-norm solution
-    when the system is rank-deficient.  Returns (x, residual_sq).
+    One rref gives the rank factorisation a = C R, with C the pivot columns of a
+    and R the nonzero rows of rref(a); then x = R^T (R R^T)^-1 (C^T C)^-1 C^T b
+    (Ben-Israel & Greville, Generalized Inverses, 2003, ch. 1), and rank 0 gives
+    x = 0.  Returns (x, residual_sq).
     """
-    at = transpose(a)
-    x, null = solve_affine(matmul(at, a), matvec(at, b))
-    if x is None:  # cannot happen: normal equations are always consistent
-        raise ArithmeticError("inconsistent normal equations")
-    if null:
-        # remove the nullspace component so the reported solution is canonical
-        g = [[sum((ui * vi for ui, vi in zip(u, v)), ZERO) for v in null] for u in null]
-        rhs = [sum((ui * xi for ui, xi in zip(u, x)), ZERO) for u in null]
-        coeffs = solve(g, rhs)
-        for c, u in zip(coeffs, null):
-            x = [xi - c * ui for xi, ui in zip(x, u)]
-    r = [sum((a[i][j] * x[j] for j in range(len(x))), ZERO) - b[i] for i in range(len(b))]
-    res = sum((ri * ri for ri in r), ZERO)
+    red, pivots = rref(a)
+    x = [ZERO] * (len(a[0]) if a else 0)
+    if pivots:
+        r = red[:len(pivots)]
+        ct = [[row[p] for row in a] for p in pivots]
+        v = solve(matmul(r, transpose(r)), solve(matmul(ct, transpose(ct)), matvec(ct, b)))
+        x = matvec(transpose(r), v)
+    res = sum(((ax - bi) ** 2 for ax, bi in zip(matvec(a, x), b)), ZERO)
     return x, res

@@ -12,7 +12,7 @@ import pytest
 
 import g2lab
 from g2lab import catalog
-from g2lab.cli import CliError, main
+from g2lab.cli import CliError, build_parser, main
 from g2lab.g2 import adapted_phi
 
 
@@ -537,6 +537,20 @@ def test_failing_parallel_sweep_exits_2():
     report = json.loads(proc.stdout)
     assert report["status"] == "error"
     assert report["command"] == ["analyze", "g_a"]
+
+
+def test_shared_parser_leaks_nothing_between_invocations(capsys):
+    # the parser is built once per process: each of two invocations in one
+    # process must report what it reports alone, in a fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(g2lab.__file__).parent.parent))
+    argvs = (["g2", "g_a", "--backend", "float"], ["g2", "g_a"])
+    shared = [run_cli(capsys, *argv) for argv in argvs]
+    assert build_parser() is build_parser()
+    for argv, (code, out) in zip(argvs, shared):
+        alone = subprocess.run([sys.executable, "-m", "g2lab.cli", *argv],
+                               capture_output=True, text=True, timeout=60, env=env)
+        assert code == alone.returncode == 0
+        assert out == alone.stdout
 
 
 def test_pretty_format(capsys):

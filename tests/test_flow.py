@@ -278,7 +278,7 @@ def test_flow_positivity_lost_in_a_stage_is_a_rejection(g_half_struct, monkeypat
     def failing_once(self, y):
         calls.append(1)
         if len(calls) == 20:
-            raise flow_mod._PositivityLost("positivity lost")
+            raise flow_mod.NotPositiveError("not a positive 3-form")
         return metric(self, y)
 
     monkeypatch.setattr(flow_mod.FlowKernel, "metric", failing_once)
@@ -316,15 +316,15 @@ def test_kernel_torsion_matches_minor_oracle(g_half):
         assert abs(tau_nsq - ref_nsq) <= 1e-13 * ref_nsq
 
 
-def test_kernel_torsion_takes_one_determinant(g_half, monkeypatch):
-    # the positivity test of the metric; the stars raise indices instead
+def test_kernel_torsion_takes_no_determinant(g_half, monkeypatch):
+    # det b is the product of the Cholesky pivots; the stars raise indices
     from g2lab.flow import FlowKernel
 
     kernel = FlowKernel(g_half.algebra)
     dets, det = [], np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(1) or det(a))
     kernel.torsion(g_half.phi.to_float().np_coeffs)
-    assert len(dets) == 1
+    assert len(dets) == 0
 
 
 def test_flow_evaluates_torsion_at_most_6_times_per_step(g_half_struct, monkeypatch):

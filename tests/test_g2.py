@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from g2lab import catalog, g2
+from g2lab import catalog, g2, linalg
 from g2lab.exterior import KForm, basis_indices, interior, wedge
 from g2lab.g2 import (
     CHOLESKY_PIVOT_TOL,
@@ -115,8 +115,8 @@ def test_float_positivity_rule_agrees_with_exact():
                for i in range(7)]
     squeezed = pullback(squeeze, adapted_phi())
     # adapted_phi without e^127 under e^i -> e^i + e^{i+1}/3: b is singular,
-    # but float rounding can leave det b slightly positive, so the Cholesky
-    # step has to reject it
+    # and float rounding leaves det b slightly positive, which the Cholesky
+    # factorisation still rejects
     shear = [[F(1) if j == i else F(1, 3) if j == (i + 1) % 7 else F(0)
               for j in range(7)] for i in range(7)]
     partial = adapted_phi() - KForm.monomial(7, (1, 2, 7))
@@ -124,9 +124,16 @@ def test_float_positivity_rule_agrees_with_exact():
     assert is_positive(7, squeezed) and not is_positive(7, sheared)
     for phi in (adapted_phi(), -1 * adapted_phi(), squeezed, sheared):
         assert is_positive(7, phi.to_float()) == is_positive(7, phi)
+    # det b as the product of the Cholesky pivots, against the exact det b
+    closed = [entry.phi for entry in catalog.closed_entry_instances()]
+    for phi in [adapted_phi(), squeezed] + closed:
+        exact = float(linalg.positive_det(induced_bilinear(phi)))
+        det = positive_det_np(induced_bilinear_np(phi.to_float().np_coeffs))
+        assert abs(det - exact) <= 1e-13 * exact
     # the pivot tolerance itself: a positive-definite b with a smaller pivot
     # is refused, one just above it is accepted
     assert positive_det_np(np.diag([1.0] * 6 + [0.1 * CHOLESKY_PIVOT_TOL])) is None
+    assert positive_det_np(np.diag([1.0] * 6 + [np.nan])) is None  # a NaN pivot
     det = positive_det_np(np.diag([1.0] * 6 + [10 * CHOLESKY_PIVOT_TOL]))
     assert det == pytest.approx(10 * CHOLESKY_PIVOT_TOL)
 

@@ -183,3 +183,10 @@ def test_lstsq_matches_sympy_normal_equations():
         assert res_sq == (r.T * r)[0, 0]
         assert ata * sympy.Matrix(x) == s.T * sb
     assert deficient >= 6
+
+
+def test_lstsq_of_rank_zero_is_zero():
+    b = [F(1, 2), F(-3), F(0), F(2, 7)]
+    x, res_sq = linalg.lstsq([[F(0)] * 3 for _ in b], b)
+    assert x == [0, 0, 0]
+    assert res_sq == sum(bi * bi for bi in b)
