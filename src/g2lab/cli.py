@@ -44,7 +44,7 @@ from .g2 import (
     erp_diagnostics,
     erp_residual,
     search_closed_positive,
-    torsion_form,
+    torsion,
 )
 from .liealg import (
     InvalidStructureError,
@@ -224,7 +224,7 @@ def _cmd_g2(entry, args):
         results.update({"tau": None, "tau_norm_sq": None, "scal": None,
                         "ric_eigenvalues": None, "erp_residual": None})
         return results
-    tor = torsion_form(struct)
+    tor = torsion(struct)
     cur = curvature(struct)
     results.update({
         "tau": tor.tau.to_json_dict(),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -65,16 +65,6 @@ def wedge_pairs(n: int, p: int, q: int):
 
 
 @lru_cache(maxsize=None)
-def wedge_tensor(n: int, p: int, q: int) -> np.ndarray:
-    """Dense float sign tensor T with (a wedge b) = einsum('i,j,ijc', a, b, T)."""
-    np_, nq, nout = (len(basis_indices(n, d)) for d in (p, q, p + q))
-    t = np.zeros((np_, nq, nout))
-    for (ip, jp), (op, sign) in wedge_pairs(n, p, q).items():
-        t[ip, jp, op] = sign
-    return t
-
-
-@lru_cache(maxsize=None)
 def interior_table(n: int, k: int):
     """For each ambient index i: list of (pos_k, pos_{k-1}, sign)."""
     out_pos = index_position(n, k - 1)
@@ -95,40 +85,6 @@ def complement_table(n: int, k: int):
         comp = tuple(i for i in range(n) if i not in idx)
         table.append((out_pos[comp], _permutation_sign(idx + comp)))
     return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def complement_matrix(n: int, k: int) -> np.ndarray:
-    """Signed complement matrix S_k, (S_k a)_{I^c} = sign(I, I^c) a_I, read-only."""
-    s = np.zeros((len(basis_indices(n, n - k)), len(basis_indices(n, k))))
-    for i, (cpos, sign) in enumerate(complement_table(n, k)):
-        s[cpos, i] = sign
-    s.flags.writeable = False
-    return s
-
-
-@lru_cache(maxsize=None)
-def _tensor_slots(n: int, k: int):
-    """(flat n^k-tensor slot, basis position, sign) of each permutation of each
-    basis multi-index, and the slot of each increasing one."""
-    idxs, slot = basis_indices(n, k), n ** np.arange(k - 1, -1, -1)
-    flat, pos, sign = zip(*[(s, p, _permutation_sign(s)) for p, idx in enumerate(idxs)
-                            for s in permutations(idx)])
-    return (np.array(flat, int).reshape(len(pos), k) @ slot, np.array(pos),
-            np.array(sign, float)[:, None], np.array(idxs, int).reshape(len(idxs), k) @ slot)
-
-
-def raise_np(m: np.ndarray, forms: np.ndarray, k: int) -> np.ndarray:
-    """Lambda^k m, (Lambda^k m a)_I = sum_J det m[I, J] a_J, on one k-form or on
-    the columns of a batch, for symmetric m: scatter into the antisymmetric
-    n^k tensor, contract each index with m by one matrix product (which moves
-    it behind the others), and read back at the increasing multi-indices."""
-    n, (flat, pos, sign, lex) = len(m), _tensor_slots(len(m), k)
-    t = np.zeros((n ** k, forms.size // len(forms)))
-    t[flat] = forms.reshape(len(forms), -1)[pos] * sign
-    for _ in range(k):
-        t = t.reshape(n, -1).T @ m
-    return t.reshape(-1, n ** k)[:, lex].T.reshape(forms.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The flow evolves the 35 coefficients of a closed 3-form by
 d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
 closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
 the one float metric and positivity rule of g2, and the torsion identity
-tau = -*d*phi, guarded by tau wedge phi = d*phi, its stars raising indices
-without minors.  Integration uses the embedded Dormand-Prince 5(4) pair:
+tau = -*d*phi, guarded by tau wedge phi = d*phi, each star a 7 x 7 matrix
+product.  Integration uses the embedded Dormand-Prince 5(4) pair:
 the 5th-order solution advances, the difference to the 4th-order one
 controls the step, and the last stage, taken at the new state, is the next
 step's first (FSAL), so an accepted step costs six evaluations.
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,11 +32,11 @@ from .exterior import (
     Endo,
     KForm,
     basis_indices,
-    complement_matrix,
+    complement_table,
     endo_action,
     index_position,
-    raise_np,
-    wedge_tensor,
+    interior_table,
+    wedge_pairs,
 )
 from .g2 import (
     G2Structure,
@@ -49,6 +50,7 @@ from .liealg import LieAlgebra, derivation_space
 from .scalars import FLOAT, RATIONAL, negligible
 
 LAMBDA3 = tuple(basis_indices(7, 3))
+_UPPER = np.triu_indices(7, 1)  # i < j in the lexicographic order of 2-forms
 
 #: |tau|^2 beyond which the integrator reports an approaching blow-up
 BLOWUP_TAU_SQ = 1e12
@@ -86,6 +88,22 @@ class FlowStalled(ArithmeticError):
 # numpy kernel
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _torsion_gathers():
+    """The index arrays of FlowKernel.torsion, shared by every kernel."""
+    # (row, column, coefficient of y, sign) of P, column k = i_{e_k} phi
+    p_idx = np.array([(r, k, q, s) for k, rows in enumerate(interior_table(7, 3))
+                      for q, r, s in rows]).T
+    pos, quads = index_position(7, 2), basis_indices(7, 4)
+    star_idx = (np.array([pos[q[:2]] for q in quads]),
+                np.array([pos[q[2:]] for q in quads]), *np.array(quads).T)
+    cpos, sign = np.array(complement_table(7, 5)).T  # S_5 as a signed gather
+    src = np.argsort(cpos)
+    # (row c, column a, coefficient of y, sign) of the matrix of a -> a ^ phi
+    w_idx = np.array([(c, a, q, s) for (a, q), (c, s) in wedge_pairs(7, 2, 3).items()]).T
+    return p_idx, star_idx, (src, sign[src]), w_idx
+
+
 class FlowKernel:
     """Vectorised evaluation of phi -> d tau(phi) on a fixed 7-dim algebra."""
 
@@ -99,9 +117,7 @@ class FlowKernel:
             for j, col in enumerate(alg.d_columns(k)):
                 for r, c in col:
                     m[r, j] = c
-        self.w23 = wedge_tensor(7, 2, 3)
-        self.s3 = complement_matrix(7, 3)
-        self.s5 = complement_matrix(7, 5)
+        self.p_idx, self.star_idx, self.s5_idx, self.w_idx = _torsion_gathers()
 
     def metric(self, y):
         g, volc = metric_np(y)
@@ -110,17 +126,34 @@ class FlowKernel:
     def torsion(self, y):
         """tau = -*d*phi, |tau|^2 and the volume coefficient at phi = y.
 
-        *phi = vol S_3 Lambda^3 g^-1 phi, and as ** = 1 in dimension 7,
-        *_5 = (*_2)^-1 = Lambda^2 g S_5 / vol: each by ``raise_np``."""
+        Each star is a 7 x 7 product.  With P the 21 x 7 matrix of the 2-forms
+        i_{e_k} phi, the contraction identity phi_ijk g^kl phi_abl =
+        g_ia g_jb - g_ib g_ja + (*phi)_ijab (this sign in the orientation
+        e^{1..7}) gives *phi = P g^-1 P^T - (g_ia g_jb - g_ib g_ja) at
+        i < j < a < b.  On 5-forms * = (*_2)^-1 sends d*phi to g X g / vol, X
+        the antisymmetric matrix of x = S_5 d*phi; and |tau|^2 vol =
+        tau ^ *tau = -tau . x.  The guard tau ^ phi = d*phi is computed apart."""
         g, ginv, volc = self.metric(y)
-        dstar = self.d4 @ (volc * (self.s3 @ raise_np(ginv, y, 3)))
-        tau = -raise_np(g, self.s5 @ dstar, 2) / volc
-        wphi = np.einsum("aqc,q->ca", self.w23, y)        # (21c, 21a)
+        r, k, q, s = self.p_idx
+        p = np.zeros((21, 7))
+        p[r, k] = y[q] * s
+        ij, ab, i, j, a, b = self.star_idx
+        star_phi = (p @ ginv @ p.T)[ij, ab] - g[i, a] * g[j, b] + g[i, b] * g[j, a]
+        dstar = self.d4 @ star_phi
+        src, sign = self.s5_idx
+        x = dstar[src] * sign
+        xm = np.zeros((7, 7))
+        xm[_UPPER] = x
+        xm -= xm.T
+        tau = -(g @ xm @ g)[_UPPER] / volc
+        c, a, q, s = self.w_idx
+        wphi = np.zeros((21, 21))
+        wphi[c, a] = y[q] * s
         res = float(np.linalg.norm(wphi @ tau - dstar))
         if res > 1e-9 * max(1.0, float(np.linalg.norm(dstar))):
             raise InconsistentTorsionError(
                 "tau = -*d*phi fails tau wedge phi = d*phi along the flow")
-        return tau, float(tau @ raise_np(ginv, tau, 2)), volc
+        return tau, 0.0 - float(tau @ x) / volc, volc  # +0.0 at zero torsion
 
     def rhs(self, y):
         """d tau at phi = y, and |tau|^2 for the sample taken there."""
@@ -329,15 +362,8 @@ def lauret_solution(a, t: float) -> KForm:
         raise ValueError("t=%g outside the maximal interval (%g, %g)"
                          % (t, data.t_min, data.t_max))
     big_a = (2.0 / 3.0) * data.lam * t + 1.0
-    c1 = big_a ** data.q1
-    c2 = big_a ** data.q2
     c3 = big_a ** data.q3
-    return KForm.from_terms(
-        7, 3,
-        {(1, 2, 7): c1, (3, 4, 7): c2, (5, 6, 7): c3,
-         (1, 3, 5): c3, (1, 4, 6): -c3, (2, 3, 6): -c3, (2, 4, 5): -c3},
-        FLOAT,
-    )
+    return ansatz_phi((big_a ** data.q1, big_a ** data.q2, c3, c3, c3, c3, c3))
 
 
 def gabk_max_time(b) -> float:

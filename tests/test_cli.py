@@ -296,6 +296,25 @@ def test_torsion_guard_failure_is_a_well_formed_error(capsys, monkeypatch):
     assert "tau wedge phi" in report["results"]["error"]
 
 
+def test_g2_report_computes_torsion_once(capsys, monkeypatch):
+    # the report and its curvature share the structure's cached torsion
+    import g2lab.cli as cli_mod
+    from g2lab import g2
+
+    calls, torsion_form = [], g2.torsion_form
+
+    def counted(struct):
+        calls.append(1)
+        return torsion_form(struct)
+
+    monkeypatch.setattr(g2, "torsion_form", counted)
+    # a name imported into cli would bypass the patched module attribute
+    monkeypatch.setattr(cli_mod, "torsion_form", counted, raising=False)
+    code, _ = run_cli(capsys, "g2", "g_a", "--param", "a=2")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_g2_zero_scal_is_positive_zero(capsys):
     code, report = run_json(capsys, "g2", "abelian7", "--backend", "float")
     assert code == 0

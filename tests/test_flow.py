@@ -298,22 +298,24 @@ def test_kernel_torsion_matches_exact():
         assert abs(tau_nsq - float(exact.tau_norm_sq)) < 1e-12 * max(1.0, tau_nsq)
 
 
-def test_kernel_torsion_matches_minor_oracle(g_half):
-    # tau = -*_5 d *_3 phi and |tau|^2 with every star built from k x k minors
+def test_kernel_torsion_matches_minor_oracle():
+    # tau = -*_5 d *_3 phi and |tau|^2 with every star built from k x k minors,
+    # around every closed catalog instance
     from g2lab.flow import FlowKernel
     from oracles import gram_minor_oracle, star_oracle
 
-    kernel = FlowKernel(g_half.algebra)
-    y0 = g_half.phi.to_float().np_coeffs
-    rng = np.random.default_rng(43)
-    for _ in range(50):
-        y = y0 + 0.05 * kernel.d2 @ rng.standard_normal(21)  # stays closed
-        tau, tau_nsq, _ = kernel.torsion(y)
-        g, ginv, volc = kernel.metric(y)
-        ref = -star_oracle(g, volc, 5) @ kernel.d4 @ star_oracle(g, volc, 3) @ y
-        ref_nsq = ref @ gram_minor_oracle(ginv, 2) @ ref
-        assert np.max(np.abs(tau - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert abs(tau_nsq - ref_nsq) <= 1e-13 * ref_nsq
+    for entry in catalog.closed_entry_instances():
+        kernel = FlowKernel(entry.algebra)
+        y0 = entry.phi.to_float().np_coeffs
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            y = y0 + 0.05 * kernel.d2 @ rng.standard_normal(21)  # stays closed
+            tau, tau_nsq, _ = kernel.torsion(y)
+            g, ginv, volc = kernel.metric(y)
+            ref = -star_oracle(g, volc, 5) @ kernel.d4 @ star_oracle(g, volc, 3) @ y
+            ref_nsq = ref @ gram_minor_oracle(ginv, 2) @ ref
+            assert np.max(np.abs(tau - ref)) <= 1e-13 * np.max(np.abs(ref)), entry.params
+            assert abs(tau_nsq - ref_nsq) <= 1e-13 * ref_nsq, entry.params
 
 
 def test_kernel_torsion_takes_no_determinant(g_half, monkeypatch):
