@@ -5,7 +5,8 @@ d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
 closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
 the one float metric and positivity rule of g2, and the torsion identity
 tau = -*d*phi, guarded by tau wedge phi = d*phi, each star a 7 x 7 matrix
-product.  Integration uses the embedded Dormand-Prince 5(4) pair:
+product, its inputs taken from phi by constant maps (no per-call scatter,
+gather or sign pass).  Integration uses the embedded Dormand-Prince 5(4) pair:
 the 5th-order solution advances, the difference to the 4th-order one
 controls the step, and the last stage, taken at the new state, is the next
 step's first (FSAL), so an accepted step costs six evaluations.
@@ -50,7 +51,6 @@ from .liealg import LieAlgebra, derivation_space
 from .scalars import FLOAT, RATIONAL, negligible
 
 LAMBDA3 = tuple(basis_indices(7, 3))
-_UPPER = np.triu_indices(7, 1)  # i < j in the lexicographic order of 2-forms
 
 #: |tau|^2 beyond which the integrator reports an approaching blow-up
 BLOWUP_TAU_SQ = 1e12
@@ -90,18 +90,30 @@ class FlowStalled(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def _torsion_gathers():
-    """The index arrays of FlowKernel.torsion, shared by every kernel."""
-    # (row, column, coefficient of y, sign) of P, column k = i_{e_k} phi
-    p_idx = np.array([(r, k, q, s) for k, rows in enumerate(interior_table(7, 3))
-                      for q, r, s in rows]).T
+    """The constant maps of FlowKernel.torsion, shared by every kernel: +-1/0
+    matrices with at most one nonzero per output entry, so each product is exact."""
+    # TP: y -> P, the 21 x 7 matrix whose column k is i_{e_k} phi
+    tp = np.zeros((35, 21, 7))
+    for k, rows in enumerate(interior_table(7, 3)):
+        for q, r, s in rows:
+            tp[q, r, k] = s
+    # *phi at i < j < a < b from the flattened P g^-1 P^T and g
     pos, quads = index_position(7, 2), basis_indices(7, 4)
-    star_idx = (np.array([pos[q[:2]] for q in quads]),
-                np.array([pos[q[2:]] for q in quads]), *np.array(quads).T)
-    cpos, sign = np.array(complement_table(7, 5)).T  # S_5 as a signed gather
+    i, j, a, b = np.array(quads).T
+    star_idx = (np.array([21 * pos[q[:2]] + pos[q[2:]] for q in quads]),
+                7 * i + a, 7 * j + b, 7 * i + b, 7 * j + a)
+    cpos, sign = np.array(complement_table(7, 5)).T  # S_5 as a signed permutation
+    # TX: x -> the antisymmetric X with X_ij = x_ij, i < j lexicographic as 2-forms
+    i, j = np.triu_indices(7, 1)
+    tx = np.zeros((21, 49))
+    tx[range(21), 7 * i + j], tx[range(21), 7 * j + i] = 1.0, -1.0
+    # TW: y -> the matrix of tau -> S_5 (tau ^ phi), rows in the order of x
+    tw = np.zeros((35, 21, 21))
+    for (a, q), (c, s) in wedge_pairs(7, 2, 3).items():
+        tw[q, cpos[c], a] = s * sign[c]
     src = np.argsort(cpos)
-    # (row c, column a, coefficient of y, sign) of the matrix of a -> a ^ phi
-    w_idx = np.array([(c, a, q, s) for (a, q), (c, s) in wedge_pairs(7, 2, 3).items()]).T
-    return p_idx, star_idx, (src, sign[src]), w_idx
+    return (tp.reshape(35, 147), star_idx, (src, sign[src]), tx, 7 * i + j,
+            tw.reshape(35, 441))
 
 
 class FlowKernel:
@@ -117,7 +129,9 @@ class FlowKernel:
             for j, col in enumerate(alg.d_columns(k)):
                 for r, c in col:
                     m[r, j] = c
-        self.p_idx, self.star_idx, self.s5_idx, self.w_idx = _torsion_gathers()
+        self.tp, self.star_idx, (src, sign), self.tx, self.upper, self.tw = \
+            _torsion_gathers()
+        self.d4x = self.d4[src] * sign[:, None]  # S_5 d on 3-forms
 
     def metric(self, y):
         g, volc = metric_np(y)
@@ -132,25 +146,18 @@ class FlowKernel:
         e^{1..7}) gives *phi = P g^-1 P^T - (g_ia g_jb - g_ib g_ja) at
         i < j < a < b.  On 5-forms * = (*_2)^-1 sends d*phi to g X g / vol, X
         the antisymmetric matrix of x = S_5 d*phi; and |tau|^2 vol =
-        tau ^ *tau = -tau . x.  The guard tau ^ phi = d*phi is computed apart."""
+        tau ^ *tau = -tau . x.  P, X and the matrix of tau -> tau ^ phi come
+        from y and x by the constant maps of _torsion_gathers.  The guard
+        tau ^ phi = d*phi is checked after S_5, which keeps its norms."""
         g, ginv, volc = self.metric(y)
-        r, k, q, s = self.p_idx
-        p = np.zeros((21, 7))
-        p[r, k] = y[q] * s
-        ij, ab, i, j, a, b = self.star_idx
-        star_phi = (p @ ginv @ p.T)[ij, ab] - g[i, a] * g[j, b] + g[i, b] * g[j, a]
-        dstar = self.d4 @ star_phi
-        src, sign = self.s5_idx
-        x = dstar[src] * sign
-        xm = np.zeros((7, 7))
-        xm[_UPPER] = x
-        xm -= xm.T
-        tau = -(g @ xm @ g)[_UPPER] / volc
-        c, a, q, s = self.w_idx
-        wphi = np.zeros((21, 21))
-        wphi[c, a] = y[q] * s
-        res = float(np.linalg.norm(wphi @ tau - dstar))
-        if res > 1e-9 * max(1.0, float(np.linalg.norm(dstar))):
+        p = (y @ self.tp).reshape(21, 7)
+        pq, ia, jb, ib, ja = self.star_idx
+        gf = g.ravel()
+        star_phi = (p @ ginv @ p.T).ravel()[pq] - gf[ia] * gf[jb] + gf[ib] * gf[ja]
+        x = self.d4x @ star_phi
+        tau = -(g @ (x @ self.tx).reshape(7, 7) @ g).ravel()[self.upper] / volc
+        res = (y @ self.tw).reshape(21, 21) @ tau - x
+        if math.sqrt(res @ res) > 1e-9 * max(1.0, math.sqrt(x @ x)):
             raise InconsistentTorsionError(
                 "tau = -*d*phi fails tau wedge phi = d*phi along the flow")
         return tau, 0.0 - float(tau @ x) / volc, volc  # +0.0 at zero torsion

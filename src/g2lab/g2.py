@@ -19,11 +19,10 @@ and the extremally-Ricci-pinched diagnostics.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -90,7 +89,7 @@ _CubicTable = namedtuple("_CubicTable", "j b idx coef starts sym signs")
 
 @lru_cache(maxsize=None)
 def _cubic_table() -> _CubicTable:
-    """The one table of b and j, by one loop over the interior and wedge tables.
+    """The one table of b and j, summed from the interior and wedge tables.
 
     j lists the 2 205 terms (i, j, a, b, c, k), i <= j, a <= b, k = +-1, +-2, of
     top(i_i phi ^ i_j phi ^ gamma) = sum k y_a y_b gamma_c.  b lists the 735 terms of
@@ -100,23 +99,34 @@ def _cubic_table() -> _CubicTable:
     (a, b, c) and k, starts the first row of each entry i <= j, sym (49,) the entry
     of each (i, j), and signs (105, 7) the diagonal k in column i.
     """
-    iphi = [{q: (a, sign) for a, q, sign in rows} for rows in interior_table(7, 3)]
-    top = {r: (c, sign) for (r, c), (_, sign) in wedge_pairs(7, 4, 3).items()}
-    jt, bt = Counter(), Counter()
-    for (q1, q2), (r, sign) in wedge_pairs(7, 2, 2).items():
-        c, sign = top[r][0], sign * top[r][1]
-        for i, j in combinations_with_replacement(range(7), 2):
-            if q1 in iphi[i] and q2 in iphi[j]:
-                (a1, s1), (a2, s2) = iphi[i][q1], iphi[j][q2]
-                jt[i, j, min(a1, a2), max(a1, a2), c] += sign * s1 * s2
-                bt[(i, j) + tuple(sorted((a1, a2, c)))] += sign * s1 * s2
-    b = sorted((key + (Fraction(k, 6),) for key, k in bt.items() if k),
-               key=lambda t: (t[0] != t[1], t))
+    # i_i phi = sum s y_a e^q: the a and s of each (i, q) as arrays
+    at, st = np.zeros((7, 21), int), np.zeros((7, 21), int)
+    for i, rows in enumerate(interior_table(7, 3)):
+        for a, q, s in rows:
+            at[i, q], st[i, q] = a, s
+    top = {r: (c, s) for (r, c), (_, s) in wedge_pairs(7, 4, 3).items()}
+    q1, q2, c, k = np.array([(q1, q2, top[r][0], s * top[r][1])
+                             for (q1, q2), (r, s) in wedge_pairs(7, 2, 2).items()]).T
+    i, j = (x[:, None] for x in np.triu_indices(7))
+    k = k * st[i, q1] * st[j, q2]  # one term per entry i <= j and pair (q1, q2)
+    a1, a2 = at[i, q1], at[j, q2]
+
+    def summed(*key):  # the nonzero sums of k per key, keys in lexicographic order
+        dims = (7, 7, 35, 35, 35)
+        key, inverse = np.unique(np.ravel_multi_index(key, dims), return_inverse=True)
+        sums = np.bincount(inverse.ravel(), k.ravel()).astype(int)
+        key = np.unravel_index(key[sums != 0], dims)
+        return np.transpose(key).tolist(), sums[sums != 0].tolist()
+
+    jt = summed(i, j, np.minimum(a1, a2), np.maximum(a1, a2), c)
+    bt = summed(i, j, *np.sort(np.broadcast_arrays(a1, a2, c), axis=0))
+    sixths = {x: Fraction(x, 6) for x in set(bt[1])}
+    b = sorted(((*key, sixths[x]) for key, x in zip(*bt)), key=lambda t: t[0] != t[1])
     ij = [t[:2] for t in b]
     cells = list(dict.fromkeys(ij))  # the 28 entries i <= j in table order
     coef = np.array([t[5] for t in b], float)
     table = _CubicTable(
-        tuple(sorted(key + (k,) for key, k in jt.items() if k)), tuple(b),
+        tuple((*key, x) for key, x in zip(*jt)), tuple(b),
         np.array([t[2:5] for t in b]).T, coef, np.array([ij.index(e) for e in cells]),
         np.array([cells.index((min(i, j), max(i, j))) for i in range(7) for j in range(7)]),
         np.eye(7, dtype=int).repeat(15, axis=0) * coef[:105, None].astype(int))
@@ -128,9 +138,11 @@ def _cubic_table() -> _CubicTable:
 def _monomials(y: np.ndarray, rows: int) -> np.ndarray:
     """y_a y_b y_c for the first rows of the b table: (..., 35) -> (..., rows)."""
     a, b, c = _cubic_table().idx[:, :rows]
-    terms = y[..., a]
-    terms *= y[..., b]  # in place: a block's temporaries cost more than its products
-    terms *= y[..., c]
+    if y.ndim > 1:  # a stack: gather along the last axis (slower on one form)
+        a, b, c = (..., a), (..., b), (..., c)
+    terms = y[a]
+    terms *= y[b]  # in place: a block's temporaries cost more than its products
+    terms *= y[c]
     return terms
 
 
@@ -182,12 +194,13 @@ def positive_det_np(b: np.ndarray) -> Optional[float]:
     so that it holds at every scale of phi.  Then det b = prod L_ii^2.
     """
     try:
-        pivots = np.diagonal(np.linalg.cholesky(b)) ** 2
+        pivots = np.linalg.cholesky(b).diagonal()
     except np.linalg.LinAlgError:
         return None
-    if not pivots.min() > CHOLESKY_PIVOT_TOL * np.max(np.abs(np.diagonal(b))):
+    pivots = pivots * pivots
+    if not pivots.min() > CHOLESKY_PIVOT_TOL * abs(b.diagonal()).max():
         return None  # also refuses a NaN pivot
-    return float(np.prod(pivots))
+    return float(pivots.prod())
 
 
 def metric_np(y: np.ndarray):
@@ -286,6 +299,7 @@ class G2Structure:
         self.phi = phi
         self.metric = metric_from_phi(algebra, phi)
         self._torsion: Optional[TorsionData] = None
+        self._star_tt: Optional[KForm] = None
 
     @property
     def backend(self):
@@ -353,6 +367,14 @@ def torsion(struct: G2Structure) -> TorsionData:
     return struct._torsion
 
 
+def _star_tau_tau(struct: G2Structure) -> KForm:
+    """*(tau ^ tau), computed once per structure like torsion(struct)."""
+    if struct._star_tt is None:
+        tau = torsion(struct).tau
+        struct._star_tt = struct.star(wedge(tau, tau))
+    return struct._star_tt
+
+
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
@@ -385,8 +407,7 @@ def curvature(struct: G2Structure) -> CurvatureData:
     tor = torsion(struct)
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
-    tt = wedge(tor.tau, tor.tau)
-    arg = tor.dtau - half * struct.star(tt)
+    arg = tor.dtau - half * _star_tau_tau(struct)
     j = j_map(struct, arg)
     g = struct.metric.g
     ric = tuple(
@@ -409,7 +430,7 @@ def erp_residual(struct: G2Structure) -> float:
     tor = torsion(struct)
     sixth = Fraction(1, 6)
     r = tor.dtau - (sixth * tor.tau_norm_sq) * struct.phi \
-        - sixth * struct.star(wedge(tor.tau, tor.tau))
+        - sixth * _star_tau_tau(struct)
     return math.sqrt(float(norm_sq(struct.metric, r)))
 
 
@@ -428,7 +449,7 @@ def erp_diagnostics(struct: G2Structure) -> ERPDiagnostics:
         raise NotERPError("not ERP")
     tt = wedge(tor.tau, tor.tau)
     ttt = wedge(tt, tor.tau)
-    star_tt = struct.star(tt)
+    star_tt = _star_tau_tau(struct)
     d_tt = struct.d(tt)
     d_star_tt = struct.d(star_tt)
     cols = []

@@ -59,6 +59,7 @@ class LieAlgebra:
         self._sc = tuple(tuple(tuple(pairs) for pairs in row) for row in sc)
         self._d_columns = {}
         self._d_ranks = {}
+        self._jacobi = self._flags = None  # check_jacobi, _flags_and_radical
         if check and check_jacobi(self) != 0:
             raise InvalidStructureError("structure equations violate the Jacobi identity")
 
@@ -191,12 +192,14 @@ def ce_differential(alg: LieAlgebra, gamma: KForm) -> KForm:
 
 
 def check_jacobi(alg: LieAlgebra) -> Fraction:
-    """Largest |coefficient| of d(de^k) over all k; zero iff Jacobi holds."""
-    worst = ZERO
-    for f in alg.d1:
-        ddf = ce_differential(alg, f)
-        worst = max(worst, ddf.max_abs())
-    return worst
+    """Largest |coefficient| of d(de^k) over all k; zero iff Jacobi holds.
+    Computed once per algebra."""
+    if alg._jacobi is None:
+        worst = ZERO
+        for f in alg.d1:
+            worst = max(worst, ce_differential(alg, f).max_abs())
+        alg._jacobi = worst
+    return alg._jacobi
 
 
 def betti(alg: LieAlgebra, k: int) -> int:
@@ -304,7 +307,10 @@ def structure_flags(alg: LieAlgebra) -> StructureFlags:
 
 
 def _flags_and_radical(alg):
-    """``structure_flags`` and the canonical radical basis it is read from."""
+    """``structure_flags`` and the canonical radical basis it is read from, as a
+    tuple of rows; computed once per algebra."""
+    if alg._flags is not None:
+        return alg._flags
     n = alg.n
     full = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     derived = _derived(alg)
@@ -312,7 +318,7 @@ def _flags_and_radical(alg):
     lcs_dims = _series_dims(derived, lambda cur: _bracket_span(alg, full, cur), n)
     radical = _radical(alg, derived)
     ss_dim = n - len(radical)
-    return StructureFlags(
+    alg._flags = StructureFlags(
         solvable=derived_dims[-1] == 0,
         nilpotent=lcs_dims[-1] == 0,
         nilpotent_step=len(lcs_dims) if lcs_dims[-1] == 0 else None,
@@ -321,7 +327,8 @@ def _flags_and_radical(alg):
         radical_dim=len(radical),
         semisimple_dim=ss_dim,
         levi_type=_levi3_type(alg, radical) if ss_dim == 3 else None,
-    ), radical
+    ), tuple(radical)
+    return alg._flags
 
 
 def _levi3_type(alg, radical):

@@ -60,6 +60,21 @@ def test_analyze_ranks_each_differential_once(capsys, monkeypatch):
     assert len(calls) == 7
 
 
+def test_analyze_reuses_the_catalog_checks(capsys, monkeypatch):
+    # catalog verification and the report share one Jacobi check (one d(de^k)
+    # per k) and one structure classification (one [g, g]) per algebra
+    from g2lab import liealg
+    calls = []
+    for name in ("ce_differential", "_derived"):
+        fn = getattr(liealg, name)
+        monkeypatch.setattr(liealg, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    code, _ = run_cli(capsys, "analyze", "g_a", "--param", "a=2")
+    assert code == 0
+    assert calls.count("ce_differential") == 7
+    assert calls.count("_derived") == 1
+
+
 def test_analyze_unknown_entry_exit_2(capsys):
     code, report = run_json(capsys, "analyze", "does_not_exist")
     assert code == 2 and report["status"] == "error"
@@ -313,6 +328,17 @@ def test_g2_report_computes_torsion_once(capsys, monkeypatch):
     code, _ = run_cli(capsys, "g2", "g_a", "--param", "a=2")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_g2_report_takes_three_hodge_stars(capsys, monkeypatch):
+    # *phi and *d*phi for the torsion, and *(tau ^ tau) once for both the
+    # curvature and the ERP residual
+    from g2lab import g2
+    calls, hodge = [], g2.hodge
+    monkeypatch.setattr(g2, "hodge", lambda *a: calls.append(1) or hodge(*a))
+    code, _ = run_cli(capsys, "g2", "g_a", "--param", "a=2")
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_g2_zero_scal_is_positive_zero(capsys):

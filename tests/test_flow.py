@@ -318,6 +318,22 @@ def test_kernel_torsion_matches_minor_oracle():
             assert abs(tau_nsq - ref_nsq) <= 1e-13 * ref_nsq, entry.params
 
 
+def test_kernel_torsion_guard_rejects_a_form_that_is_not_closed(g_half):
+    # tau = -*d*phi solves tau ^ phi = d*phi only when d phi = 0; off the closed
+    # cone the float guard must raise, even 1e-6 away from a closed form
+    from g2lab.flow import FlowKernel
+    from g2lab.g2 import InconsistentTorsionError
+
+    kernel = FlowKernel(g_half.algebra)
+    y = g_half.phi.to_float().np_coeffs
+    kernel.torsion(y)
+    for eps in (1e-2, 1e-6):
+        z = y + eps * np.random.default_rng(7).standard_normal(35)
+        assert np.max(np.abs(kernel.d3 @ z)) > 0.1 * eps
+        with pytest.raises(InconsistentTorsionError):
+            kernel.torsion(z)
+
+
 def test_kernel_torsion_takes_no_determinant(g_half, monkeypatch):
     # det b is the product of the Cholesky pivots; the stars raise indices
     from g2lab.flow import FlowKernel

@@ -612,3 +612,24 @@ def test_induced_bilinear_stack_matches_rows():
     assert induced_bilinear_np(ys[0]).shape == (7, 7)
     for y, b in zip(ys, stack):
         np.testing.assert_allclose(b, induced_bilinear_np(y), rtol=1e-14, atol=0)
+
+
+def test_induced_bilinear_single_form_equals_stack_rows():
+    # a single form takes its own gather; it sums each entry in the same order
+    ys = np.random.default_rng(6).standard_normal((64, 35))
+    stack = induced_bilinear_np(ys)
+    for y, b in zip(ys, stack):
+        assert np.array_equal(induced_bilinear_np(y), b)
+
+
+def test_cubic_table_matches_loop_oracle():
+    from oracles import cubic_table_oracle
+
+    table = g2._cubic_table()
+    for name, got, want in zip(table._fields, table, cubic_table_oracle()):
+        if isinstance(want, tuple):
+            assert got == want, name
+            types = [tuple(map(type, t)) for t in got]
+            assert types == [tuple(map(type, t)) for t in want], name
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), name

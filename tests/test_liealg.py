@@ -363,10 +363,12 @@ def test_structure_flags_builds_derived_algebra_once(monkeypatch):
     spans, span = [], liealg_mod._span
     monkeypatch.setattr(liealg_mod, "_span", lambda v, n: spans.append(n) or span(v, n))
     for alg in oracle_algebras():
+        alg = LieAlgebra(alg.d1, alg.name)  # unclassified: catalog.get classified its own
         spans.clear()
         flags = structure_flags(alg)
         series_terms = len(flags.derived_series_dims) + len(flags.lower_central_dims) - 1
         assert len(spans) == series_terms + 1, alg.name
+        assert structure_flags(alg) is flags and len(spans) == series_terms + 1, alg.name
 
 
 # -- derivations -----------------------------------------------------------------
