@@ -93,10 +93,9 @@ def _torsion_gathers():
     """The constant maps of FlowKernel.torsion, shared by every kernel: +-1/0
     matrices with at most one nonzero per output entry, so each product is exact."""
     # TP: y -> P, the 21 x 7 matrix whose column k is i_{e_k} phi
+    q, r, s = np.array(interior_table(7, 3)).transpose(2, 0, 1)  # (7, 15) each, row k
     tp = np.zeros((35, 21, 7))
-    for k, rows in enumerate(interior_table(7, 3)):
-        for q, r, s in rows:
-            tp[q, r, k] = s
+    tp[q, r, np.arange(7)[:, None]] = s
     # *phi at i < j < a < b from the flattened P g^-1 P^T and g
     pos, quads = index_position(7, 2), basis_indices(7, 4)
     i, j, a, b = np.array(quads).T

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -99,11 +99,9 @@ def _cubic_table() -> _CubicTable:
     (a, b, c) and k, starts the first row of each entry i <= j, sym (49,) the entry
     of each (i, j), and signs (105, 7) the diagonal k in column i.
     """
-    # i_i phi = sum s y_a e^q: the a and s of each (i, q) as arrays
-    at, st = np.zeros((7, 21), int), np.zeros((7, 21), int)
-    for i, rows in enumerate(interior_table(7, 3)):
-        for a, q, s in rows:
-            at[i, q], st[i, q] = a, s
+    a, q, s = np.array(interior_table(7, 3)).transpose(2, 0, 1)  # (7, 15) each
+    at, st = np.zeros((2, 7, 21), int)  # i_i phi = sum s y_a e^q: a and s at [i, q]
+    at[np.arange(7)[:, None], q], st[np.arange(7)[:, None], q] = a, s
     top = {r: (c, s) for (r, c), (_, s) in wedge_pairs(7, 4, 3).items()}
     q1, q2, c, k = np.array([(q1, q2, top[r][0], s * top[r][1])
                              for (q1, q2), (r, s) in wedge_pairs(7, 2, 2).items()]).T
@@ -299,7 +297,6 @@ class G2Structure:
         self.phi = phi
         self.metric = metric_from_phi(algebra, phi)
         self._torsion: Optional[TorsionData] = None
-        self._star_tt: Optional[KForm] = None
 
     @property
     def backend(self):
@@ -310,6 +307,12 @@ class G2Structure:
 
     def d(self, form: KForm) -> KForm:
         return ce_differential(self.algebra, form)
+
+    @cached_property
+    def _star_tau_tau(self) -> KForm:
+        """*(tau ^ tau), computed once like torsion(self)."""
+        tau = torsion(self).tau
+        return self.star(wedge(tau, tau))
 
     def closedness_residual(self):
         return self.d(self.phi).max_abs()
@@ -367,14 +370,6 @@ def torsion(struct: G2Structure) -> TorsionData:
     return struct._torsion
 
 
-def _star_tau_tau(struct: G2Structure) -> KForm:
-    """*(tau ^ tau), computed once per structure like torsion(struct)."""
-    if struct._star_tt is None:
-        tau = torsion(struct).tau
-        struct._star_tt = struct.star(wedge(tau, tau))
-    return struct._star_tt
-
-
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
@@ -407,7 +402,7 @@ def curvature(struct: G2Structure) -> CurvatureData:
     tor = torsion(struct)
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
-    arg = tor.dtau - half * _star_tau_tau(struct)
+    arg = tor.dtau - half * struct._star_tau_tau
     j = j_map(struct, arg)
     g = struct.metric.g
     ric = tuple(
@@ -430,7 +425,7 @@ def erp_residual(struct: G2Structure) -> float:
     tor = torsion(struct)
     sixth = Fraction(1, 6)
     r = tor.dtau - (sixth * tor.tau_norm_sq) * struct.phi \
-        - sixth * _star_tau_tau(struct)
+        - sixth * struct._star_tau_tau
     return math.sqrt(float(norm_sq(struct.metric, r)))
 
 
@@ -449,7 +444,7 @@ def erp_diagnostics(struct: G2Structure) -> ERPDiagnostics:
         raise NotERPError("not ERP")
     tt = wedge(tor.tau, tor.tau)
     ttt = wedge(tt, tor.tau)
-    star_tt = _star_tau_tau(struct)
+    star_tt = struct._star_tau_tau
     d_tt = struct.d(tt)
     d_star_tt = struct.d(star_tt)
     cols = []
