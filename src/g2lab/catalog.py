@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .exterior import Endo, KForm, wedge
@@ -29,7 +30,7 @@ from .liealg import (
     is_unimodular,
 )
 from .scalars import RATIONAL, as_rational
-from .su3 import adapted_su3_pair, reconstruct_su3, su3_torsion_class
+from .su3 import adapted_su3_pair, reconstruct_su3
 
 
 class UnknownEntryError(KeyError):
@@ -59,6 +60,13 @@ class CatalogEntry:
     description: str
     ambiguous: bool = False
     phi_origin: str = ""
+
+    @cached_property
+    def su3_structure(self):
+        """The SU(3)-structure of the attached pair, reconstructed once."""
+        if self.su3_pair is None:
+            return None
+        return reconstruct_su3(self.algebra, *self.su3_pair)
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,7 @@ def _verify(entry: CatalogEntry):
         flags, rad = _flags_and_radical(alg)
         checks += [(k, getattr(flags, k), exp[k]) for k in flag_keys]
     if "coupled_c" in exp and entry.su3_pair is not None:
-        struct = reconstruct_su3(alg, *entry.su3_pair)
-        tc = su3_torsion_class(struct)
+        tc = entry.su3_structure.torsion_class
         want = exp["coupled_c"]
         if want == "shf":
             checks.append(("torsion class", tc.kind, "symplectic_half_flat"))

@@ -28,9 +28,8 @@ from .exterior import KForm
 from .flow import (
     AmbiguousResidualError,
     algebraic_soliton_solve,
-    ansatz_coefficients,
     derived_series_to_csv,
-    gabk_solution,
+    gabk_phi,
     laplacian_flow,
     lauret_solution,
     trajectory_to_csv,
@@ -60,7 +59,6 @@ from .su3 import (
     SU3ConstructionError,
     check_dw2_prop_psi,
     reconstruct_su3,
-    su3_torsion_class,
     w2_of,
 )
 
@@ -253,24 +251,26 @@ def _cmd_g2(entry, args):
 
 def _su3_from_args(entry, args):
     if args.omega and args.psi:
-        omega, psi = _read("SU(3) pair", lambda: tuple(
+        pair = _read("SU(3) pair", lambda: tuple(
             KForm.from_json_dict(_json(path)) for path in (args.omega, args.psi)))
+    elif entry.su3_pair is None:
+        raise CliError("entry %s has no attached SU(3) pair; pass "
+                       "--omega/--psi" % entry.id, EXIT_INVALID_STRUCTURE)
     else:
-        if entry.su3_pair is None:
-            raise CliError("entry %s has no attached SU(3) pair; pass "
-                           "--omega/--psi" % entry.id, EXIT_INVALID_STRUCTURE)
-        omega, psi = entry.su3_pair
-    if args.backend == FLOAT:
-        omega, psi = omega.to_float(), psi.to_float()
+        pair = entry.su3_pair
     try:
-        return reconstruct_su3(entry.algebra, omega, psi)
+        if args.backend == FLOAT:
+            return reconstruct_su3(entry.algebra, *(f.to_float() for f in pair))
+        if pair is entry.su3_pair:
+            return entry.su3_structure
+        return reconstruct_su3(entry.algebra, *pair)
     except SU3ConstructionError as exc:
         raise CliError(str(exc), EXIT_INVALID_STRUCTURE) from None
 
 
 def _cmd_su3(entry, args):
     struct = _su3_from_args(entry, args)
-    tc = su3_torsion_class(struct)
+    tc = struct.torsion_class
     results = {
         "torsion_class": tc.kind,
         "c": _scalar(tc.c),
@@ -334,30 +334,16 @@ def _cmd_flow(entry, args):
     return results
 
 
+#: --compare choice -> (catalog parameter, closed-form solution phi(param, t))
+_CLOSED_FORMS = {"lauret": ("a", lauret_solution), "gabk": ("b", gabk_phi)}
+
+
 def _compare_closed_form(entry, traj, which):
-    worst = 0.0
-    if which == "lauret":
-        if "a" not in entry.params:
-            raise CliError("--compare lauret needs parameter a", EXIT_PARSE)
-        for s in traj.samples:
-            ref = lauret_solution(entry.params["a"], s.t)
-            worst = max(worst, float((s.phi - ref).max_abs()))
-    elif which == "gabk":
-        if "b" not in entry.params:
-            raise CliError("--compare gabk needs parameter b", EXIT_PARSE)
-        b = entry.params["b"]
-        for s in traj.samples:
-            coeffs = ansatz_coefficients(s.phi)
-            if coeffs is None:
-                raise CliError("flow sample left the ansatz support",
-                               EXIT_NUMERICAL)
-            c1, c2, c3 = gabk_solution(b, s.t)
-            ref = (c1, c2, c3, c2, c2, c2, c2)
-            worst = max(worst, max(abs(float(x) - r)
-                                   for x, r in zip(coeffs.c, ref)))
-    else:
-        raise CliError("unknown comparison %r" % which, EXIT_PARSE)
-    return worst
+    param, solution = _CLOSED_FORMS[which]
+    if param not in entry.params:
+        raise CliError("--compare %s needs parameter %s" % (which, param), EXIT_PARSE)
+    return max(float((s.phi - solution(entry.params[param], s.t)).max_abs())
+               for s in traj.samples)
 
 
 def _cmd_search_closed(entry, args):
@@ -468,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--out", help="trajectory CSV path")
-    sp.add_argument("--compare", choices=["lauret", "gabk"])
+    sp.add_argument("--compare", choices=list(_CLOSED_FORMS))
 
     sp = algebra_command("search-closed", help="randomized closed-positive search")
     sp.add_argument("--attempts", type=int, default=10000)

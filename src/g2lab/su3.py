@@ -3,8 +3,13 @@
 An SU(3)-structure is determined by a non-degenerate 2-form omega and a
 stable 3-form psi subject to compatibility (omega wedge psi = 0) and the
 normalisation 3 psi wedge psi_hat = 2 omega^3.  The almost-complex structure
-J is reconstructed from psi alone via its quadratic invariant, psi_hat is the
-imaginary counterpart of psi, and g = omega(., J.).
+is J = -K/sqrt(-lam), with K and its quadratic invariant lam read from psi
+alone (Hitchin, Stable forms and special metrics, 2001); this K orients J
+against e^{1..6}.  The metric g = omega(., J.) and the volume omega^3/6 pass
+one positivity check, MetricData, which rejects the pair when g is not
+positive definite or omega^3 < 0.  Since psi has type (3,0)+(0,3), its
+imaginary counterpart psi_hat = -psi(J., ., .) is -(1/3) J.psi, with J
+acting as a derivation.
 
 Torsion classes handled here: symplectic half-flat (d omega = 0 = d psi),
 coupled (d omega = c psi with c != 0), generic otherwise.  For coupled and
@@ -22,9 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from . import linalg
 from .exterior import (
@@ -40,8 +44,9 @@ from .exterior import (
     norm_sq,
     wedge,
 )
-from .g2 import G2Structure, positive_det_np
+from .g2 import G2Structure
 from .liealg import (
+    DerivationSpace,
     LieAlgebra,
     _extension_structure,
     _jacobi_checked,
@@ -81,18 +86,16 @@ def stable_form_endomorphism(psi: KForm):
     """Matrix K with K(X) = A(i_X psi wedge psi), A the canonical 5-form/vector pairing.
 
     The quadratic invariant of psi is lam = tr(K^2)/6; psi is stable with
-    complex type iff lam < 0, in which case K^2 = lam * Id and J = K/sqrt(-lam).
+    complex type iff lam < 0, in which case K^2 = lam * Id.  The 5-form
+    e^{1..6} without e^j sits at position 5 - j.
     """
     if psi.n != 6 or psi.k != 3:
         raise ValueError("expected a 3-form on R^6")
-    comp5 = [tuple(j for j in range(6) if j != i) for i in range(6)]
-    rows = [[None] * 6 for _ in range(6)]
+    cols = []
     for i in range(6):
         rho = wedge(interior(basis_vector(6, i + 1, psi.backend), psi), psi)
-        for j in range(6):
-            c = rho.coeff(tuple(x + 1 for x in comp5[j]))
-            rows[j][i] = ((-1) ** j) * c
-    return rows
+        cols.append([(-1) ** j * rho.coeffs[5 - j] for j in range(6)])
+    return linalg.transpose(cols)
 
 
 def reconstruct_su3(alg: LieAlgebra, omega: KForm, psi: KForm) -> "SU3Structure":
@@ -111,8 +114,7 @@ def reconstruct_su3(alg: LieAlgebra, omega: KForm, psi: KForm) -> "SU3Structure"
         raise SU3ConstructionError("omega degenerate")
 
     k = stable_form_endomorphism(psi)
-    ksq = linalg.matmul(k, k) if backend == RATIONAL else \
-        (np.array(k, dtype=float) @ np.array(k, dtype=float)).tolist()
+    ksq = linalg.matmul(k, k)
     lam = sum(ksq[i][i] for i in range(6)) / 6
     scale = max(abs(x) for row in ksq for x in row)
     if lam >= 0 or negligible(lam, scale, 1e-12) or not all(
@@ -123,66 +125,27 @@ def reconstruct_su3(alg: LieAlgebra, omega: KForm, psi: KForm) -> "SU3Structure"
     if root is None:
         raise ExactBackendUnavailable(
             "sqrt(-lambda) is irrational; convert the pair with to_float()")
-    j_rows = [[k[i][m] / root for m in range(6)] for i in range(6)]
 
     if not negligible(wedge(omega, psi).max_abs()):
         raise SU3ConstructionError("incompatible pair")
 
+    # K orients J against e^{1..6}, so omega(., J.) is positive definite only
+    # for J = -K/sqrt(-lam), and only when omega^3 > 0
+    j_endo = Endo([[-x / root for x in row] for row in k], backend)
     omega_matrix = [[omega.value((i + 1, m + 1)) for m in range(6)] for i in range(6)]
-    g_rows = linalg.matmul(omega_matrix, j_rows) if backend == RATIONAL else \
-        (np.array(omega_matrix, dtype=float) @ np.array(j_rows)).tolist()
-    sign = _definiteness_sign(g_rows, backend)
-    if sign == 0:
-        raise SU3ConstructionError("metric not positive")
-    if sign < 0:
-        j_rows = [[-x for x in row] for row in j_rows]
-        g_rows = [[-x for x in row] for row in g_rows]
-    j_endo = Endo(j_rows, backend)
-
-    psi_hat = _apply_j_first_slot(psi, j_rows, backend)
-    lhs = 3 * wedge(psi, psi_hat)
-    rhs = 2 * om3
-    if not negligible((lhs - rhs).max_abs(), rhs.max_abs()):
-        raise SU3ConstructionError("incompatible pair")
-    if not negligible(wedge(omega, psi_hat).max_abs()):
-        raise SU3ConstructionError("incompatible pair")
-
-    vol = Fraction(1, 6) * om3
     try:
-        metric = MetricData(g_rows, vol)
+        metric = MetricData(linalg.matmul(omega_matrix, j_endo.rows),
+                            Fraction(1, 6) * om3)
     except ValueError as exc:
         raise SU3ConstructionError("metric not positive") from exc
+
+    # psi is of type (3,0)+(0,3), so psi(JX, Y, Z) = (1/3)(J.psi)(X, Y, Z)
+    psi_hat = endo_action(j_endo, psi) / -3
+    rhs = 2 * om3
+    if not (negligible((3 * wedge(psi, psi_hat) - rhs).max_abs(), rhs.max_abs())
+            and negligible(wedge(omega, psi_hat).max_abs())):
+        raise SU3ConstructionError("incompatible pair")
     return SU3Structure(alg, omega, psi, psi_hat, j_endo, metric)
-
-
-def _apply_j_first_slot(psi, j_rows, backend):
-    """psi_hat(X,Y,Z) = -psi(JX, Y, Z), computed coefficientwise."""
-    coeffs = {}
-    for idx in basis_indices(6, 3):
-        i, a, b = idx
-        total = zero(backend)
-        for m in range(6):
-            jm = j_rows[m][i]
-            if jm == 0:
-                continue
-            total += jm * psi.value((m + 1, a + 1, b + 1))
-        if total != 0:
-            coeffs[(i + 1, a + 1, b + 1)] = -total
-    return KForm.from_terms(6, 3, coeffs, backend)
-
-
-def _definiteness_sign(g_rows, backend) -> int:
-    """+1 if positive definite, -1 if negative definite, 0 otherwise."""
-    if backend == RATIONAL:
-        positive = linalg.positive_det
-    else:
-        def positive(m):
-            return positive_det_np(np.array(m, dtype=float))
-    if positive(g_rows) is not None:
-        return 1
-    if positive([[-x for x in row] for row in g_rows]) is not None:
-        return -1
-    return 0
 
 
 class SU3Structure:
@@ -205,6 +168,10 @@ class SU3Structure:
 
     def d(self, form: KForm) -> KForm:
         return ce_differential(self.algebra, form)
+
+    @cached_property
+    def torsion_class(self) -> "TorsionClass":
+        return su3_torsion_class(self)
 
     def to_float(self) -> "SU3Structure":
         return SU3Structure(self.algebra, self.omega.to_float(),
@@ -303,7 +270,7 @@ def w2_of(struct: SU3Structure, c=None) -> CoupledData:
     """
     backend = struct.backend
     if c is None:
-        tc = su3_torsion_class(struct)
+        tc = struct.torsion_class
         c = tc.c if tc.kind == "coupled" else 0
         if tc.kind == "generic":
             raise ValueError("w2 extraction needs a coupled or half-flat structure")
@@ -360,14 +327,7 @@ class DerivationFamily:
     def contains(self, endo: Endo) -> bool:
         if self.particular is None:
             return False
-        n = endo.n
-        target = [endo.rows[i][j] - self.particular.rows[i][j]
-                  for i in range(n) for j in range(n)]
-        if not self.directions:
-            return all(x == 0 for x in target)
-        cols = [[d.rows[i][j] for d in self.directions]
-                for i in range(n) for j in range(n)]
-        return linalg.solve(cols, target) is not None
+        return DerivationSpace(self.directions, self.dim).contains(endo - self.particular)
 
 
 def find_compatible_derivations(alg: LieAlgebra, struct: SU3Structure,

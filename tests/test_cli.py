@@ -224,6 +224,28 @@ def test_su3_n2_report(capsys):
     assert w2_terms == {(1, 2): "4/3", (3, 4): "4/3", (5, 6): "-8/3"}
 
 
+def test_su3_report_reuses_the_catalog_structure(capsys, monkeypatch):
+    # the entry's verification builds the structure and its torsion class;
+    # the report reads both instead of computing them again
+    from g2lab import cli as cli_mod, su3
+
+    calls = {"reconstruct_su3": 0, "su3_torsion_class": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (catalog, cli_mod, su3):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, report = run_json(capsys, "su3", "n2")
+    assert code == 0 and report["results"]["c"] == "-1"
+    assert calls == {"reconstruct_su3": 1, "su3_torsion_class": 1}
+
+
 def test_su3_n1_not_proportional(capsys):
     code, report = run_json(capsys, "su3", "n1", "--default")
     assert code == 0

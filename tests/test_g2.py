@@ -295,6 +295,15 @@ def test_erp_diagnostics_on_steady_entry(g_one):
     assert all(abs(e) < 1e-7 for e in cur.ric_eigenvalues[3:])
 
 
+def test_erp_diagnostics_agree_between_backends(g_one):
+    exact = erp_diagnostics(G2Structure(g_one.algebra, g_one.phi))
+    approx = erp_diagnostics(G2Structure(g_one.algebra, g_one.phi.to_float()))
+    assert approx.passed and approx.annihilator_dim == exact.annihilator_dim == 3
+    flags = ("tau_cubed_zero", "tau_tau_closed", "star_tau_tau_closed",
+             "tau_tau_simple", "ric_matches_j_formula", "ric_eigenvalue_pattern")
+    assert [getattr(approx, f) for f in flags] == [getattr(exact, f) for f in flags]
+
+
 def test_erp_diagnostics_rejects_non_erp(abelian7_entry, g110_structure):
     with pytest.raises(NotERPError):
         erp_diagnostics(G2Structure(abelian7_entry.algebra, adapted_phi()))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from g2lab import catalog
+from g2lab import catalog, linalg
 from g2lab.exterior import Endo, KForm, inner, norm_sq, wedge
 from g2lab.liealg import abelian, ce_differential
 from g2lab.su3 import (
@@ -104,29 +104,82 @@ def test_float_reconstruction_close_to_exact(s_n2):
     assert float((approx.psi_hat - s_n2.psi_hat.to_float()).max_abs()) < 1e-12
 
 
-def test_definiteness_branches_agree_between_backends(monkeypatch):
-    # the adapted pair needs the sign flip (-1); the other two pairs give an
-    # indefinite g (0); both backends must take the same branch
-    from g2lab import su3
-
-    signs = []
-    sign = su3._definiteness_sign
-    monkeypatch.setattr(su3, "_definiteness_sign",
-                        lambda g, backend: signs.append(sign(g, backend)) or signs[-1])
+def test_definiteness_branches_agree_between_backends():
+    # J = -K/sqrt(-lam) gives the adapted pair the same psi_hat in both
+    # backends; the other two pairs give an indefinite g, rejected by both
     omega, psi = adapted_su3_pair()
     exact = reconstruct_su3(abelian(6), omega, psi)
     approx = reconstruct_su3(abelian(6), omega.to_float(), psi.to_float())
-    assert signs == [-1, -1]
     assert float((approx.psi_hat - exact.psi_hat.to_float()).max_abs()) == 0
     flipped_omega = KForm.from_terms(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): -1})
     flipped_psi = KForm.from_terms(
         6, 3, {(1, 3, 5): 1, (1, 4, 6): 1, (2, 3, 6): 1, (2, 4, 5): -1})
     for pair in ((flipped_omega, psi), (omega, flipped_psi)):
         for om, ps in (pair, (pair[0].to_float(), pair[1].to_float())):
-            signs.clear()
             with pytest.raises(SU3ConstructionError, match="metric not positive"):
                 reconstruct_su3(abelian(6), om, ps)
-            assert signs == [0]
+
+
+def _error_order_cases():
+    omega, psi = adapted_su3_pair()
+    return (
+        # stable and compatible, but 3 psi ^ psi_hat = 8 omega^3
+        ((omega, 2 * psi), "incompatible pair"),
+        # non-degenerate, but omega ^ psi = -e^12345
+        ((omega + KForm.monomial(6, (1, 3)), psi), "incompatible pair"),
+        # passes every test on psi_hat, but omega^3 < 0
+        ((-omega, psi), "metric not positive"),
+    )
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_reconstruction_error_order(backend):
+    for (omega, psi), message in _error_order_cases():
+        if backend == "float":
+            omega, psi = omega.to_float(), psi.to_float()
+        with pytest.raises(SU3ConstructionError, match=message):
+            reconstruct_su3(abelian(6), omega, psi)
+
+
+def _pullback(form, a):
+    """A^* form, with e^i -> sum_j a[i][j] e^j."""
+    theta = [KForm.from_terms(6, 1, {(j + 1,): a[i][j] for j in range(6)})
+             for i in range(6)]
+    out = KForm.zero(6, form.k)
+    for idx, c in kform_to_terms(form).items():
+        term = theta[idx[0]]
+        for i in idx[1:]:
+            term = wedge(term, theta[i])
+        out = out + c * term
+    return out
+
+
+def test_reconstruction_is_gl6_equivariant():
+    # g pulls back to A^T g A when det A > 0; when det A < 0 the pulled-back
+    # omega^3 is negative and the pair is rejected, in both backends
+    import random
+
+    rng = random.Random(20)
+    omega, psi = adapted_su3_pair()
+    signs = set()
+    for _ in range(12):
+        a = [[rng.randint(-1, 1) for _ in range(6)] for _ in range(6)]
+        det = linalg.det(a)
+        if det == 0:
+            continue
+        signs.add(det > 0)
+        pair = (_pullback(omega, a), _pullback(psi, a))
+        for om, ps in (pair, (pair[0].to_float(), pair[1].to_float())):
+            if det < 0:
+                with pytest.raises(SU3ConstructionError, match="metric not positive"):
+                    reconstruct_su3(abelian(6), om, ps)
+                continue
+            struct = reconstruct_su3(abelian(6), om, ps)
+            want = linalg.matmul(linalg.transpose(a), a)
+            assert max(abs(struct.metric.g[i][j] - want[i][j])
+                       for i in range(6) for j in range(6)) <= 1e-12 * max(
+                           abs(x) for row in want for x in row)
+    assert signs == {True, False}
 
 
 # -- torsion classes -----------------------------------------------------------------
@@ -213,6 +266,18 @@ def test_w2_is_primitive_11_and_solves_its_equation():
             + F(2, 3) * c * wedge(struct.omega, struct.omega)
         assert wedge_oracle(w2_terms, 2, kform_to_terms(struct.omega), 2, 6) \
             == kform_to_terms(rhs)
+
+
+def test_w2_with_inferred_constant(s_n2):
+    sab = catalog.get("s_ab", a=1, b=2).su3_structure
+    for struct, c in ((s_n2, F(-1)), (sab, F(2))):
+        assert w2_of(struct) == w2_of(struct, c)
+    from g2lab.liealg import from_structure_equations
+
+    generic = reconstruct_su3(from_structure_equations(6, {5: {(1, 4): 1, (2, 3): 1}}),
+                              *adapted_su3_pair())
+    with pytest.raises(ValueError, match="coupled or half-flat"):
+        w2_of(generic)
 
 
 def test_w2_guard_rejects_a_wrong_constant(s_n2):
