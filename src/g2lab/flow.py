@@ -6,10 +6,11 @@ closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
 the one float metric and positivity rule of g2, and the torsion identity
 tau = -*d*phi, guarded by tau wedge phi = d*phi, each star a 7 x 7 matrix
 product, its inputs taken from phi by constant maps (no per-call scatter,
-gather or sign pass).  Integration uses the embedded Dormand-Prince 5(4) pair:
-the 5th-order solution advances, the difference to the 4th-order one
-controls the step, and the last stage, taken at the new state, is the next
-step's first (FSAL), so an accepted step costs six evaluations.
+gather or sign pass).  Integration uses the Dormand-Prince 8(5,3) pair: the
+8th-order solution advances, its embedded 5th- and 3rd-order solutions give
+the error estimate that controls the step, and the last stage, taken at the
+new state, is the next step's first (FSAL), so a step costs twelve
+evaluations.
 
 Also provided: the closed-form self-similar solution on the one-parameter
 rank-one extensions of the coupled nilpotent algebra, the closed-form
@@ -48,28 +49,68 @@ from .g2 import (
     torsion,
 )
 from .liealg import LieAlgebra, derivation_space
-from .scalars import FLOAT, RATIONAL, negligible
+from .scalars import FLOAT, RATIONAL, negligible, zero
 
 LAMBDA3 = tuple(basis_indices(7, 3))
 
 #: |tau|^2 beyond which the integrator reports an approaching blow-up
 BLOWUP_TAU_SQ = 1e12
 
-#: Dormand & Prince (1980): the stage matrix, whose last row is the weights
-#: b of the 5th-order solution (FSAL), and the 4th-order weights b-hat
-DP_A = tuple(tuple(Fraction(x) for x in row.split()) for row in (
+#: The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
+#: Differential Equations I, 2nd ed., II.10, and their code dop853.f), as the
+#: 30-digit decimals published there: the nodes involve sqrt 6, so most
+#: entries are irrational.  Row i of the stage matrix holds a_ij for j < i;
+#: its last row is the weights b of the 8th-order solution, so the last stage
+#: is f at the new state (FSAL).  DOP853_BHAT3 are the weights of the embedded
+#: 3rd-order solution and DOP853_E5 the error weights of the embedded
+#: 5th-order one; both weigh the first twelve stages only.
+DOP853_A = (
     "",
-    "1/5",
-    "3/40 9/40",
-    "44/45 -56/15 32/9",
-    "19372/6561 -25360/2187 64448/6561 -212/729",
-    "9017/3168 -355/33 46732/5247 49/176 -5103/18656",
-    "35/384 0 500/1113 125/192 -2187/6784 11/84",
-))
-DP_B_HAT = tuple(Fraction(x) for x in
-                 "5179/57600 0 7571/16695 393/640 -92097/339200 187/2100 1/40".split())
-_A = np.array([[float(x) for x in row] + [0.0] * (7 - len(row)) for row in DP_A])
-_E = np.array([float(b - bh) for b, bh in zip(DP_A[-1] + (0,), DP_B_HAT)])
+    "5.26001519587677318785587544488e-2",
+    "1.97250569845378994544595329183e-2 5.91751709536136983633785987549e-2",
+    "2.95875854768068491816892993775e-2 0 8.87627564304205475450678981324e-2",
+    "2.41365134159266685502369798665e-1 0 -8.84549479328286085344864962717e-1"
+    " 9.24834003261792003115737966543e-1",
+    "3.7037037037037037037037037037e-2 0 0 1.70828608729473871279604482173e-1"
+    " 1.25467687566822425016691814123e-1",
+    "3.7109375e-2 0 0 1.70252211019544039314978060272e-1"
+    " 6.02165389804559606850219397283e-2 -1.7578125e-2",
+    "3.70920001185047927108779319836e-2 0 0 1.70383925712239993810214054705e-1"
+    " 1.07262030446373284651809199168e-1 -1.53194377486244017527936158236e-2"
+    " 8.27378916381402288758473766002e-3",
+    "6.24110958716075717114429577812e-1 0 0 -3.36089262944694129406857109825"
+    " -8.68219346841726006818189891453e-1 2.75920996994467083049415600797e1"
+    " 2.01540675504778934086186788979e1 -4.34898841810699588477366255144e1",
+    "4.77662536438264365890433908527e-1 0 0 -2.48811461997166764192642586468"
+    " -5.90290826836842996371446475743e-1 2.12300514481811942347288949897e1"
+    " 1.52792336328824235832596922938e1 -3.32882109689848629194453265587e1"
+    " -2.03312017085086261358222928593e-2",
+    "-9.3714243008598732571704021658e-1 0 0 5.18637242884406370830023853209"
+    " 1.09143734899672957818500254654 -8.14978701074692612513997267357"
+    " -1.85200656599969598641566180701e1 2.27394870993505042818970056734e1"
+    " 2.49360555267965238987089396762 -3.0467644718982195003823669022",
+    "2.27331014751653820792359768449 0 0 -1.05344954667372501984066689879e1"
+    " -2.00087205822486249909675718444 -1.79589318631187989172765950534e1"
+    " 2.79488845294199600508499808837e1 -2.85899827713502369474065508674"
+    " -8.87285693353062954433549289258 1.23605671757943030647266201528e1"
+    " 6.43392746015763530355970484046e-1",
+    "5.42937341165687622380535766363e-2 0 0 0 0 4.45031289275240888144113950566"
+    " 1.89151789931450038304281599044 -5.8012039600105847814672114227"
+    " 3.1116436695781989440891606237e-1 -1.52160949662516078556178806805e-1"
+    " 2.01365400804030348374776537501e-1 4.47106157277725905176885569043e-2",
+)
+DOP853_BHAT3 = ("0.244094488188976377952755905512 0 0 0 0 0 0 0"
+                " 0.733846688281611857341361741547 0 0"
+                " 0.220588235294117647058823529412e-1")
+DOP853_E5 = ("0.1312004499419488073250102996e-1 0 0 0 0"
+             " -0.1225156446376204440720569753e+1 -0.4957589496572501915214079952"
+             " 0.1664377182454986536961530415e+1 -0.3503288487499736816886487290"
+             " 0.3341791187130174790297318841 0.8192320648511571246570742613e-1"
+             " -0.2235530786388629525884427845e-1")
+_A = np.array([[float(x) for x in row.split()] + [0.0] * (12 - i)
+               for i, row in enumerate(DOP853_A)])
+_E3 = _A[-1] - [float(x) for x in DOP853_BHAT3.split()]
+_E5 = np.array([float(x) for x in DOP853_E5.split()])
 
 #: soliton feasibility thresholds relative to |d tau|
 FEASIBLE_RATIO = 1e-8
@@ -213,13 +254,18 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
                    tol: float = 1e-9) -> FlowTrajectory:
     """Integrate d phi/dt = Delta phi from a closed positive structure.
 
-    Each step is one Dormand-Prince 5(4) step of six new right-hand sides;
-    the 5th-order solution advances.  The local error estimate
-    h max|sum (b_i - bhat_i) k_i|, the gap to the embedded 4th-order
-    solution, is kept below tol * h, so tol bounds the error per unit time.
-    Positivity lost inside a step rejects it.  The integrator stops early
-    with status "blowup-approach" when |tau|^2 exceeds 1e12 at an accepted
-    state, or when the step size underflows after the torsion grew.
+    Each step is one Dormand-Prince 8(5,3) step of twelve new right-hand
+    sides, the last at the new state, where it gives the sample its |tau|^2
+    and is the next step's first stage (FSAL); the 8th-order solution
+    advances.  With e5 and e3 the max norms of the gaps to the embedded 5th-
+    and 3rd-order solutions per unit step, Hairer's combined estimate
+    h e5^2 / sqrt(e5^2 + e3^2 / 100) is kept below tol * h, so tol bounds
+    the error per unit time; the estimate over h is O(h^7), which sets the
+    step factor 0.9 (tol h / estimate)^(1/7).  Positivity lost inside a step
+    rejects it, and the stages it took still count in rhs_evals.  The
+    integrator stops early with status "blowup-approach" when |tau|^2
+    exceeds 1e12 at an accepted state, or when the step size underflows
+    after the torsion grew.
     t_end, dt0 and tol must be finite and positive.
     """
     if not all(0 < x < math.inf for x in (t_end, dt0, tol)):
@@ -249,7 +295,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
             scal=0.0 - 0.5 * tau_nsq,  # +0.0, not -0.0, at zero torsion
         ))
 
-    k = np.empty((7, 35))  # the stages; k[0] is f at the accepted state
+    k = np.empty((13, 35))  # the stages; k[0] is f at the accepted state
     k[0], tau_nsq = kernel.rhs(y)
     record(t, y, tau_nsq)
     evals, rejected = 1, 0
@@ -265,29 +311,32 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
             status = "blowup-approach"
             break
         try:
-            for i in range(1, 7):
-                # at i = 6 this is the 5th-order solution: the last row of A is b
+            for i in range(1, 13):
+                # at i = 12 this is the 8th-order solution: the last row of A is b
                 y_new = y + h * (_A[i, :i] @ k[:i])
                 k[i], tau_new = kernel.rhs(y_new)
         except NotPositiveError:
             err = math.inf  # may be pure overshoot: a rejected step
         else:
-            err = h * float(np.max(np.abs(_E @ k)))
+            e5 = float(np.max(np.abs(_E5 @ k[:12])))
+            e3 = float(np.max(np.abs(_E3 @ k[:12])))
+            # h e5^2 / sqrt(e5^2 + e3^2 / 100), without overflow or 0 / 0
+            err = h * e5 / math.hypot(1.0, 0.1 * e3 / e5) if e5 else 0.0
         evals += i  # stages 1..i were evaluated
         bound = tol * h
         if err <= bound:
             y, t, tau_nsq = y_new, t + h, tau_new
             if tau_nsq > BLOWUP_TAU_SQ:
                 break  # the torsion guard reads the accepted state
-            k[0] = k[6]
+            k[0] = k[12]
             record(t, y, tau_nsq)
             steps.append(h)
             growth = 1.0 if just_rejected else 2.0
             factor = growth if err == 0 \
-                else min(growth, 0.9 * (bound / err) ** 0.25)
+                else min(growth, 0.9 * (bound / err) ** (1 / 7))
             just_rejected = False
         else:
-            factor = 0.9 * (bound / err) ** 0.25
+            factor = 0.9 * (bound / err) ** (1 / 7)
             rejected += 1
             just_rejected = True
         h *= max(factor, 0.1)
@@ -478,6 +527,14 @@ def algebraic_soliton_solve(struct: G2Structure) -> SolitonSolution:
     """
     tor = torsion(struct)
     basis = derivation_space(struct.algebra).basis
+    if tor.dtau.is_zero():
+        # the minimum-norm solution of A x = 0 is x = 0: steady, with B = 0
+        lam = zero(struct.backend)
+        return SolitonSolution(feasible=True, lam=lam,
+                               derivation=Endo.zero(7, struct.backend),
+                               residual=0.0, residual_ratio=0.0,
+                               character=_character(lam), structure=struct,
+                               coefficients=(lam,) * len(basis))
     target_norm = tor.dtau.norm_l2()
     if struct.backend == RATIONAL:
         cols = [struct.phi.coeffs] + [endo_action(b, struct.phi).coeffs for b in basis]

@@ -139,11 +139,11 @@ def reconstruct_su3(alg: LieAlgebra, omega: KForm, psi: KForm) -> "SU3Structure"
     except ValueError as exc:
         raise SU3ConstructionError("metric not positive") from exc
 
-    # psi is of type (3,0)+(0,3), so psi(JX, Y, Z) = (1/3)(J.psi)(X, Y, Z)
+    # psi is of type (3,0)+(0,3), so psi(JX, Y, Z) = (1/3)(J.psi)(X, Y, Z);
+    # omega ^ psi = 0 made omega of type (1,1), so omega ^ psi_hat = 0 too
     psi_hat = endo_action(j_endo, psi) / -3
     rhs = 2 * om3
-    if not (negligible((3 * wedge(psi, psi_hat) - rhs).max_abs(), rhs.max_abs())
-            and negligible(wedge(omega, psi_hat).max_abs())):
+    if not negligible((3 * wedge(psi, psi_hat) - rhs).max_abs(), rhs.max_abs()):
         raise SU3ConstructionError("incompatible pair")
     return SU3Structure(alg, omega, psi, psi_hat, j_endo, metric)
 

@@ -1,6 +1,7 @@
 """Laplacian flow, closed-form solutions, solitons, self-similarity."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -245,6 +246,15 @@ def test_flow_blowup_growth_toward_max_time(g_half_struct):
     assert all(b >= a - 1e-9 for a, b in zip(grid, grid[1:]))
 
 
+def test_flow_reaches_the_gabk_blowup_time_in_few_evaluations(g110_structure):
+    # b = 1 blows up at t_max = 3/8; the run to t_max ends with the step-size
+    # underflow just before it, in fewer than 20 000 evaluations
+    traj = laplacian_flow(g110_structure, gabk_max_time(1))
+    assert traj.status == "blowup-approach"
+    assert abs(traj.samples[-1].t - 0.375) < 1e-3
+    assert traj.stats.rhs_evals < 20_000
+
+
 def test_flow_reports_blowup_approach(g_half_struct, monkeypatch):
     # lower the torsion guard so the singular approach is cheap to reach
     import g2lab.flow as flow_mod
@@ -258,14 +268,17 @@ def test_flow_reports_blowup_approach(g_half_struct, monkeypatch):
 
 def test_flow_torsion_guard_ends_the_run_without_a_rejection(g_half_struct, monkeypatch):
     # the guard reads |tau|^2 at the accepted state, which the last stage of
-    # the step evaluated: the run ends there, before that state is sampled
+    # the step evaluated: the run ends there, before that state is sampled,
+    # after all twelve stages of the guard step and without counting it as
+    # a rejection
     import g2lab.flow as flow_mod
 
     monkeypatch.setattr(flow_mod, "BLOWUP_TAU_SQ", 100.0)
     traj = laplacian_flow(g_half_struct, 0.37, dt0=1e-3, tol=1e-9)
+    stats = traj.stats
     assert traj.status == "blowup-approach"
-    assert traj.stats.rejected == 0
-    assert traj.stats.accepted == len(traj.samples) - 1
+    assert stats.rhs_evals == 12 * (stats.accepted + stats.rejected + 1) + 1
+    assert stats.accepted == len(traj.samples) - 1
     assert 90.0 < traj.samples[-1].tau_norm_sq <= 100.0
 
 
@@ -345,8 +358,8 @@ def test_kernel_torsion_takes_no_determinant(g_half, monkeypatch):
     assert len(dets) == 0
 
 
-def test_flow_evaluates_torsion_at_most_6_times_per_step(g_half_struct, monkeypatch):
-    # six new stages per attempted step; the seventh, at the new state, is
+def test_flow_evaluates_torsion_at_most_12_times_per_step(g_half_struct, monkeypatch):
+    # twelve new stages per attempted step; the last, at the new state, is
     # the next step's first and gives the sample its |tau|^2 (FSAL)
     from g2lab.flow import FlowKernel
 
@@ -363,34 +376,69 @@ def test_flow_evaluates_torsion_at_most_6_times_per_step(g_half_struct, monkeypa
     assert traj.status == "completed" and stats.accepted > 5
     assert stats.accepted == len(traj.samples) - 1
     assert len(calls) == stats.rhs_evals
-    assert len(calls) <= 6 * (stats.accepted + stats.rejected) + 1
+    assert len(calls) <= 12 * (stats.accepted + stats.rejected) + 1
 
 
 def test_flow_stats_record_the_run(g_half_traj):
     stats = g_half_traj.stats
     hs = [b - a for a, b in zip(g_half_traj.times, g_half_traj.times[1:])]
-    assert stats.accepted == len(hs) and stats.rejected == 0
-    assert stats.rhs_evals == 6 * stats.accepted + 1
+    assert stats.accepted == len(hs)
+    assert stats.rhs_evals == 12 * (stats.accepted + stats.rejected) + 1
     assert stats.h_min == pytest.approx(min(hs)) and stats.h_max == pytest.approx(max(hs))
     assert 0.0 <= stats.max_closedness_drift < 1e-8
 
 
-def test_dormand_prince_tableau():
-    # nodes c_i, FSAL (last row of A = b), and the quadrature conditions
-    # sum b_i c_i^(q-1) = 1/q for q <= 5 on b and q <= 4 on b-hat
-    from g2lab.flow import DP_A, DP_B_HAT
+def test_dop853_tableau():
+    # the 30-digit decimals, read as exact fractions: row i of A sums to c_i,
+    # the weights b (the last row) meet the quadrature conditions
+    # sum b_i c_i^(q-1) = 1/q for q <= 8 and not for q = 9, and the error
+    # weights of the embedded 3rd- and 5th-order solutions annihilate c^(q-1)
+    # for q <= 3 and q <= 5; 30 digits hold each condition to ~1e-28
+    from g2lab.flow import DOP853_A, DOP853_BHAT3, DOP853_E5
 
-    c = [F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1)]
-    assert len(DP_A) == len(DP_B_HAT) == 7
-    assert [sum(row, F(0)) for row in DP_A] == c
-    assert all(len(row) == i for i, row in enumerate(DP_A))
-    b = DP_A[-1] + (F(0),)
-    for weights, order in ((b, 5), (DP_B_HAT, 4)):
-        for q in range(1, order + 1):
-            assert sum(w * ci ** (q - 1) for w, ci in zip(weights, c)) == F(1, q)
-    assert sum(bi - bh for bi, bh in zip(b, DP_B_HAT)) == 0
-    # b-hat is only 4th order: it fails the 5th quadrature condition
-    assert sum(w * ci ** 4 for w, ci in zip(DP_B_HAT, c)) != F(1, 5)
+    a = [[F(x) for x in row.split()] for row in DOP853_A]
+    # the nodes: c_2..c_5 from (6 -+ sqrt 6)/30, to 60 digits, then rationals
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r6 = F(Decimal(6).sqrt())
+    c4 = (6 - r6) / 30
+    c = [F(0), 4 * c4 / 9, 2 * c4 / 3, c4, (6 + r6) / 30, F(1, 3), F(1, 4),
+         F(4, 13), F(127, 195), F(3, 5), F(6, 7), F(1), F(1)]
+    assert [len(row) for row in a] == list(range(13))
+    assert all(abs(sum(row, F(0)) - ci) < 1e-25 for row, ci in zip(a, c))
+
+    def moment(w, q):
+        return sum(wi * ci ** (q - 1) for wi, ci in zip(w, c))
+
+    b = a[-1]
+    e3 = [bi - x for bi, x in zip(b, map(F, DOP853_BHAT3.split()))]
+    e5 = [F(x) for x in DOP853_E5.split()]
+    assert len(e3) == len(e5) == 12
+    assert all(abs(moment(b, q) - F(1, q)) < 1e-25 for q in range(1, 9))
+    assert abs(moment(b, 9) - F(1, 9)) > 1e-6
+    assert all(abs(moment(e3, q)) < 1e-25 for q in range(1, 4))
+    assert all(abs(moment(e5, q)) < 1e-25 for q in range(1, 6))
+    assert abs(moment(e3, 4)) > 1e-3 and abs(moment(e5, 6)) > 1e-4
+
+
+def test_dop853_step_is_eighth_order():
+    # one step of y' = y^2, y(0) = 1 against y(h) = 1/(1 - h): the local error
+    # is O(h^9), so each halving of h cuts it by at least 2^8
+    from g2lab.flow import DOP853_A
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a = [[Decimal(x) for x in row.split()] for row in DOP853_A]
+
+        def step(h):
+            ks = []
+            for row in a:  # after the last row, b, y is the step's result
+                y = 1 + h * sum((w * k for w, k in zip(row, ks)), Decimal(0))
+                ks.append(y * y)
+            return y
+
+        errs = [abs(step(1 / Decimal(n)) - 1 / (1 - 1 / Decimal(n))) for n in (10, 20, 40)]
+    assert all(big >= 2 ** 8 * small for big, small in zip(errs, errs[1:]))
 
 
 def test_flow_requires_closed_start(g110_entry):
@@ -471,6 +519,23 @@ def test_soliton_trivial_on_abelian(abelian7_entry):
         G2Structure(abelian7_entry.algebra, adapted_phi()))
     assert sol.feasible and sol.lam == 0 and sol.character == "steady"
     assert sol.derivation == Endo.zero(7)
+
+
+def test_steady_soliton_takes_no_least_squares(abelian7_entry, monkeypatch):
+    # d tau = 0: the minimum-norm solution of A x = 0 is x = 0, in either backend
+    from g2lab import linalg
+
+    calls = []
+    for mod in (linalg, np.linalg):
+        monkeypatch.setattr(mod, "lstsq",
+                            lambda *a, f=mod.lstsq, **k: calls.append(1) or f(*a, **k))
+    struct = G2Structure(abelian7_entry.algebra, adapted_phi())
+    for st in (struct, struct.to_float()):
+        sol = algebraic_soliton_solve(st)
+        assert sol.feasible and sol.lam == 0 and sol.character == "steady"
+        assert sol.derivation == Endo.zero(7, st.backend)
+        assert sol.coefficients == (0,) * 49 and sol.residual == 0.0
+    assert calls == []
 
 
 def test_soliton_scale_equivariance(g_half):
