@@ -1,6 +1,10 @@
 """Exterior calculus, closed G2-structures, SU(3)-structures and Laplacian
 flow on low-dimensional Lie algebras."""
 
+import logging as _logging
+
+_logging.getLogger("g2lab").addHandler(_logging.NullHandler())
+
 from .exterior import (
     Endo,
     KForm,

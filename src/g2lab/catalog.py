@@ -474,13 +474,15 @@ SEARCH_SEEDS = (3, 0, 1, 2)
 
 
 def search_derived_phi(entry: CatalogEntry, seed=None, attempts=30000):
-    """A closed positive form for entries that do not ship one.
+    """A closed positive form for entries that do not ship one, or None.
 
-    The non-solvable classification entries are known to admit closed
-    positive forms but no explicit expression is recorded for them; this
-    returns a randomized-search representative (deterministic per seed),
-    clearly search-derived rather than canonical.  With seed=None the
-    documented retry ladder is walked until a form is found.
+    No explicit closed positive form is recorded for the non-solvable
+    classification entries; this returns a randomized-search representative
+    (deterministic per seed), clearly search-derived rather than canonical.
+    With seed=None the documented retry ladder is walked until a form is
+    found.  There is none on ``nonsolv_2`` at mu = 0 (b_66 vanishes on every
+    closed 3-form) or on ``nonsolv_1`` variant B (b_55, b_66 and b_77 do), and
+    there every search of the ladder returns None without drawing.
     """
     if entry.phi is not None:
         return entry.phi

@@ -3,8 +3,8 @@
 A positive 3-form phi induces a metric and volume via
     g(X,Y) dV = (1/6) i_X phi wedge i_Y phi wedge phi,
 a cubic form in the coefficients of phi kept once, as one table of signed
-monomials that also gives j(gamma) for the Ricci tensor and the Pfaffians that
-screen the search (_cubic_table), and, when d phi = 0, an intrinsic torsion
+monomials that also gives j(gamma) for the Ricci tensor and the diagonal cubics
+that screen the search (_cubic_table), and, when d phi = 0, an intrinsic torsion
 2-form tau characterised by
     d(*phi) = tau wedge phi,   tau in the 14-dimensional component of Lambda^2.
 With this module's convention Lambda^2_14 = {alpha : alpha wedge phi = -*alpha}
@@ -18,11 +18,12 @@ and the extremally-Ricci-pinched diagnostics.
 
 from __future__ import annotations
 
+import logging
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -54,7 +55,7 @@ from .scalars import (
 
 CHOLESKY_PIVOT_TOL = 1e-12
 
-#: search draws screened per block by search_closed_positive
+#: search draws in the first block of search_closed_positive; later blocks double
 SEARCH_BLOCK = 256
 
 
@@ -84,7 +85,7 @@ def adapted_phi(backend=RATIONAL) -> KForm:
     )
 
 
-_CubicTable = namedtuple("_CubicTable", "j b idx coef starts sym signs")
+_CubicTable = namedtuple("_CubicTable", "j b idx coef starts sym")
 
 
 @lru_cache(maxsize=None)
@@ -96,8 +97,8 @@ def _cubic_table() -> _CubicTable:
     b_ij = sum k y_a y_b y_c, a <= b <= c, k = +-1, +-1/2: j at gamma = phi over 6,
     summed over the orderings of (a, b, c); the 105 diagonal (Pfaffian) terms come
     first, 15 per i, then 30 per i < j.  As arrays, idx (3, 735) and coef hold b's
-    (a, b, c) and k, starts the first row of each entry i <= j, sym (49,) the entry
-    of each (i, j), and signs (105, 7) the diagonal k in column i.
+    (a, b, c) and k, starts the first row of each entry i <= j, and sym (49,) the
+    entry of each (i, j).
     """
     a, q, s = np.array(interior_table(7, 3)).transpose(2, 0, 1)  # (7, 15) each
     at, st = np.zeros((2, 7, 21), int)  # i_i phi = sum s y_a e^q: a and s at [i, q]
@@ -126,16 +127,15 @@ def _cubic_table() -> _CubicTable:
     table = _CubicTable(
         tuple((*key, x) for key, x in zip(*jt)), tuple(b),
         np.array([t[2:5] for t in b]).T, coef, np.array([ij.index(e) for e in cells]),
-        np.array([cells.index((min(i, j), max(i, j))) for i in range(7) for j in range(7)]),
-        np.eye(7, dtype=int).repeat(15, axis=0) * coef[:105, None].astype(int))
+        np.array([cells.index((min(i, j), max(i, j))) for i in range(7) for j in range(7)]))
     for array in table[2:]:
         array.flags.writeable = False  # shared by every caller of the cache
     return table
 
 
-def _monomials(y: np.ndarray, rows: int) -> np.ndarray:
-    """y_a y_b y_c for the first rows of the b table: (..., 35) -> (..., rows)."""
-    a, b, c = _cubic_table().idx[:, :rows]
+def _monomials(y: np.ndarray) -> np.ndarray:
+    """y_a y_b y_c for the rows of the b table: (..., 35) -> (..., 735)."""
+    a, b, c = _cubic_table().idx
     if y.ndim > 1:  # a stack: gather along the last axis (slower on one form)
         a, b, c = (..., a), (..., b), (..., c)
     terms = y[a]
@@ -152,19 +152,8 @@ def induced_bilinear_np(y: np.ndarray) -> np.ndarray:
     (a BLAS product need not, and b's entries cancel to 1e-14 of their terms).
     """
     table = _cubic_table()
-    b = np.add.reduceat(_monomials(y, len(table.b)) * table.coef, table.starts, axis=-1)
+    b = np.add.reduceat(_monomials(y) * table.coef, table.starts, axis=-1)
     return b[..., table.sym].reshape(y.shape[:-1] + (7, 7))
-
-
-def _pfaffian_diagonal(y: np.ndarray):
-    """The diagonal of the induced bilinear form, (..., 35) -> (..., 7), float or
-    Fraction, and the absolute sums of its terms: the 105 diagonal rows of
-    _cubic_table.  With w = i_{e_i} phi, b_ii e^{1..7} = (1/6) w^3 ^ e^i = +-Pf(w) e^{1..7},
-    a sum over the 15 matchings {ab, cd, ef} of the other axes of +-y_iab y_icd y_ief.
-    """
-    signs = _cubic_table().signs
-    terms = _monomials(y, len(signs))
-    return terms @ signs, np.abs(terms, out=terms) @ abs(signs)
 
 
 def _contract(terms, y, z, acc):
@@ -497,20 +486,47 @@ def closed_3form_basis(alg: LieAlgebra):
     return [KForm(alg.n, 3, v, RATIONAL) for v in null]
 
 
+def _search_cubics(alg: LieAlgebra):
+    """(float kernel rows, cubics, stages) of the search, built once per algebra.
+
+    cubics[i] = {(k1, k2, k3): Fraction}, k1 <= k2 <= k3, is p_i(x) = b_ii(sum_k x_k v_k)
+    over the closed_3form_basis v: the 105 diagonal rows of _cubic_table expanded
+    over the kernel columns.  stages are the nonzero p_i, sparsest first, as
+    ((k1, k2, k3) index arrays, float coefficients).
+    """
+    if alg._search_cubics is None:
+        kernel = closed_3form_basis(alg)
+        cols = [[(m, v.coeffs[a]) for m, v in enumerate(kernel) if v.coeffs[a]]
+                for a in range(35)]
+        cubics = [Counter() for _ in range(7)]
+        for i, _, a, b, c, k in _cubic_table().b[:105]:
+            for m1, v1 in cols[a]:
+                for m2, v2 in cols[b]:
+                    for m3, v3 in cols[c]:
+                        cubics[i][tuple(sorted((m1, m2, m3)))] += k * v1 * v2 * v3
+        cubics = [{key: c for key, c in p.items() if c} for p in cubics]
+        stages = [(np.array(list(p)).T, np.array(list(p.values()), float))
+                  for p in sorted(filter(None, cubics), key=len)]
+        alg._search_cubics = (np.array([f.np_coeffs for f in kernel]), cubics, stages)
+    return alg._search_cubics
+
+
 def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
                            initial: Optional[KForm] = None) -> Optional[KForm]:
     """Randomized search for a closed positive 3-form.
 
-    Samples standard-normal coefficient combinations of a basis of ker(d)
+    Samples standard-normal coefficient combinations x of a basis of ker(d)
     with a seeded generator and returns the first positive sample as a
     float-backend form, or None.  An optional initial candidate is tried
-    first and returned unchanged.  Draws are screened in blocks of
-    SEARCH_BLOCK by the diagonal of b (_pfaffian_diagonal: the 105 diagonal
-    rows of the cubic table that also gives b and j), and the survivors
+    first and returned unchanged.  If a diagonal cubic p_i = b_ii on ker d
+    (_search_cubics) is zero, no closed form is positive: None, without drawing.
+    Otherwise draws come in blocks of SEARCH_BLOCK, doubling up to
+    8 * SEARCH_BLOCK; each p_i in turn drops a draw only if
+    p_i(x) < -1e-8 * 15 K^3 |x|_inf^3, K = max_a sum_k |kernel_ka|, a bound on the
+    |terms| of b_ii both in x and in y = kernel^T x, so a form the serial rule
+    accepts (b_ii > 0) is kept up to rounding near 1e-15 of it.  The survivors
     are tested in draw order with the serial rule positive_det_np, so the first
-    hit is the one a draw-by-draw loop returns.  The screen drops a draw only if
-    some b_ii < -1e-8 * (sum of its |terms|); a form the serial rule accepts has
-    positive Cholesky pivots, so b_ii > 0 up to rounding near 1e-15 of that sum.
+    hit is the one a draw-by-draw loop returns.
     """
     if alg.n != 7:
         raise ValueError("search needs a 7-dimensional algebra")
@@ -518,16 +534,24 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
         residual = ce_differential(alg, initial).max_abs()
         if negligible(residual, initial.max_abs(), 1e-10) and is_positive(alg, initial):
             return initial
-    kernel = closed_3form_basis(alg)
-    if not kernel:
+    kernel, cubics, stages = _search_cubics(alg)
+    if len(stages) < 7:
+        logging.getLogger(__name__).debug(
+            "%s: b_ii is zero on ker d for i in %s, so no closed form is positive",
+            alg.name, [i for i, p in enumerate(cubics) if not p])
         return None
     rng = np.random.default_rng(seed)
-    kernel_np = np.array([f.np_coeffs for f in kernel])
-    for start in range(0, attempts, SEARCH_BLOCK):
-        xs = rng.standard_normal((min(SEARCH_BLOCK, attempts - start), len(kernel)))
-        diag, scale = _pfaffian_diagonal(xs @ kernel_np)
-        for x in xs[(diag > -1e-8 * scale).all(axis=-1)]:
-            y = kernel_np.T @ x
+    bound = 1e-8 * 15 * np.abs(kernel).sum(axis=0).max() ** 3
+    start, size = 0, SEARCH_BLOCK
+    while start < attempts:
+        xs = rng.standard_normal((min(size, attempts - start), len(kernel)))
+        start, size = start + len(xs), min(2 * size, 8 * SEARCH_BLOCK)
+        margin = -bound * reduce(np.maximum, map(np.abs, xs.T)) ** 3  # |x|_inf by columns
+        for (a, b, c), coef in stages:
+            keep = (xs[:, a] * xs[:, b] * xs[:, c]) @ coef >= margin
+            xs, margin = xs[keep], margin[keep]
+        for x in xs:
+            y = kernel.T @ x
             if positive_det_np(induced_bilinear_np(y)) is not None:
                 return KForm(7, 3, y, FLOAT)
     return None

@@ -59,7 +59,8 @@ class LieAlgebra:
         self._sc = tuple(tuple(tuple(pairs) for pairs in row) for row in sc)
         self._d_columns = {}
         self._d_ranks = {}
-        self._jacobi = self._flags = None  # check_jacobi, _flags_and_radical
+        # check_jacobi, _flags_and_radical, g2._search_cubics
+        self._jacobi = self._flags = self._search_cubics = None
         if check and check_jacobi(self) != 0:
             raise InvalidStructureError("structure equations violate the Jacobi identity")
 

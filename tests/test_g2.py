@@ -13,7 +13,7 @@ from g2lab.g2 import (
     G2Structure,
     NotERPError,
     NotPositiveError,
-    _pfaffian_diagonal,
+    _search_cubics,
     adapted_phi,
     closed_3form_basis,
     curvature,
@@ -488,16 +488,97 @@ def test_block_search_matches_serial_loop(entry_id, params, seeds):
                 assert phi.np_coeffs.tobytes() == y.tobytes(), (seed, attempts)
 
 
+@pytest.mark.parametrize("entry_id, params, hits", [
+    # blocks double from SEARCH_BLOCK to 8 * SEARCH_BLOCK: draws 0-255, 256-767, 768-1791,
+    # 1792-3839, 3840-5887, ...
+    ("ffkm_n", {}, {302: 764, 14: 774, 118: 1791, 386: 1808}),
+    ("nonsolv_3", {"mu": F(1, 8)}, {0: None, 1: None}),
+])
+def test_grown_blocks_match_serial_loop(entry_id, params, hits):
+    assert SEARCH_BLOCK == 256
+    alg = catalog.get(entry_id, **params).algebra
+    for seed, expected in hits.items():
+        hit, y = _serial_search(alg, 3841, seed)
+        assert hit == expected, seed
+        for attempts in (767, 768, 769, 1791, 1792, 1793, 3839, 3840, 3841):
+            phi = search_closed_positive(alg, attempts=attempts, seed=seed)
+            if hit is None or hit >= attempts:
+                assert phi is None, (seed, attempts)
+            else:
+                assert phi.np_coeffs.tobytes() == y.tobytes(), (seed, attempts)
+
+
+def test_search_builds_the_cubics_once_per_algebra(monkeypatch):
+    calls = []
+    basis = g2.closed_3form_basis
+    monkeypatch.setattr(g2, "closed_3form_basis", lambda alg: calls.append(alg) or basis(alg))
+    alg, other = abelian(7), abelian(7)
+    found = [search_closed_positive(a, attempts=10000, seed=0) for a in (alg, alg, other, alg)]
+    assert calls == [alg, other]
+    assert len({phi.np_coeffs.tobytes() for phi in found}) == 1
+
+
+@pytest.mark.parametrize("entry_id, params, zeros", [
+    ("nonsolv_2", {"mu": F(0)}, [5]), ("nonsolv_1", {"variant": "B"}, [4, 5, 6]),
+    ("nonsolv_2", {"mu": F(1, 4)}, []), ("nonsolv_3", {"mu": F(1, 8)}, []),
+    ("ffkm_n", {}, []), ("nonsolv_levi", {}, []), ("abelian7", {}, []),
+])
+def test_zero_diagonal_cubics(entry_id, params, zeros):
+    alg = catalog.get(entry_id, **params).algebra
+    _, cubics, _ = _search_cubics(alg)
+    assert [i for i, p in enumerate(cubics) if not p] == zeros
+    # the zero entries by the exact b at a positive rational point of ker d
+    _, phi = _kernel_point(closed_3form_basis(alg), np.random.default_rng(10), lo=1)
+    b = induced_bilinear(phi)
+    assert [i for i in range(7) if b[i][i] == 0] == zeros
+
+
+def test_zero_cubic_certificate_settles_the_search_without_drawing(monkeypatch, caplog):
+    import logging
+
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("g2lab").handlers)
+    algs = [catalog.get("nonsolv_2", mu=F(0)).algebra,
+            catalog.get("nonsolv_1", variant="B").algebra]
+
+    def no_draws(*args):
+        raise AssertionError("a certified search drew")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(g2, "induced_bilinear_np", no_draws)
+    with caplog.at_level(logging.DEBUG, logger="g2lab"):
+        for alg in algs:
+            assert search_closed_positive(alg, attempts=30000, seed=3) is None
+    messages = [r.getMessage() for r in caplog.records if r.name == "g2lab.g2"]
+    assert len(messages) == 2
+    assert "[5]" in messages[0] and "[4, 5, 6]" in messages[1]
+
+
+def test_nonsolv_2_at_mu_zero_splits_off_a_central_line():
+    # g = h + R e_6 with h unimodular and non-solvable: a closed phi = omega ^ e^6 + psi
+    # would make omega symplectic on h, which Chu's theorem forbids (Trans. AMS 1974),
+    # as the zero cubic b_66 says
+    alg = catalog.get("nonsolv_2", mu=F(0)).algebra
+    assert not any(alg.d1[5].coeffs)  # d e^6 = 0
+    assert all(not any(alg.bracket_basis(5, j)) for j in range(7))  # e_6 is central
+    shifted = catalog.get("nonsolv_2", mu=F(1, 4)).algebra
+    assert any(any(shifted.bracket_basis(5, j)) for j in range(7))
+
+
 def _phi_with_pivot(eps, axis):
     """adapted phi pulled back so that b is the identity with b[axis, axis] = eps."""
     has_axis = np.array([axis in idx for idx in basis_indices(7, 3)])
     return adapted_phi(FLOAT).np_coeffs * np.where(has_axis, eps ** (1 / 3), eps ** (-1 / 6))
 
 
-def _screen(ys):
-    """The search's screen: keep a draw unless some b_ii < -1e-8 * (sum of its |terms|)."""
-    diag, scale = _pfaffian_diagonal(ys)
-    return (diag > -1e-8 * scale).all(axis=-1)
+def _screen(xs, alg=None):
+    """The search's screen on draws xs in the kernel coordinates of alg, by default
+    abelian7, whose kernel is the 35 unit 3-forms (so each x is its own y): keep a
+    draw unless some p_i(x) < -1e-8 * 15 K^3 |x|_inf^3, K = max_a sum_k |kernel_ka|."""
+    kernel, _, stages = _search_cubics(alg or abelian(7))
+    k = np.abs(kernel).sum(axis=0).max()
+    margin = 1e-8 * 15 * k ** 3 * np.abs(xs).max(axis=1) ** 3
+    p = np.array([(xs[:, a] * xs[:, b] * xs[:, c]) @ coef for (a, b, c), coef in stages])
+    return (p >= -margin).all(axis=0)
 
 
 def test_search_tests_exactly_the_screened_draws(monkeypatch):
@@ -553,23 +634,50 @@ def _top_oracle(phi, gamma, i, j):
     return wedge_oracle(wedge_oracle(wi, 2, wj, 2, 7), 4, gterms, 3, 7).get(tuple(range(7)), 0)
 
 
+def _cubic_at(p, x):
+    return sum(c * x[k1] * x[k2] * x[k3] for (k1, k2, k3), c in p.items())
+
+
+def _kernel_point(basis, rng, lo=-5):
+    """(x, sum_k x_k v_k) at random rational kernel coordinates x."""
+    x = [F(int(p), int(q)) for p, q in zip(rng.integers(lo, 50, len(basis)),
+                                            rng.integers(1, 50, len(basis)))]
+    return x, KForm(7, 3, [sum(xk * v.coeffs[a] for xk, v in zip(x, basis)) for a in range(35)])
+
+
 def test_pfaffian_diagonal_matches_top_pairing_oracle():
     rng = np.random.default_rng(8)
     for _ in range(3):
         phi = _rational_form(rng)
         b = induced_bilinear(phi)
-        diag, _ = _pfaffian_diagonal(np.array(phi.coeffs, dtype=object))
         for i in range(7):
-            assert diag[i] == b[i][i]
             for j in range(7):
                 assert b[i][j] == F(_top_oracle(phi, phi, i, j), 6), (i, j)
-    ys = rng.standard_normal((500, 35))
-    diag, scale = _pfaffian_diagonal(ys)
-    ref = np.diagonal(induced_bilinear_np(ys), axis1=1, axis2=2)
-    assert (np.abs(diag - ref) <= 1e-14 * scale).all()
-    for backend in (FLOAT, RATIONAL):
-        diag, scale = _pfaffian_diagonal(np.array(adapted_phi(backend).coeffs))
-        assert list(diag) == [1] * 7 and list(scale) == [1] * 7
+    # the diagonal cubics p_i(x) = b_ii(sum_k x_k v_k) over the kernel basis v
+    for entry_id, params in (("abelian7", {}), ("ffkm_n", {}), ("nonsolv_levi", {}),
+                             ("nonsolv_3", {"mu": F(1, 8)}), ("nonsolv_1", {"variant": "B"})):
+        alg = catalog.get(entry_id, **params).algebra
+        basis = closed_3form_basis(alg)
+        kernel, cubics, stages = _search_cubics(alg)
+        assert kernel.tobytes() == np.array([f.np_coeffs for f in basis]).tobytes()
+        for _ in range(2):
+            x, phi = _kernel_point(basis, rng)
+            b = induced_bilinear(phi)
+            for i in range(7):
+                assert _cubic_at(cubics[i], x) == b[i][i], (entry_id, i)
+                assert b[i][i] == F(_top_oracle(phi, phi, i, i), 6), (entry_id, i)
+        # in floats the stages are the nonzero p_i, sparsest first, within the
+        # search's margin of the diagonal of induced_bilinear_np
+        xs = rng.standard_normal((500, len(basis)))
+        ref = np.diagonal(induced_bilinear_np(xs @ kernel), axis1=1, axis2=2)
+        k = np.abs(kernel).sum(axis=0).max()
+        margin = 1e-8 * 15 * k ** 3 * np.abs(xs).max(axis=1) ** 3
+        order = sorted((i for i in range(7) if cubics[i]), key=lambda i: len(cubics[i]))
+        assert len(order) == len(stages)
+        for i, ((a, b, c), coef) in zip(order, stages):
+            assert list(zip(a, b, c)) == list(cubics[i]), (entry_id, i)
+            assert coef.tolist() == [float(v) for v in cubics[i].values()], (entry_id, i)
+            assert (np.abs((xs[:, a] * xs[:, b] * xs[:, c]) @ coef - ref[:, i]) <= margin).all()
 
 
 def test_j_map_matches_top_pairing_oracle():
