@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
-from .exterior import Endo, KForm, wedge
+from .exterior import Endo, KForm
 from .g2 import adapted_phi, is_positive, search_closed_positive
 from .liealg import (
     InvalidStructureError,
@@ -287,14 +287,11 @@ def _entry_ffkm_n(**params):
 def _extension_entry(entry_id, base, deriv, params, description, extra_expected=None):
     # no derivation check here: a non-derivation breaks Jacobi, which _verify checks
     alg = _extension_structure(base, deriv, name=entry_id)
-    omega, psi = adapted_su3_pair()
-    eta = KForm.monomial(7, (7,))
-    phi = wedge(omega.embedded(7), eta) + psi.embedded(7)
     expected = {"phi_closed": True}
     expected.update(extra_expected or {})
     return CatalogEntry(
         id=entry_id, algebra=alg, params=params,
-        su3_pair=None, phi=phi, expected=expected,
+        su3_pair=None, phi=adapted_phi(), expected=expected,
         description=description, phi_origin="adapted extension",
     )
 

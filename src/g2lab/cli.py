@@ -156,14 +156,12 @@ def _digest(payload) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _report(command, entry, results, status="ok"):
+def _report(command, digested, results, status="ok"):
+    """A g2lab-report/1 report; its input_digest is the digest of ``digested``."""
     return {
         "schema": SCHEMA,
         "command": command,
-        "input_digest": _digest({
-            "command": command,
-            "algebra": entry.algebra.to_json_dict() if entry else None,
-        }),
+        "input_digest": _digest(digested),
         "status": status,
         "results": results,
     }
@@ -483,13 +481,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "catalog":
-            report = {
-                "schema": SCHEMA,
-                "command": ["catalog", args.action],
-                "input_digest": _digest({"command": "catalog-list"}),
-                "status": "ok",
-                "results": _cmd_catalog_list(args),
-            }
+            report = _report(["catalog", args.action], {"command": "catalog-list"},
+                             _cmd_catalog_list(args))
             print(_render(report, args.format))
             return EXIT_OK
 
@@ -505,30 +498,22 @@ def main(argv=None) -> int:
         else:
             outcomes = [_run_job(job) for job in jobs]
 
+        command = [args.command, args.algebra]
+        digested = {"command": command, "algebra": outcomes[0][0].algebra.to_json_dict()}
         if len(outcomes) == 1:
-            entry, results = outcomes[0]
-            report = _report([args.command, args.algebra], entry, results)
+            results = outcomes[0][1]
         else:
-            entry = outcomes[0][0]
-            report = _report([args.command, args.algebra], entry, {
-                "sweep": [
-                    {"params": {k: str(v) for k, v in e.params.items()},
-                     "results": r}
-                    for e, r in outcomes
-                ],
-            })
+            results = {"sweep": [{"params": {k: str(v) for k, v in e.params.items()},
+                                  "results": r} for e, r in outcomes]}
+        report = _report(command, digested, results)
         print(_render(report, args.format))
         return EXIT_OK
     except (CliError, ArithmeticError) as exc:
         code = exc.code if isinstance(exc, CliError) else EXIT_NUMERICAL
         ambiguous = isinstance(exc, CliError) and code == EXIT_NUMERICAL
-        report = {
-            "schema": SCHEMA,
-            "command": [args.command, getattr(args, "algebra", "")],
-            "input_digest": _digest({"command": args.command}),
-            "status": "ambiguous" if ambiguous else "error",
-            "results": {"error": str(exc)},
-        }
+        report = _report([args.command, getattr(args, "algebra", "")],
+                         {"command": args.command}, {"error": str(exc)},
+                         "ambiguous" if ambiguous else "error")
         print(_render(report, args.format))
         return code
 

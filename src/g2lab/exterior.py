@@ -13,6 +13,7 @@ the metric-dependent ones work with whatever backend the metric carries.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -34,6 +35,8 @@ from .scalars import (
 
 MAX_DIM = 8
 MIN_DIM = 3
+#: binary64 unit roundoff, for the float volume check of MetricData
+EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +399,11 @@ class MetricData:
     """Inner product g on R^n together with the oriented volume form.
 
     The volume form must be a positive multiple of e^{1...n} and satisfy
-    vol = sqrt(det g) e^{1...n}; this is asserted at construction (exactly in
-    the rational backend, to relative 1e-9 in floats).
+    vol = sqrt(det g) e^{1...n}.  Construction decides positivity and det g by
+    the backend's rule, linalg.positive_det or its float twin positive_det_np,
+    and compares det g with vol^2: exactly in the rational backend, in floats
+    to relative 1e-9 + n eps H, the rounding of a Cholesky det, with
+    H = prod g_ii / det g >= 1 the Hadamard ratio.
     """
 
     __slots__ = ("n", "g", "vol", "backend", "_ginv", "_gram")
@@ -417,20 +423,16 @@ class MetricData:
         volc = vol.coeffs[0]
         if volc <= 0:
             raise ValueError("volume coefficient must be positive")
-        if backend == RATIONAL:
-            det_g = linalg.positive_det([list(r) for r in rows])
-            if det_g is None:
-                raise ValueError("metric must be positive-definite")
-            if det_g != volc * volc:
-                raise ValueError("volume form inconsistent with det(g)")
-        else:
-            arr = np.array(rows)
-            try:
-                np.linalg.cholesky(arr)
-            except np.linalg.LinAlgError:
-                raise ValueError("metric must be positive-definite") from None
-            if abs(np.linalg.det(arr) - volc * volc) > 1e-9 * max(1.0, volc * volc):
-                raise ValueError("volume form inconsistent with det(g)")
+        det_g = (linalg.positive_det(rows) if backend == RATIONAL
+                 else linalg.positive_det_np(np.array(rows)))
+        if det_g is None:
+            raise ValueError("metric must be positive-definite")
+        # a rational det g is exact; a float one, the product of the Cholesky
+        # pivots, is good to about n eps H, H = prod g_ii / det g
+        tol = 1e-9 if backend == RATIONAL else \
+            1e-9 + n * EPS * math.prod(row[i] for i, row in enumerate(rows)) / det_g
+        if not negligible(det_g - volc * volc, volc * volc, tol):
+            raise ValueError("volume form inconsistent with det(g)")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "g", tuple(rows))
         object.__setattr__(self, "vol", vol)

@@ -3,14 +3,14 @@
 The flow evolves the 35 coefficients of a closed 3-form by
 d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
 closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
-the one float metric and positivity rule of g2, and the torsion identity
-tau = -*d*phi, guarded by tau wedge phi = d*phi, each star a 7 x 7 matrix
-product, its inputs taken from phi by constant maps (no per-call scatter,
-gather or sign pass).  Integration uses the Dormand-Prince 8(5,3) pair: the
-8th-order solution advances, its embedded 5th- and 3rd-order solutions give
-the error estimate that controls the step, and the last stage, taken at the
-new state, is the next step's first (FSAL), so a step costs twelve
-evaluations.
+the one float metric (positive by linalg.positive_det_np), and the torsion
+identity tau = -*d*phi, guarded by tau wedge phi = d*phi, each star a 7 x 7
+matrix product, its inputs taken from phi by constant maps (no per-call
+scatter, gather or sign pass).  Integration uses the Dormand-Prince 8(5,3)
+pair: the 8th-order solution advances, its embedded 5th- and 3rd-order
+solutions give the error estimate that controls the step, and the last stage,
+taken at the new state, is the next step's first (FSAL), so a step costs
+twelve evaluations.
 
 Also provided: the closed-form self-similar solution on the one-parameter
 rank-one extensions of the coupled nilpotent algebra, the closed-form
@@ -41,10 +41,13 @@ from .exterior import (
     wedge_pairs,
 )
 from .g2 import (
+    ANSATZ_MONOMIALS,
+    ANSATZ_SIGNS,
     G2Structure,
     InconsistentTorsionError,
     NotClosedError,
     NotPositiveError,
+    ansatz_phi,
     metric_np,
     torsion,
 )
@@ -270,11 +273,10 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     """
     if not all(0 < x < math.inf for x in (t_end, dt0, tol)):
         raise ValueError("t_end, dt0 and tol must be finite and positive")
-    struct = start.to_float()
-    if not struct.is_closed():
+    if not start.is_closed():  # exactly for a rational start
         raise NotClosedError("initial form is not closed")
-    kernel = FlowKernel(struct.algebra)
-    y = struct.phi.np_coeffs
+    kernel = FlowKernel(start.algebra)
+    y = start.phi.np_coeffs
     t = 0.0
     h = float(dt0)
     status = "completed"
@@ -343,7 +345,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     if tau_nsq > BLOWUP_TAU_SQ:
         status = "blowup-approach"
     return FlowTrajectory(
-        algebra=struct.algebra,
+        algebra=start.algebra,
         samples=tuple(samples),
         status=status,
         config={"t_end": t_end, "dt0": dt0, "tol": tol},
@@ -452,20 +454,10 @@ def gabk_phi(b, t: float) -> KForm:
 # the 7-coefficient ansatz
 # ---------------------------------------------------------------------------
 
-ANSATZ_MONOMIALS = ((1, 2, 7), (3, 4, 7), (5, 6, 7),
-                    (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
-ANSATZ_SIGNS = (1, 1, 1, 1, -1, -1, -1)
-
-
 @dataclass(frozen=True)
 class AnsatzCoefficients:
     c: tuple
     closed_reduction: bool  # C7 = C6 = C5 = C4 = C2
-
-
-def ansatz_phi(coeffs, backend=FLOAT) -> KForm:
-    terms = {m: s * c for m, s, c in zip(ANSATZ_MONOMIALS, ANSATZ_SIGNS, coeffs)}
-    return KForm.from_terms(7, 3, terms, backend)
 
 
 def ansatz_coefficients(phi: KForm) -> Optional[AnsatzCoefficients]:

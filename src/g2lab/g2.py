@@ -43,6 +43,7 @@ from .exterior import (
     wedge_pairs,
 )
 from .liealg import LieAlgebra, ce_differential
+from .linalg import CHOLESKY_PIVOT_TOL, positive_det_np  # noqa: F401 (re-exported)
 from .scalars import (
     FLOAT,
     RATIONAL,
@@ -52,8 +53,6 @@ from .scalars import (
     require_same_backend,
     zero,
 )
-
-CHOLESKY_PIVOT_TOL = 1e-12
 
 #: search draws in the first block of search_closed_positive; later blocks double
 SEARCH_BLOCK = 256
@@ -75,14 +74,21 @@ class NotERPError(ValueError):
     """The structure is not extremally Ricci pinched."""
 
 
+#: the monomials and signs of the standard 3-form omega ^ e^7 + psi
+ANSATZ_MONOMIALS = ((1, 2, 7), (3, 4, 7), (5, 6, 7),
+                    (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+ANSATZ_SIGNS = (1, 1, 1, 1, -1, -1, -1)
+
+
+def ansatz_phi(coeffs, backend=FLOAT) -> KForm:
+    """sum C_i s_i e^{m_i} over the ANSATZ_MONOMIALS m_i and ANSATZ_SIGNS s_i."""
+    terms = {m: s * c for m, s, c in zip(ANSATZ_MONOMIALS, ANSATZ_SIGNS, coeffs)}
+    return KForm.from_terms(7, 3, terms, backend)
+
+
 def adapted_phi(backend=RATIONAL) -> KForm:
     """The standard positive 3-form; its induced metric is the identity."""
-    return KForm.from_terms(
-        7, 3,
-        {(1, 2, 7): 1, (3, 4, 7): 1, (5, 6, 7): 1,
-         (1, 3, 5): 1, (1, 4, 6): -1, (2, 3, 6): -1, (2, 4, 5): -1},
-        backend,
-    )
+    return ansatz_phi((1,) * 7, backend)
 
 
 _CubicTable = namedtuple("_CubicTable", "j b idx coef starts sym")
@@ -133,27 +139,17 @@ def _cubic_table() -> _CubicTable:
     return table
 
 
-def _monomials(y: np.ndarray) -> np.ndarray:
-    """y_a y_b y_c for the rows of the b table: (..., 35) -> (..., 735)."""
-    a, b, c = _cubic_table().idx
-    if y.ndim > 1:  # a stack: gather along the last axis (slower on one form)
-        a, b, c = (..., a), (..., b), (..., c)
-    terms = y[a]
-    terms *= y[b]  # in place: a block's temporaries cost more than its products
-    terms *= y[c]
-    return terms
-
-
 def induced_bilinear_np(y: np.ndarray) -> np.ndarray:
-    """Float induced bilinear form: (35,) -> (7, 7), or a stack (B, 35) -> (B, 7, 7).
+    """Float induced bilinear form of the 3-form with coefficients y: (35,) -> (7, 7).
 
-    The 735 terms of _cubic_table by one gather, summed per entry by
-    np.add.reduceat, which sums a row of a stack bit for bit as a single form
-    (a BLAS product need not, and b's entries cancel to 1e-14 of their terms).
+    The 735 terms k y_a y_b y_c of _cubic_table by one gather, summed per entry
+    in table order by np.add.reduceat; that order sets the rounding, which
+    matters because b's entries cancel to 1e-14 of their terms.
     """
     table = _cubic_table()
-    b = np.add.reduceat(_monomials(y) * table.coef, table.starts, axis=-1)
-    return b[..., table.sym].reshape(y.shape[:-1] + (7, 7))
+    a, b, c = table.idx
+    entries = np.add.reduceat(y[a] * y[b] * y[c] * table.coef, table.starts)
+    return entries[table.sym].reshape(7, 7)
 
 
 def _contract(terms, y, z, acc):
@@ -171,23 +167,6 @@ def induced_bilinear(phi: KForm):
     if phi.n != 7 or phi.k != 3:
         raise ValueError("expected a 3-form on R^7")
     return _contract(_cubic_table().b, phi.coeffs, phi.coeffs, zero(phi.backend))
-
-
-def positive_det_np(b: np.ndarray) -> Optional[float]:
-    """det b if the float bilinear form b is positive-definite, else None.
-
-    The float positivity rule, by one Cholesky factor b = L L^T: it must exist
-    with min L_ii^2 > CHOLESKY_PIVOT_TOL * max |b_ii|, a bound relative to b
-    so that it holds at every scale of phi.  Then det b = prod L_ii^2.
-    """
-    try:
-        pivots = np.linalg.cholesky(b).diagonal()
-    except np.linalg.LinAlgError:
-        return None
-    pivots = pivots * pivots
-    if not pivots.min() > CHOLESKY_PIVOT_TOL * abs(b.diagonal()).max():
-        return None  # also refuses a NaN pivot
-    return float(pivots.prod())
 
 
 def metric_np(y: np.ndarray):

@@ -284,16 +284,10 @@ def _series_dims(first, step, n):
     return dims
 
 
-def _radical(alg, derived):
-    """Canonical basis of the Killing-orthogonal of ``derived``, the basis of [g, g]."""
-    n, kil = alg.n, killing_matrix(alg)
-    constraint = [linalg.matvec(kil, b) for b in derived]
-    return [tuple(v) for v in _span(linalg.nullspace(constraint, ncols=n), n)]
-
-
 def radical_basis(alg: LieAlgebra):
-    """Exact basis of the radical: the Killing-orthogonal of [g, g]."""
-    return _radical(alg, _derived(alg))
+    """Exact basis of the radical, the Killing-orthogonal of [g, g], as the
+    canonical rows that ``structure_flags`` reads."""
+    return _flags_and_radical(alg)[1]
 
 
 def structure_flags(alg: LieAlgebra) -> StructureFlags:
@@ -317,7 +311,9 @@ def _flags_and_radical(alg):
     derived = _derived(alg)
     derived_dims = _series_dims(derived, lambda cur: _bracket_span(alg, cur, cur), n)
     lcs_dims = _series_dims(derived, lambda cur: _bracket_span(alg, full, cur), n)
-    radical = _radical(alg, derived)
+    kil = killing_matrix(alg)  # the radical: the Killing-orthogonal of [g, g]
+    constraint = [linalg.matvec(kil, b) for b in derived]
+    radical = [tuple(v) for v in _span(linalg.nullspace(constraint, ncols=n), n)]
     ss_dim = n - len(radical)
     alg._flags = StructureFlags(
         solvable=derived_dims[-1] == 0,

@@ -1,4 +1,4 @@
-"""Exact-rational linear algebra over ``fractions.Fraction``.
+"""Exact-rational linear algebra over ``fractions.Fraction``, and the float positivity rule.
 
 Matrices are lists of lists (row major); products skip zero entries.
 ``rref`` is a sparse Gauss-Jordan elimination: each row is held as a
@@ -10,21 +10,32 @@ are reduced, and entries that cancel are dropped.  The reduced row-echelon
 form of a matrix is unique, so the result does not depend on the pivot order.
 Ranks, inverses, each linear system (whose solution and kernel are read off
 one reduction) and least squares (by the rank factorisation one reduction
-gives) come from ``rref``; ``det`` and ``positive_det``, the one
+gives) come from ``rref``; ``det`` and ``positive_det``, the exact
 positivity rule (positive definite by the pivots of an elimination without
-row exchanges, Sylvester), are the other two elimination loops.
-Everything here is exact: ranks, nullspaces, positivity and least-squares
-solutions never depend on float thresholds.
-The float-backend counterparts of these routines live in numpy and are called
+row exchanges, Sylvester), are the other two elimination loops.  None of
+these depends on a float threshold: ranks, nullspaces, positivity and
+least-squares solutions are exact.
+
+The one float routine is ``positive_det_np``, the float twin of
+``positive_det``: positivity and the determinant of a symmetric form from one
+Cholesky factor, with a pivot bound relative to the form.  Every float
+positivity test (the induced form of a 3-form, a float ``MetricData``) goes
+through it.  The other float counterparts live in numpy and are called
 directly where needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
+
+import numpy as np
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: positive_det_np refuses a pivot L_ii^2 at or below this times max |b_ii|
+CHOLESKY_PIVOT_TOL = 1e-12
 
 
 def mat_copy(m):
@@ -172,6 +183,24 @@ def positive_det(m):
                 f = a[i][c] / pv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return result
+
+
+def positive_det_np(b: np.ndarray) -> Optional[float]:
+    """det b if the float symmetric form b is positive-definite, else None.
+
+    The float twin of positive_det, by one Cholesky factor b = L L^T: it must
+    exist with min L_ii^2 > CHOLESKY_PIVOT_TOL * max |b_ii|, a bound relative to
+    b so that it holds at every scale.  Then det b = prod L_ii^2, accurate to
+    about n eps H relative, H = prod b_ii / det b the Hadamard ratio.
+    """
+    try:
+        pivots = np.linalg.cholesky(b).diagonal()
+    except np.linalg.LinAlgError:
+        return None
+    pivots = pivots * pivots
+    if not pivots.min() > CHOLESKY_PIVOT_TOL * abs(b.diagonal()).max():
+        return None  # also refuses a NaN pivot
+    return float(pivots.prod())
 
 
 def inverse(m):

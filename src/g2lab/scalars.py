@@ -14,21 +14,8 @@ Mixing backends in a single operation is an error; conversions are explicit
 
 One zero rule serves both backends: ``negligible(x, scale, tol)`` is x == 0
 for an exact rational and |x| <= tol * max(1, |scale|) for a float.  The
-float (tol, scale) of its callers:
-
-* exterior: metric symmetry g_ij - g_ji, i < j (1e-12, g_ij).
-* g2: closedness max |d phi| (1e-10, max |phi|), also for the search's
-  initial candidate; tr Ric + |tau|^2/2 (1e-8, |tau|^2/2); d tau + d*d*phi
-  (1e-9, max |d tau|); ERP tau^3, d(tau^tau), d*(tau^tau) (1e-9) and the
-  entries of Ric - j(*(tau^tau))/12 (1e-8).
-* su3: omega^3, omega^psi, omega^psi_hat, d w2, w2 and the extension's
-  closedness conditions (1e-9); 3 psi^psi_hat - 2 omega^3 (1e-9,
-  max |omega^3|); stability, lambda = tr K^2/6 (1e-12) and K^2 - lambda Id
-  (1e-9), both at max |K^2|; a stated psi_hat (1e-9, its max); the
-  proportionality residual (1e-10, max |target|); the coupling c (1e-12);
-  mu - |w2|^2/4 (1e-8, |w2|^2/4).
-* flow: soliton lambda (1e-9); off-ansatz coefficients (1e-12, max |phi|);
-  C4..C7 - C2 (1e-9, C2); drift max |d phi| (1e-8, max |phi|).
+float (tol, scale) of each of its callers is listed once, in the README's
+"zero rule" table.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Exterior-algebra kernel: wedge, interior, endomorphism action, Hodge."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from g2lab import linalg
 from g2lab.exterior import (
     Endo,
     KForm,
@@ -361,6 +363,46 @@ def test_metric_rejects_non_positive():
     bad = [[-1 if i == j else 0 for j in range(7)] for i in range(7)]
     with pytest.raises(ValueError):
         MetricData(bad, KForm.monomial(7, tuple(range(1, 8))))
+
+
+def _float_metric(g, volc):
+    n = len(g)
+    return MetricData(np.asarray(g, float).tolist(),
+                      KForm.monomial(n, tuple(range(1, n + 1)), float(volc), backend=FLOAT))
+
+
+def test_float_volume_check_scales_with_the_hadamard_ratio():
+    # g = A^T A with det A = -1 and cond(g) = 4.6e8: exact, and its float copy
+    # has a Cholesky det 1.9e-8 away from vol^2 = 1, within n eps prod g_ii / det g
+    a = [[0, -1, 1, 1, -2, 1, 1], [-2, -1, -2, -1, -1, 2, -1], [-1, 2, 2, -2, -1, -1, -2],
+         [-2, -1, 2, 2, -2, -2, 2], [-2, 2, -2, 2, 2, 1, 1], [2, 0, -1, -2, 0, 2, -2],
+         [2, -2, -2, 0, -2, -1, -2]]
+    g = np.array(a).T @ np.array(a)
+    exact = MetricData([[F(int(x)) for x in row] for row in g],
+                       KForm.monomial(7, tuple(range(1, 8)), F(1)))
+    assert exact.to_float().g == tuple(tuple(float(x) for x in row) for row in g)
+    # an exact metric is checked exactly, even with H = (m^2 + 1)^2 / 4m^2 beyond floats
+    m = 10 ** 200
+    c = F(m * m - 1, m * m + 1)  # 1 - c^2 = (2m / (m^2 + 1))^2
+    MetricData([[1, c, 0], [c, 1, 0], [0, 0, 1]],
+               KForm.monomial(3, (1, 2, 3), F(2 * m, m * m + 1)))
+    # a volume off by a relative 1e-6 is still refused where g is well conditioned
+    rng = np.random.default_rng(43)
+    b = rng.standard_normal((7, 7))
+    well = b @ b.T + 7 * np.eye(7)
+    for g in (np.eye(7), well):
+        volc = math.sqrt(np.linalg.det(g))
+        _float_metric(g, volc)
+        with pytest.raises(ValueError, match="inconsistent"):
+            _float_metric(g, volc * (1 + 1e-6))
+
+
+def test_float_metric_positivity_is_the_cholesky_pivot_rule():
+    # the pivot bound of linalg.positive_det_np, as for the induced form of a float phi
+    below, above = (f * linalg.CHOLESKY_PIVOT_TOL for f in (0.1, 10))
+    with pytest.raises(ValueError, match="positive-definite"):
+        _float_metric(np.diag([1.0] * 6 + [below]), math.sqrt(below))
+    assert _float_metric(np.diag([1.0] * 6 + [above]), math.sqrt(above)).g[6][6] == above
 
 
 # -- backends, serialization, misc ---------------------------------------------

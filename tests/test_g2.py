@@ -609,13 +609,13 @@ def test_screen_keeps_every_form_the_serial_rule_accepts():
     assert not (accepted & ~kept).any()
     assert not kept[7] and not kept[8]  # -phi and the split form
     # every dropped form is indefinite or negative
-    b = induced_bilinear_np(ys[~kept])
+    b = np.array([induced_bilinear_np(y) for y in ys[~kept]])
     assert (np.linalg.eigvalsh(b)[:, 0] < 0).all()
 
 
 def test_screen_drops_each_single_negative_diagonal_entry():
     ys = np.random.default_rng(4).standard_normal((4000, 35))
-    diag = np.diagonal(induced_bilinear_np(ys), axis1=1, axis2=2)
+    diag = np.array([induced_bilinear_np(y).diagonal() for y in ys])
     for i in range(7):
         only_i = (diag[:, i] < 0) & (np.delete(diag, i, axis=1) > 0).all(axis=1)
         assert only_i.sum() >= 5, i
@@ -669,7 +669,7 @@ def test_pfaffian_diagonal_matches_top_pairing_oracle():
         # in floats the stages are the nonzero p_i, sparsest first, within the
         # search's margin of the diagonal of induced_bilinear_np
         xs = rng.standard_normal((500, len(basis)))
-        ref = np.diagonal(induced_bilinear_np(xs @ kernel), axis1=1, axis2=2)
+        ref = np.array([induced_bilinear_np(y).diagonal() for y in xs @ kernel])
         k = np.abs(kernel).sum(axis=0).max()
         margin = 1e-8 * 15 * k ** 3 * np.abs(xs).max(axis=1) ** 3
         order = sorted((i for i in range(7) if cubics[i]), key=lambda i: len(cubics[i]))
@@ -720,23 +720,6 @@ def test_j_map_rejects_mixed_backends(g_half):
         j_map(struct, g_half.phi.to_float())
     with pytest.raises(BackendMismatch):
         j_map(struct.to_float(), g_half.phi)
-
-
-def test_induced_bilinear_stack_matches_rows():
-    ys = np.random.default_rng(5).standard_normal((64, 35))
-    stack = induced_bilinear_np(ys)
-    assert stack.shape == (64, 7, 7)
-    assert induced_bilinear_np(ys[0]).shape == (7, 7)
-    for y, b in zip(ys, stack):
-        np.testing.assert_allclose(b, induced_bilinear_np(y), rtol=1e-14, atol=0)
-
-
-def test_induced_bilinear_single_form_equals_stack_rows():
-    # a single form takes its own gather; it sums each entry in the same order
-    ys = np.random.default_rng(6).standard_normal((64, 35))
-    stack = induced_bilinear_np(ys)
-    for y, b in zip(ys, stack):
-        assert np.array_equal(induced_bilinear_np(y), b)
 
 
 def test_cubic_table_matches_loop_oracle():
