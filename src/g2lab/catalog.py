@@ -9,10 +9,11 @@ time an entry is instantiated, so a catalog regression cannot go unnoticed.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .exterior import Endo, KForm
@@ -59,7 +60,6 @@ class CatalogEntry:
     expected: dict
     description: str
     ambiguous: bool = False
-    phi_origin: str = ""
 
     @cached_property
     def su3_structure(self):
@@ -76,6 +76,12 @@ class EntrySpec:
     param_doc: str
     description: str
     ambiguous: bool = False
+
+    @cached_property
+    def defaults(self):
+        """Parameter name -> the builder's default; a Fraction default marks a rational."""
+        return {name: p.default
+                for name, p in inspect.signature(self.builder).parameters.items()}
 
 
 _REGISTRY: dict = {}
@@ -98,7 +104,19 @@ def describe(entry_id: str) -> EntrySpec:
 
 
 def get(entry_id: str, **params) -> CatalogEntry:
+    """Build and verify an entry.  Parameter names are checked against the
+    builder's signature, and a rational parameter whose value is not an exact
+    rational is a ParamError."""
     spec = describe(entry_id)
+    unknown = sorted(set(params) - set(spec.defaults))
+    if unknown:
+        raise ParamError("%s does not accept parameters %s" % (entry_id, unknown))
+    for name, value in params.items():
+        if isinstance(spec.defaults[name], Fraction):
+            try:
+                params[name] = as_rational(value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ParamError("%s parameter %s: %s" % (entry_id, name, exc)) from None
     entry = spec.builder(**params)
     _verify(entry)
     return entry
@@ -210,8 +228,7 @@ def sab_derivation(b, k) -> Endo:
     ])
 
 
-def _entry_n1(**params):
-    _no_params("n1", params)
+def _entry_n1():
     return CatalogEntry(
         id="n1", algebra=nilpotent_n1(), params={},
         su3_pair=adapted_su3_pair(), phi=None,
@@ -221,8 +238,7 @@ def _entry_n1(**params):
     )
 
 
-def _entry_n2(**params):
-    _no_params("n2", params)
+def _entry_n2():
     return CatalogEntry(
         id="n2", algebra=nilpotent_n2(), params={},
         su3_pair=adapted_su3_pair(), phi=None,
@@ -232,9 +248,7 @@ def _entry_n2(**params):
     )
 
 
-def _entry_s_ab(a=Fraction(1), b=Fraction(1), **extra):
-    _no_params("s_ab", extra)
-    a, b = as_rational(a), as_rational(b)
+def _entry_s_ab(a=Fraction(1), b=Fraction(1)):
     alg = solvable_s_ab(a, b)
     coupled = b if b != 0 else "shf"
     if a != 0:
@@ -257,20 +271,17 @@ def _entry_s_ab(a=Fraction(1), b=Fraction(1), **extra):
 # seven-dimensional entries
 # ---------------------------------------------------------------------------
 
-def _entry_abelian7(**params):
-    _no_params("abelian7", params)
+def _entry_abelian7():
     return CatalogEntry(
         id="abelian7", algebra=abelian(7, name="abelian7"), params={},
         su3_pair=None, phi=adapted_phi(),
         expected={"unimodular": True, "solvable": True, "nilpotent_step": 1,
                   "phi_closed": True},
         description="flat baseline; the attached form is parallel",
-        phi_origin="adapted",
     )
 
 
-def _entry_ffkm_n(**params):
-    _no_params("ffkm_n", params)
+def _entry_ffkm_n():
     alg = from_structure_equations(
         7,
         {4: {(1, 2): 1}, 5: {(1, 3): 1}, 6: {(1, 4): 1}, 7: {(1, 5): 1}},
@@ -292,13 +303,11 @@ def _extension_entry(entry_id, base, deriv, params, description, extra_expected=
     return CatalogEntry(
         id=entry_id, algebra=alg, params=params,
         su3_pair=None, phi=adapted_phi(), expected=expected,
-        description=description, phi_origin="adapted extension",
+        description=description,
     )
 
 
-def _entry_g_a(a=Fraction(1, 2), **extra):
-    _no_params("g_a", extra)
-    a = as_rational(a)
+def _entry_g_a(a=Fraction(1, 2)):
     if a < Fraction(1, 4):
         raise ParamError("g_a requires a >= 1/4")
     return _extension_entry(
@@ -309,9 +318,7 @@ def _entry_g_a(a=Fraction(1, 2), **extra):
     )
 
 
-def _entry_g_ab(a=Fraction(1), b=Fraction(1), **extra):
-    _no_params("g_ab", extra)
-    a, b = as_rational(a), as_rational(b)
+def _entry_g_ab(a=Fraction(1), b=Fraction(1)):
     return _extension_entry(
         "g_ab", nilpotent_n1(), n1_derivation(a, b), {"a": a, "b": b},
         "two-parameter extensions of n1 with closed structures",
@@ -320,9 +327,7 @@ def _entry_g_ab(a=Fraction(1), b=Fraction(1), **extra):
     )
 
 
-def _entry_g_abk(a=Fraction(1), b=Fraction(1), k=Fraction(0), **extra):
-    _no_params("g_abk", extra)
-    a, b, k = as_rational(a), as_rational(b), as_rational(k)
+def _entry_g_abk(a=Fraction(1), b=Fraction(1), k=Fraction(0)):
     expected = {"solvable": True, "nilpotent_step": None}
     if b != 0:
         expected["unimodular"] = False
@@ -342,9 +347,7 @@ def _entry_g_abk(a=Fraction(1), b=Fraction(1), k=Fraction(0), **extra):
 _SL2_PART = {1: {(2, 3): -1}, 2: {(1, 2): -2}, 3: {(1, 3): 2}}
 
 
-def _entry_nonsolv_2(mu=Fraction(1, 2), **extra):
-    _no_params("nonsolv_2", extra)
-    mu = as_rational(mu)
+def _entry_nonsolv_2(mu=Fraction(1, 2)):
     if not (Fraction(-1) < mu <= Fraction(1, 2)):
         raise ParamError("nonsolv_2 requires -1 < mu <= 1/2")
     eqs = dict(_SL2_PART)
@@ -358,9 +361,7 @@ def _entry_nonsolv_2(mu=Fraction(1, 2), **extra):
     )
 
 
-def _entry_nonsolv_3(mu=Fraction(1), **extra):
-    _no_params("nonsolv_3", extra)
-    mu = as_rational(mu)
+def _entry_nonsolv_3(mu=Fraction(1)):
     if not mu > 0:
         raise ParamError("nonsolv_3 requires mu > 0")
     eqs = dict(_SL2_PART)
@@ -376,8 +377,7 @@ def _entry_nonsolv_3(mu=Fraction(1), **extra):
     )
 
 
-def _entry_nonsolv_levi(**params):
-    _no_params("nonsolv_levi", params)
+def _entry_nonsolv_levi():
     eqs = dict(_SL2_PART)
     eqs.update({4: {(1, 4): -1, (2, 5): -1, (4, 7): -1},
                 5: {(1, 5): 1, (3, 4): -1, (5, 7): -1},
@@ -406,8 +406,7 @@ NONSOLV1_VARIANTS = {
 }
 
 
-def _entry_nonsolv_1(variant=None, **extra):
-    _no_params("nonsolv_1", extra)
+def _entry_nonsolv_1(variant=None):
     if variant is None:
         raise AmbiguousEntryError(
             "nonsolv_1 source data is ambiguous; pass variant='A' (unimodular "
@@ -426,12 +425,6 @@ def _entry_nonsolv_1(variant=None, **extra):
                     "reading, variant B fails unimodularity",
         ambiguous=True,
     )
-
-
-def _no_params(entry_id, params):
-    if params:
-        raise ParamError("%s does not accept parameters %s"
-                         % (entry_id, sorted(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +530,14 @@ def load_user_catalog(path):
             pair = (KForm.from_json_dict(item["omega"], backend=RATIONAL),
                     KForm.from_json_dict(item["psi"], backend=RATIONAL))
         description = item.get("description", "user entry")
-
-        def builder(_algebra=algebra, _phi=phi, _pair=pair, _id=entry_id,
-                    _descr=description, **params):
-            _no_params(_id, params)
-            expected = {}
-            if _phi is not None:
-                expected["phi_closed"] = True
-            return CatalogEntry(id=_id, algebra=_algebra, params={},
-                                su3_pair=_pair, phi=_phi, expected=expected,
-                                description=_descr, phi_origin="user catalog")
-
+        builder = partial(_user_entry, entry_id, algebra, phi, pair, description)
         _register(EntrySpec(entry_id, builder, "none", description))
         ids.append(entry_id)
     return ids
+
+
+def _user_entry(entry_id, algebra, phi, pair, description):
+    """A user catalog entry; bound by ``partial``, its builder takes no parameters."""
+    return CatalogEntry(id=entry_id, algebra=algebra, params={}, su3_pair=pair, phi=phi,
+                        expected={"phi_closed": True} if phi is not None else {},
+                        description=description)

@@ -4,8 +4,11 @@ Commands: analyze | g2 | su3 | flow | soliton | search-closed | catalog.
 Inputs are catalog ids (with rational --param key=value pairs) or JSON files;
 outputs are deterministic JSON reports (or a readable text rendering with
 --format pretty), CSV trajectories for the flow command, and exit codes
-  0 ok, 2 parse/parameter failure, 3 invalid algebra (Jacobi fails),
-  4 invalid structure, 5 numerical inconsistency or ambiguous residual.
+  0 ok, 2 parse/parameter failure (also a parameter value that is not
+  rational, or an unwritable --out), 3 invalid algebra (Jacobi fails),
+  4 invalid structure (also a form of the wrong degree, or an algebra of the
+  wrong dimension for the command), 5 numerical inconsistency or ambiguous
+  residual.  EXIT_CODES maps each library exception type to its code.
 
 The environment variable G2LAB_CATALOG_PATH may point to a JSON file with
 additional user catalog entries.
@@ -36,9 +39,7 @@ from .flow import (
 )
 from .g2 import (
     G2Structure,
-    NotClosedError,
     NotERPError,
-    NotPositiveError,
     curvature,
     erp_diagnostics,
     erp_residual,
@@ -55,12 +56,7 @@ from .liealg import (
     structure_flags,
 )
 from .scalars import FLOAT, RATIONAL
-from .su3 import (
-    SU3ConstructionError,
-    check_dw2_prop_psi,
-    reconstruct_su3,
-    w2_of,
-)
+from .su3 import check_dw2_prop_psi, reconstruct_su3, w2_of
 
 SCHEMA = "g2lab-report/1"
 
@@ -79,6 +75,18 @@ class CliError(Exception):
     def __reduce__(self):
         # sweep workers send errors back pickled; keep the code with the message
         return (CliError, (str(self), self.code))
+
+
+#: (exception types, exit code) for library failures, read by ``main`` in order,
+#: most specific first; a CliError carries its own code.  Every ValueError the
+#: library raises is a rejected argument, and every ArithmeticError a failed
+#: numerical check (AmbiguousResidualError reports status "ambiguous").
+EXIT_CODES = (
+    (InvalidStructureError, EXIT_INVALID_ALGEBRA),
+    ((catalog.ParamError, catalog.AmbiguousEntryError, OSError), EXIT_PARSE),
+    ((catalog.CatalogVerificationError, ValueError), EXIT_INVALID_STRUCTURE),
+    (ArithmeticError, EXIT_NUMERICAL),
+)
 
 
 def _parse_params(tokens):
@@ -141,14 +149,6 @@ def _load_algebra(spec, params):
         return catalog.get(spec, **params)
     except catalog.UnknownEntryError:
         raise CliError("unknown catalog entry %r" % spec, EXIT_PARSE) from None
-    except (catalog.AmbiguousEntryError, catalog.ParamError) as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
-    except TypeError as exc:
-        raise CliError("bad parameters: %s" % exc, EXIT_PARSE) from None
-    except InvalidStructureError as exc:
-        raise CliError(str(exc), EXIT_INVALID_ALGEBRA) from None
-    except catalog.CatalogVerificationError as exc:
-        raise CliError(str(exc), EXIT_INVALID_STRUCTURE) from None
 
 
 def _digest(payload) -> str:
@@ -207,10 +207,7 @@ def _structure_from_args(entry, args):
                 EXIT_INVALID_STRUCTURE)
     if args.backend == FLOAT:
         phi = phi.to_float()
-    try:
-        return G2Structure(entry.algebra, phi)
-    except NotPositiveError as exc:
-        raise CliError(str(exc), EXIT_INVALID_STRUCTURE) from None
+    return G2Structure(entry.algebra, phi)
 
 
 def _cmd_g2(entry, args):
@@ -256,14 +253,11 @@ def _su3_from_args(entry, args):
                        "--omega/--psi" % entry.id, EXIT_INVALID_STRUCTURE)
     else:
         pair = entry.su3_pair
-    try:
-        if args.backend == FLOAT:
-            return reconstruct_su3(entry.algebra, *(f.to_float() for f in pair))
-        if pair is entry.su3_pair:
-            return entry.su3_structure
-        return reconstruct_su3(entry.algebra, *pair)
-    except SU3ConstructionError as exc:
-        raise CliError(str(exc), EXIT_INVALID_STRUCTURE) from None
+    if args.backend == FLOAT:
+        return reconstruct_su3(entry.algebra, *(f.to_float() for f in pair))
+    if pair is entry.su3_pair:
+        return entry.su3_structure
+    return reconstruct_su3(entry.algebra, *pair)
 
 
 def _cmd_su3(entry, args):
@@ -275,7 +269,7 @@ def _cmd_su3(entry, args):
         "psi_hat": struct.psi_hat.to_json_dict(),
     }
     if tc.kind in ("coupled", "symplectic_half_flat"):
-        data = w2_of(struct, tc.c if tc.kind == "coupled" else 0)
+        data = w2_of(struct)
         prop = check_dw2_prop_psi(struct, data.w2)
         results["w2"] = data.w2.to_json_dict()
         results["dw2_proportional_to_psi"] = prop.proportional
@@ -284,13 +278,7 @@ def _cmd_su3(entry, args):
 
 
 def _cmd_soliton(entry, args):
-    struct = _structure_from_args(entry, args)
-    try:
-        sol = algebraic_soliton_solve(struct)
-    except AmbiguousResidualError as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL) from None
-    except NotClosedError as exc:
-        raise CliError(str(exc), EXIT_INVALID_STRUCTURE) from None
+    sol = algebraic_soliton_solve(_structure_from_args(entry, args))
     results = {
         "feasible": sol.feasible,
         "residual_ratio": sol.residual_ratio,
@@ -309,11 +297,8 @@ def _cmd_flow(entry, args):
     for flag, value in (("--t-end", args.t_end), ("--dt", args.dt), ("--tol", args.tol)):
         if not 0 < value < float("inf"):
             raise CliError("%s must be a finite positive number" % flag, EXIT_PARSE)
-    struct = _structure_from_args(entry, args)
-    try:
-        traj = laplacian_flow(struct, args.t_end, dt0=args.dt, tol=args.tol)
-    except NotClosedError as exc:
-        raise CliError(str(exc), EXIT_INVALID_STRUCTURE) from None
+    traj = laplacian_flow(_structure_from_args(entry, args), args.t_end,
+                          dt0=args.dt, tol=args.tol)
     results = {
         "status": traj.status,
         "steps": len(traj.samples) - 1,
@@ -508,12 +493,14 @@ def main(argv=None) -> int:
         report = _report(command, digested, results)
         print(_render(report, args.format))
         return EXIT_OK
-    except (CliError, ArithmeticError) as exc:
-        code = exc.code if isinstance(exc, CliError) else EXIT_NUMERICAL
-        ambiguous = isinstance(exc, CliError) and code == EXIT_NUMERICAL
+    except Exception as exc:
+        code = exc.code if isinstance(exc, CliError) else next(
+            (code for types, code in EXIT_CODES if isinstance(exc, types)), None)
+        if code is None:  # not a rejected input: a bug, shown with its traceback
+            raise
+        status = "ambiguous" if isinstance(exc, AmbiguousResidualError) else "error"
         report = _report([args.command, getattr(args, "algebra", "")],
-                         {"command": args.command}, {"error": str(exc)},
-                         "ambiguous" if ambiguous else "error")
+                         {"command": args.command}, {"error": str(exc)}, status)
         print(_render(report, args.format))
         return code
 

@@ -569,34 +569,29 @@ def endo_action(a: Endo, gamma: KForm) -> KForm:
     """Derivation action: sum over slots of gamma(..., A X_i, ...).
 
     On one-forms this is the transpose action e^i -> sum_j A[i][j] e^j, and it
-    extends to higher degree as a derivation of the wedge product.
+    extends to higher degree as a derivation of the wedge product:
+    A gamma = sum_ij A[i][j] e^j wedge (e_i interior gamma).
     The identity endomorphism acts as multiplication by the degree.
     """
     if a.n != gamma.n:
         raise ValueError("dimension mismatch")
     backend = require_same_backend(a.backend, gamma.backend)
-    if gamma.k == 0:
-        return KForm.zero(gamma.n, 0, backend)
-    pos = index_position(gamma.n, gamma.k)
+    n, k = gamma.n, gamma.k
+    if k == 0:
+        return KForm.zero(n, 0, backend)
+    put = wedge_pairs(n, 1, k - 1)
     out = [zero(backend)] * len(gamma.coeffs)
-    for p, idx in enumerate(basis_indices(gamma.n, gamma.k)):
-        c = gamma.coeffs[p]
-        if c == 0:
-            continue
-        for slot in range(gamma.k):
-            i = idx[slot]
-            # replace e^i by A* e^i = sum_j A[i][j] e^j in this slot
-            for j in range(gamma.n):
-                aij = a.rows[i][j]
-                if aij == 0:
-                    continue
-                new_idx = idx[:slot] + (j,) + idx[slot + 1:]
-                if len(set(new_idx)) != gamma.k:
-                    continue
-                order = tuple(sorted(new_idx))
-                sign = _permutation_sign(new_idx)
-                out[pos[order]] += sign * aij * c
-    return KForm(gamma.n, gamma.k, out, backend)
+    for i, contractions in enumerate(interior_table(n, k)):
+        row = [(j, aij) for j, aij in enumerate(a.rows[i]) if aij != 0]
+        for p, q, s in contractions:
+            c = gamma.coeffs[p]
+            if c == 0:
+                continue
+            for j, aij in row:
+                hit = put.get((j, q))
+                if hit is not None:
+                    out[hit[0]] += (s * hit[1]) * aij * c
+    return KForm(n, k, out, backend)
 
 
 def inner(metric: MetricData, alpha: KForm, beta: KForm):

@@ -237,7 +237,7 @@ class StructureFlags:
         return self.radical_dim == 0
 
 
-def _span(vectors, n):
+def _span(vectors):
     """Canonical basis (rref rows) of the span of the given vectors."""
     rows = [list(v) for v in vectors if any(c != 0 for c in v)]
     if not rows:
@@ -248,7 +248,7 @@ def _span(vectors, n):
 
 def _bracket_span(alg, ubasis, vbasis):
     prods = [alg.bracket(u, v) for u in ubasis for v in vbasis]
-    return _span(prods, alg.n)
+    return _span(prods)
 
 
 def _trace_form(ads):
@@ -271,7 +271,7 @@ def killing_matrix(alg: LieAlgebra):
 def _derived(alg):
     """Canonical basis of [g, g]: the span of the [e_i, e_j], i < j."""
     n = alg.n
-    return _span([alg.bracket_basis(i, j) for i in range(n) for j in range(i + 1, n)], n)
+    return _span([alg.bracket_basis(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def _series_dims(first, step, n):
@@ -313,7 +313,7 @@ def _flags_and_radical(alg):
     lcs_dims = _series_dims(derived, lambda cur: _bracket_span(alg, full, cur), n)
     kil = killing_matrix(alg)  # the radical: the Killing-orthogonal of [g, g]
     constraint = [linalg.matvec(kil, b) for b in derived]
-    radical = [tuple(v) for v in _span(linalg.nullspace(constraint, ncols=n), n)]
+    radical = [tuple(v) for v in _span(linalg.nullspace(constraint, ncols=n))]
     ss_dim = n - len(radical)
     alg._flags = StructureFlags(
         solvable=derived_dims[-1] == 0,

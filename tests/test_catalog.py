@@ -186,3 +186,21 @@ def test_user_catalog_loading(tmp_path):
     assert loaded.su3_pair is not None
     # cleanup so other tests see the stock registry
     del catalog._REGISTRY["user_n2"]
+
+
+def test_parameters_are_checked_against_the_builder(tmp_path):
+    payload = {"entries": [{"id": "user_n2",
+                            "algebra": catalog.get("n2").algebra.to_json_dict()}]}
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps(payload))
+    catalog.load_user_catalog(path)
+    try:
+        for name in ("_algebra", "_id"):
+            with pytest.raises(catalog.ParamError, match="user_n2 does not accept"):
+                catalog.get("user_n2", **{name: F(1)})
+    finally:
+        del catalog._REGISTRY["user_n2"]
+    for value in ("x", 0.5, "1/0"):
+        with pytest.raises(catalog.ParamError, match="g_a parameter a"):
+            catalog.get("g_a", a=value)
+    assert catalog.get("g_a", a="3/4").params == {"a": F(3, 4)}

@@ -606,6 +606,19 @@ def test_failing_parallel_sweep_exits_2():
     assert report["command"] == ["analyze", "g_a"]
 
 
+def test_library_error_in_a_spawned_worker_exits_2():
+    # a ParamError raised by catalog.get in a worker, not a CliError, must map to 2
+    env = dict(os.environ, PYTHONPATH=str(Path(g2lab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2lab.cli", "analyze", "g_a",
+         "--param", "a=x,1", "--jobs", "2"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error" and report["command"] == ["analyze", "g_a"]
+    assert "Invalid literal for Fraction" in report["results"]["error"]
+
+
 def test_shared_parser_leaks_nothing_between_invocations(capsys):
     # the parser is built once per process: each of two invocations in one
     # process must report what it reports alone, in a fresh process
@@ -667,3 +680,47 @@ def test_user_catalog_verification_failure_exit_4(capsys, tmp_path, monkeypatch)
         catalog._REGISTRY.pop("degenerate_phi", None)
     assert code == 4 and report["status"] == "error"
     assert "phi positive" in report["results"]["error"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["search-closed", "n2"], 4, "search needs a 7-dimensional algebra"),
+    (["g2", "n1", "--phi", "{phi}"], 4, "G2-structures need a 7-dimensional algebra"),
+    (["g2", "{alg6}", "--phi", "{phi}"], 4, "G2-structures need a 7-dimensional algebra"),
+    (["g2", "g_a", "--phi", "{two}"], 4, "phi must be a 3-form on R^7"),
+    (["su3", "g_a", "--omega", "{omega}", "--psi", "{psi}"], 4,
+     "SU(3)-structures need a 6-dimensional algebra"),
+    (["su3", "n2", "--omega", "{psi}", "--psi", "{omega}"], 4,
+     "expected a 2-form and a 3-form on R^6"),
+    (["analyze", "g_a", "--param", "a=x"], 2, "Invalid literal for Fraction"),
+    (["analyze", "nonsolv_2", "--param", "mu=abc"], 2, "Invalid literal for Fraction"),
+    (["flow", "g_a", "--param", "a=1", "--t-end", "0.1", "--out", "{missing}/x.csv"], 2,
+     "No such file or directory"),
+    (["analyze", "user_entry", "--param", "_algebra=1"], 2,
+     "user_entry does not accept parameters ['_algebra']"),
+    (["analyze", "user_entry", "--param", "_id=x"], 2,
+     "user_entry does not accept parameters ['_id']"),
+], ids=["search-6-dim", "g2-6-dim-entry", "g2-6-dim-file", "g2-2-form", "su3-7-dim",
+        "su3-swapped-pair", "param-not-rational", "mu-not-rational", "out-unwritable",
+        "user-entry-_algebra", "user-entry-_id"])
+def test_rejected_input_is_a_well_formed_report(capsys, tmp_path, monkeypatch, argv, code,
+                                                message):
+    omega, psi = catalog.get("n2").su3_pair
+    files = {"phi": adapted_phi().to_json_dict(),
+             "two": {"n": 7, "k": 2, "terms": [{"idx": [1, 2], "c": "1"}]},
+             "omega": omega.to_json_dict(), "psi": psi.to_json_dict(),
+             "alg6": catalog.get("n2").algebra.to_json_dict()}
+    paths = {"missing": str(tmp_path / "missing")}
+    for name, payload in files.items():
+        paths[name] = str(tmp_path / (name + ".json"))
+        Path(paths[name]).write_text(json.dumps(payload))
+    _user_catalog(tmp_path, monkeypatch, "user_entry", {"algebra": files["alg6"]})
+    argv = [a.format(**paths) for a in argv]
+    try:
+        got, report = run_json(capsys, *argv)
+    finally:
+        catalog._REGISTRY.pop("user_entry", None)
+    assert got == code
+    assert report["schema"] == "g2lab-report/1"
+    assert report["command"] == argv[:2]
+    assert report["status"] == "error"
+    assert message in report["results"]["error"]

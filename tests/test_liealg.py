@@ -361,7 +361,7 @@ def test_structure_flags_builds_derived_algebra_once(monkeypatch):
     import g2lab.liealg as liealg_mod
 
     spans, span = [], liealg_mod._span
-    monkeypatch.setattr(liealg_mod, "_span", lambda v, n: spans.append(n) or span(v, n))
+    monkeypatch.setattr(liealg_mod, "_span", lambda v: spans.append(v) or span(v))
     for alg in oracle_algebras():
         alg = LieAlgebra(alg.d1, alg.name)  # unclassified: catalog.get classified its own
         spans.clear()
