@@ -295,25 +295,39 @@ def _cmd_soliton(entry, args):
 
 def _cmd_flow(entry, args):
     for flag, value in (("--t-end", args.t_end), ("--dt", args.dt), ("--tol", args.tol)):
-        if not 0 < value < float("inf"):
+        if value is not None and not 0 < value < float("inf"):
             raise CliError("%s must be a finite positive number" % flag, EXIT_PARSE)
-    traj = laplacian_flow(_structure_from_args(entry, args), args.t_end,
-                          dt0=args.dt, tol=args.tol)
-    results = {
-        "status": traj.status,
-        "steps": len(traj.samples) - 1,
-        "t_final": traj.samples[-1].t,
-        "tau_norm_sq_final": traj.samples[-1].tau_norm_sq,
-        "scal_final": traj.samples[-1].scal,
-    }
+    struct = _structure_from_args(entry, args)
+    paths = ()
     if args.out:
-        trajectory_to_csv(traj, args.out)
         root, ext = os.path.splitext(args.out)
-        derived_series_to_csv(traj, root + "_derived" + (ext or ".csv"))
-        results["csv"] = args.out
-    if args.compare:
-        results["comparison"] = args.compare
-        results["max_deviation"] = _compare_closed_form(entry, traj, args.compare)
+        paths = (args.out, root + "_derived" + (ext or ".csv"))
+    created = []  # removed again if the run fails: no partial CSV is left
+    try:
+        for path in paths:  # an unwritable --out fails here, before the run
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            if new:
+                created.append(path)
+        traj = laplacian_flow(struct, args.t_end, dt0=args.dt, tol=args.tol)
+        results = {
+            "status": traj.status,
+            "steps": len(traj.samples) - 1,
+            "t_final": traj.samples[-1].t,
+            "tau_norm_sq_final": traj.samples[-1].tau_norm_sq,
+            "scal_final": traj.samples[-1].scal,
+        }
+        if args.compare:
+            results["comparison"] = args.compare
+            results["max_deviation"] = _compare_closed_form(entry, traj, args.compare)
+        if paths:
+            trajectory_to_csv(traj, paths[0])
+            derived_series_to_csv(traj, paths[1])
+            results["csv"] = args.out
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
     return results
 
 
@@ -434,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = algebra_command("flow", help="Laplacian flow integration")
     sp.add_argument("--t-end", dest="t_end", type=float, required=True)
-    sp.add_argument("--dt", type=float, default=1e-3)
+    sp.add_argument("--dt", type=float, default=None,
+                    help="first step tried (default: chosen from the start)")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--out", help="trajectory CSV path")
     sp.add_argument("--compare", choices=list(_CLOSED_FORMS))

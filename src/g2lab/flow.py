@@ -10,7 +10,12 @@ scatter, gather or sign pass).  Integration uses the Dormand-Prince 8(5,3)
 pair: the 8th-order solution advances, its embedded 5th- and 3rd-order
 solutions give the error estimate that controls the step, and the last stage,
 taken at the new state, is the next step's first (FSAL), so a step costs
-twelve evaluations.
+twelve evaluations.  Unless a first step is given, it is chosen from f(phi_0)
+and one more evaluation at an Euler point (Hairer's starting step, as in
+dop853.f), and after each accepted step the next is the smaller of the
+classic proposal and Gustafsson's predictive one from the last two accepted
+steps (as in radau5.f), so a run neither ramps up from a tiny step nor
+overshoots repeatedly as the fitting step shrinks toward a blow-up.
 
 Also provided: the closed-form self-similar solution on the one-parameter
 rank-one extensions of the coupled nilpotent algebra, the closed-form
@@ -253,7 +258,7 @@ class FlowTrajectory:
         return self.samples[-1]
 
 
-def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
+def laplacian_flow(start: G2Structure, t_end: float, dt0: Optional[float] = None,
                    tol: float = 1e-9) -> FlowTrajectory:
     """Integrate d phi/dt = Delta phi from a closed positive structure.
 
@@ -263,22 +268,31 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     advances.  With e5 and e3 the max norms of the gaps to the embedded 5th-
     and 3rd-order solutions per unit step, Hairer's combined estimate
     h e5^2 / sqrt(e5^2 + e3^2 / 100) is kept below tol * h, so tol bounds
-    the error per unit time; the estimate over h is O(h^7), which sets the
-    step factor 0.9 (tol h / estimate)^(1/7).  Positivity lost inside a step
-    rejects it, and the stages it took still count in rhs_evals.  The
-    integrator stops early with status "blowup-approach" when |tau|^2
-    exceeds 1e12 at an accepted state, or when the step size underflows
-    after the torsion grew.
-    t_end, dt0 and tol must be finite and positive.
+    the error per unit time.  The estimate over h is O(h^7): with
+    q = estimate / (tol h), an accepted step proposes the smaller of the
+    factors 0.9 q^(-1/7) and Gustafsson's predictive
+    0.9 (h / h_acc) (q_acc / q^2)^(1/7), (h_acc, q_acc) the previous accepted
+    step with q_acc floored at 1e-2; a rejected step retries with
+    0.9 q^(-1/7), and the step after a rejection does not grow.
+    dt0 is the first step tried.  dt0=None chooses it from f_0 = f(phi_0):
+    with h0 = min(0.01 |phi_0| / |f_0|, t_end) (max norms) and f_1 = f at
+    phi_0 + h0 f_0, m = max(|f_0|, |f_1 - f_0| / h0) and the first step is
+    min(100 h0, (0.01 tol / m)^(1/8)) (Hairer's starting step, order 8).  A
+    probe point that is not positive shrinks h0 tenfold; every probe counts
+    in rhs_evals.  A start with f_0 = 0 is a fixed point and steps straight
+    to t_end.  Positivity lost inside a step rejects it, and the stages it
+    took still count in rhs_evals.  The integrator stops early with status
+    "blowup-approach" when |tau|^2 exceeds 1e12 at an accepted state, or when
+    the step size underflows after the torsion grew.
+    t_end, tol and a given dt0 must be finite and positive.
     """
-    if not all(0 < x < math.inf for x in (t_end, dt0, tol)):
+    if not all(0 < x < math.inf for x in (t_end, tol, 1.0 if dt0 is None else dt0)):
         raise ValueError("t_end, dt0 and tol must be finite and positive")
     if not start.is_closed():  # exactly for a rational start
         raise NotClosedError("initial form is not closed")
     kernel = FlowKernel(start.algebra)
     y = start.phi.np_coeffs
     t = 0.0
-    h = float(dt0)
     status = "completed"
     samples = []
     steps = []
@@ -301,7 +315,24 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
     k[0], tau_nsq = kernel.rhs(y)
     record(t, y, tau_nsq)
     evals, rejected = 1, 0
+    if dt0 is not None:
+        h = float(dt0)
+    elif not k[0].any():
+        h = t_end  # tau = 0: phi is a fixed point
+    else:
+        d1 = float(np.max(np.abs(k[0])))
+        h0 = min(0.01 * float(np.max(np.abs(y))) / d1, t_end)
+        while True:
+            evals += 1
+            try:
+                f1 = kernel.rhs(y + h0 * k[0])[0]
+                break
+            except NotPositiveError:
+                h0 *= 0.1
+        m = max(d1, float(np.max(np.abs(f1 - k[0]))) / h0)
+        h = min(100.0 * h0, (0.01 * tol / m) ** (1 / 8))
     just_rejected = False
+    h_acc = q_acc = None  # the previous accepted step and its error ratio
     while t < t_end - 1e-15 and tau_nsq <= BLOWUP_TAU_SQ:
         h = min(h, t_end - t)
         if h < 1e-13:
@@ -325,20 +356,23 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: float = 1e-3,
             # h e5^2 / sqrt(e5^2 + e3^2 / 100), without overflow or 0 / 0
             err = h * e5 / math.hypot(1.0, 0.1 * e3 / e5) if e5 else 0.0
         evals += i  # stages 1..i were evaluated
-        bound = tol * h
-        if err <= bound:
+        q = err / (tol * h)
+        if q <= 1.0:
             y, t, tau_nsq = y_new, t + h, tau_new
             if tau_nsq > BLOWUP_TAU_SQ:
                 break  # the torsion guard reads the accepted state
             k[0] = k[12]
             record(t, y, tau_nsq)
             steps.append(h)
-            growth = 1.0 if just_rejected else 2.0
-            factor = growth if err == 0 \
-                else min(growth, 0.9 * (bound / err) ** (1 / 7))
+            factor = 1.0 if just_rejected else 2.0
+            if q:
+                factor = min(factor, 0.9 * q ** (-1 / 7))
+                if h_acc is not None:  # Gustafsson's predictive controller
+                    factor = min(factor, 0.9 * (h / h_acc) * (q_acc / q / q) ** (1 / 7))
+            h_acc, q_acc = h, max(q, 1e-2)
             just_rejected = False
         else:
-            factor = 0.9 * (bound / err) ** (1 / 7)
+            factor = 0.9 * q ** (-1 / 7)
             rejected += 1
             just_rejected = True
         h *= max(factor, 0.1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import g2lab
-from g2lab import catalog
+from g2lab import catalog, cli
 from g2lab.cli import CliError, build_parser, main
 from g2lab.g2 import adapted_phi
 
@@ -461,6 +461,14 @@ def test_flow_stall_exit_5(capsys):
     assert "step size underflow" in report["results"]["error"]
 
 
+def test_flow_failing_after_the_out_check_leaves_no_csv(capsys, tmp_path):
+    out = tmp_path / "traj.csv"
+    code, report = run_json(capsys, "flow", "g_a", "--param", "a=1/2",
+                            "--t-end", "0.05", "--tol", "1e-300", "--out", str(out))
+    assert code == 5 and report["status"] == "error"
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- search-closed -------------------------------------------------------------------
 
 def test_search_closed_ffkm(capsys):
@@ -714,11 +722,14 @@ def test_rejected_input_is_a_well_formed_report(capsys, tmp_path, monkeypatch, a
         paths[name] = str(tmp_path / (name + ".json"))
         Path(paths[name]).write_text(json.dumps(payload))
     _user_catalog(tmp_path, monkeypatch, "user_entry", {"algebra": files["alg6"]})
+    flows = []  # none of these inputs may start a flow; --out fails before it
+    monkeypatch.setattr(cli, "laplacian_flow", lambda *a, **k: flows.append(a))
     argv = [a.format(**paths) for a in argv]
     try:
         got, report = run_json(capsys, *argv)
     finally:
         catalog._REGISTRY.pop("user_entry", None)
+    assert flows == []
     assert got == code
     assert report["schema"] == "g2lab-report/1"
     assert report["command"] == argv[:2]

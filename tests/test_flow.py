@@ -186,6 +186,22 @@ def test_abelian_flow_constant(abelian7_entry):
         assert s.tau_norm_sq < 1e-18
 
 
+def test_stationary_start_steps_straight_to_t_end(abelian7_entry):
+    # f(phi_0) = 0 exactly: phi is a fixed point and the automatic start
+    # takes one step to t_end, whose error estimate is 0
+    struct = G2Structure(abelian7_entry.algebra, adapted_phi())
+    traj = laplacian_flow(struct, 1.0)
+    assert traj.status == "completed" and traj.stats.accepted == 1
+    assert traj.stats.rejected == 0 and traj.times == [0.0, 1.0]
+    ref = adapted_phi().to_float()
+    assert all(float((s.phi - ref).max_abs()) < 1e-12 for s in traj.samples)
+
+
+def test_flow_starts_at_a_given_dt0(g_half_struct):
+    traj = laplacian_flow(g_half_struct, 0.05, dt0=1e-3, tol=1e-9)
+    assert traj.times[1] == 1e-3
+
+
 def test_flow_matches_lauret_closed_form(g_half_traj):
     assert g_half_traj.status == "completed"
     worst = 0.0
@@ -299,6 +315,58 @@ def test_flow_positivity_lost_in_a_stage_is_a_rejection(g_half_struct, monkeypat
     assert traj.status == "completed" and traj.samples[-1].t == 0.05
     assert traj.stats.rejected == 1
     assert traj.stats.rhs_evals == len(calls)  # the failed stage counts too
+
+
+def test_flow_positivity_lost_at_the_probe_shrinks_it(g_half_struct, monkeypatch):
+    # the second metric is the automatic start's probe at phi_0 + h0 f_0;
+    # it fails, h0 shrinks tenfold, and both probes count
+    import g2lab.flow as flow_mod
+
+    calls = []
+    metric = flow_mod.FlowKernel.metric
+
+    def failing_second(self, y):
+        calls.append(1)
+        if len(calls) == 2:
+            raise flow_mod.NotPositiveError("not a positive 3-form")
+        return metric(self, y)
+
+    monkeypatch.setattr(flow_mod.FlowKernel, "metric", failing_second)
+    traj = laplacian_flow(g_half_struct, 0.05)
+    stats = traj.stats
+    assert traj.status == "completed" and traj.samples[-1].t == 0.05
+    assert stats.rhs_evals == len(calls)
+    assert stats.rhs_evals == 12 * (stats.accepted + stats.rejected) + 3
+
+
+def test_automatic_start_takes_one_probe(g_half_struct):
+    stats = laplacian_flow(g_half_struct, 0.05).stats
+    assert stats.accepted > 0
+    assert stats.rhs_evals == 12 * (stats.accepted + stats.rejected) + 2
+
+
+def test_short_gabk_run_takes_few_evaluations():
+    # the starting step from f(phi_0) skips the ramp-up from a tiny step:
+    # 38 evaluations, against 109 from dt0 = 1e-3
+    entry = catalog.get("g_abk", a=F(-1, 4), b=F(11, 40), k=1)
+    struct = G2Structure(entry.algebra, entry.phi)
+    traj = laplacian_flow(struct, 0.3)
+    assert traj.status == "completed" and traj.stats.rhs_evals <= 50
+    worst = max(float((s.phi - gabk_phi(F(11, 40), s.t)).max_abs())
+                for s in traj.samples)
+    assert worst < 1e-6
+
+
+def test_predictive_controller_rejects_few_steps_toward_blowup(g_half_struct):
+    # the fitting step shrinks every step on the way to the blow-up at 3/8;
+    # a proposal from the last error alone overshoots it 8 times to t = 0.3
+    traj = laplacian_flow(g_half_struct, 0.3)
+    stats = traj.stats
+    assert traj.status == "completed"
+    assert stats.rejected <= 2 and stats.rhs_evals <= 320
+    worst = max(float((s.phi - lauret_solution(F(1, 2), s.t)).max_abs())
+                for s in traj.samples)
+    assert worst < 1e-6
 
 
 def test_kernel_torsion_matches_exact():
