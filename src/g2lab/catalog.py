@@ -87,9 +87,18 @@ class EntrySpec:
 _REGISTRY: dict = {}
 
 
-def _register(spec: EntrySpec):
-    _REGISTRY[spec.id] = spec
-    return spec
+def _entry(entry_id, param_doc, description, ambiguous=False):
+    """Register the decorated builder as catalog entry ``entry_id``.
+
+    A builder takes the entry's parameters and returns only its mathematics:
+    a dict with ``algebra`` and ``expected``, and ``su3_pair`` or ``phi``
+    where the entry attaches one; ``get`` builds the CatalogEntry.
+    """
+    def register(builder):
+        _REGISTRY[entry_id] = EntrySpec(entry_id, builder, param_doc, description,
+                                        ambiguous)
+        return builder
+    return register
 
 
 def entry_ids():
@@ -106,7 +115,9 @@ def describe(entry_id: str) -> EntrySpec:
 def get(entry_id: str, **params) -> CatalogEntry:
     """Build and verify an entry.  Parameter names are checked against the
     builder's signature, and a rational parameter whose value is not an exact
-    rational is a ParamError."""
+    rational is a ParamError.  The entry's params are the builder's defaults
+    updated by the given values; its id, description and ambiguity are the
+    spec's."""
     spec = describe(entry_id)
     unknown = sorted(set(params) - set(spec.defaults))
     if unknown:
@@ -117,7 +128,12 @@ def get(entry_id: str, **params) -> CatalogEntry:
                 params[name] = as_rational(value)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParamError("%s parameter %s: %s" % (entry_id, name, exc)) from None
-    entry = spec.builder(**params)
+    fields = spec.builder(**params)
+    entry = CatalogEntry(
+        id=spec.id, algebra=fields["algebra"], params={**spec.defaults, **params},
+        su3_pair=fields.get("su3_pair"), phi=fields.get("phi"),
+        expected=fields["expected"], description=spec.description,
+        ambiguous=spec.ambiguous)
     _verify(entry)
     return entry
 
@@ -228,116 +244,84 @@ def sab_derivation(b, k) -> Endo:
     ])
 
 
+@_entry("n1", "none", "nilpotent step-4 algebra with coupled pair (c = -1)")
 def _entry_n1():
-    return CatalogEntry(
-        id="n1", algebra=nilpotent_n1(), params={},
-        su3_pair=adapted_su3_pair(), phi=None,
-        expected={"unimodular": True, "solvable": True, "nilpotent_step": 4,
-                  "coupled_c": Fraction(-1)},
-        description="nilpotent, coupled pair with c = -1; dw2 never proportional to psi",
-    )
+    return {"algebra": nilpotent_n1(), "su3_pair": adapted_su3_pair(),
+            "expected": {"unimodular": True, "solvable": True, "nilpotent_step": 4,
+                         "coupled_c": Fraction(-1)}}
 
 
+@_entry("n2", "none", "nilpotent step-2 algebra with coupled pair (c = -1)")
 def _entry_n2():
-    return CatalogEntry(
-        id="n2", algebra=nilpotent_n2(), params={},
-        su3_pair=adapted_su3_pair(), phi=None,
-        expected={"unimodular": True, "solvable": True, "nilpotent_step": 2,
-                  "coupled_c": Fraction(-1)},
-        description="nilpotent, coupled pair with c = -1 and dw2 = (8/3) psi",
-    )
+    return {"algebra": nilpotent_n2(), "su3_pair": adapted_su3_pair(),
+            "expected": {"unimodular": True, "solvable": True, "nilpotent_step": 2,
+                         "coupled_c": Fraction(-1)}}
 
 
+@_entry("s_ab", "a, b rational", "unimodular solvable family, coupled with c = b")
 def _entry_s_ab(a=Fraction(1), b=Fraction(1)):
-    alg = solvable_s_ab(a, b)
-    coupled = b if b != 0 else "shf"
     if a != 0:
         step = None  # solvable non-nilpotent
     elif b != 0:
         step = 2  # isomorphic to the step-2 nilpotent algebra
     else:
         step = 1  # abelian
-    expected = {"unimodular": True, "solvable": True, "coupled_c": coupled,
-                "nilpotent_step": step}
-    return CatalogEntry(
-        id="s_ab", algebra=alg, params={"a": a, "b": b},
-        su3_pair=adapted_su3_pair(), phi=None,
-        expected=expected,
-        description="unimodular solvable family; coupled with c = b when b != 0",
-    )
+    return {"algebra": solvable_s_ab(a, b), "su3_pair": adapted_su3_pair(),
+            "expected": {"unimodular": True, "solvable": True,
+                         "coupled_c": b if b != 0 else "shf", "nilpotent_step": step}}
 
 
 # ---------------------------------------------------------------------------
 # seven-dimensional entries
 # ---------------------------------------------------------------------------
 
+@_entry("abelian7", "none", "flat baseline with the adapted parallel form")
 def _entry_abelian7():
-    return CatalogEntry(
-        id="abelian7", algebra=abelian(7, name="abelian7"), params={},
-        su3_pair=None, phi=adapted_phi(),
-        expected={"unimodular": True, "solvable": True, "nilpotent_step": 1,
-                  "phi_closed": True},
-        description="flat baseline; the attached form is parallel",
-    )
+    return {"algebra": abelian(7, name="abelian7"), "phi": adapted_phi(),
+            "expected": {"unimodular": True, "solvable": True, "nilpotent_step": 1,
+                         "phi_closed": True}}
 
 
+@_entry("ffkm_n", "none", "3-step nilpotent algebra used for closed-form search")
 def _entry_ffkm_n():
     alg = from_structure_equations(
         7,
         {4: {(1, 2): 1}, 5: {(1, 3): 1}, 6: {(1, 4): 1}, 7: {(1, 5): 1}},
         name="ffkm_n")
-    return CatalogEntry(
-        id="ffkm_n", algebra=alg, params={},
-        su3_pair=None, phi=None,
-        expected={"unimodular": True, "solvable": True, "nilpotent_step": 3},
-        description="3-step nilpotent algebra; closed positive forms exist and "
-                    "are found by randomized search",
-    )
+    return {"algebra": alg,
+            "expected": {"unimodular": True, "solvable": True, "nilpotent_step": 3}}
 
 
-def _extension_entry(entry_id, base, deriv, params, description, extra_expected=None):
-    # no derivation check here: a non-derivation breaks Jacobi, which _verify checks
-    alg = _extension_structure(base, deriv, name=entry_id)
-    expected = {"phi_closed": True}
-    expected.update(extra_expected or {})
-    return CatalogEntry(
-        id=entry_id, algebra=alg, params=params,
-        su3_pair=None, phi=adapted_phi(), expected=expected,
-        description=description,
-    )
+def _extension_entry(entry_id, base, deriv, expected):
+    # no derivation check here: a non-derivation breaks Jacobi, which _verify checks;
+    # the algebra's name is part of a report's input digest
+    return {"algebra": _extension_structure(base, deriv, name=entry_id),
+            "phi": adapted_phi(), "expected": {"phi_closed": True, **expected}}
 
 
+@_entry("g_a", "a rational >= 1/4", "soliton-carrying extensions of n2")
 def _entry_g_a(a=Fraction(1, 2)):
     if a < Fraction(1, 4):
         raise ParamError("g_a requires a >= 1/4")
     return _extension_entry(
-        "g_a", nilpotent_n2(), lauret_derivation(a), {"a": a},
-        "one-parameter solvable extensions of n2 carrying algebraic solitons",
-        extra_expected={"unimodular": False, "solvable": True,
-                        "nilpotent_step": None},
-    )
+        "g_a", nilpotent_n2(), lauret_derivation(a),
+        {"unimodular": False, "solvable": True, "nilpotent_step": None})
 
 
+@_entry("g_ab", "a, b rational", "extensions of n1 with closed structures")
 def _entry_g_ab(a=Fraction(1), b=Fraction(1)):
     return _extension_entry(
-        "g_ab", nilpotent_n1(), n1_derivation(a, b), {"a": a, "b": b},
-        "two-parameter extensions of n1 with closed structures",
-        extra_expected={"unimodular": False, "solvable": True,
-                        "nilpotent_step": None},
-    )
+        "g_ab", nilpotent_n1(), n1_derivation(a, b),
+        {"unimodular": False, "solvable": True, "nilpotent_step": None})
 
 
+@_entry("g_abk", "a, b, k rational",
+        "extensions of the solvable family (no algebraic soliton for a != 0 and b != 0)")
 def _entry_g_abk(a=Fraction(1), b=Fraction(1), k=Fraction(0)):
     expected = {"solvable": True, "nilpotent_step": None}
     if b != 0:
         expected["unimodular"] = False
-    return _extension_entry(
-        "g_abk", solvable_s_ab(a, b), sab_derivation(b, k),
-        {"a": a, "b": b, "k": k},
-        "three-parameter extensions of the solvable family; closed but never "
-        "an algebraic soliton when a != 0 and b != 0",
-        extra_expected=expected,
-    )
+    return _extension_entry("g_abk", solvable_s_ab(a, b), sab_derivation(b, k), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +330,22 @@ def _entry_g_abk(a=Fraction(1), b=Fraction(1), k=Fraction(0)):
 
 _SL2_PART = {1: {(2, 3): -1}, 2: {(1, 2): -2}, 3: {(1, 3): 2}}
 
+#: the record nonsolv_2, nonsolv_3 and nonsolv_levi share
+_LEVI_EXPECTED = {"unimodular": True, "solvable": False, "levi_type": "sl2R",
+                  "radical_dim": 4}
 
+
+@_entry("nonsolv_2", "mu rational in (-1, 1/2]", "second trivial-Levi family")
 def _entry_nonsolv_2(mu=Fraction(1, 2)):
     if not (Fraction(-1) < mu <= Fraction(1, 2)):
         raise ParamError("nonsolv_2 requires -1 < mu <= 1/2")
     eqs = dict(_SL2_PART)
     eqs.update({5: {(4, 5): -1}, 6: {(4, 6): -mu}, 7: {(4, 7): 1 + mu}})
     alg = from_structure_equations(7, eqs, name="nonsolv_2", params={"mu": mu})
-    return CatalogEntry(
-        id="nonsolv_2", algebra=alg, params={"mu": mu}, su3_pair=None, phi=None,
-        expected={"unimodular": True, "solvable": False, "levi_type": "sl2R",
-                  "radical_dim": 4},
-        description="trivial Levi decomposition, diagonal radical action",
-    )
+    return {"algebra": alg, "expected": dict(_LEVI_EXPECTED)}
 
 
+@_entry("nonsolv_3", "mu rational > 0", "third trivial-Levi family")
 def _entry_nonsolv_3(mu=Fraction(1)):
     if not mu > 0:
         raise ParamError("nonsolv_3 requires mu > 0")
@@ -369,27 +354,17 @@ def _entry_nonsolv_3(mu=Fraction(1)):
                 6: {(4, 6): mu / 2, (4, 7): -1},
                 7: {(4, 6): 1, (4, 7): mu / 2}})
     alg = from_structure_equations(7, eqs, name="nonsolv_3", params={"mu": mu})
-    return CatalogEntry(
-        id="nonsolv_3", algebra=alg, params={"mu": mu}, su3_pair=None, phi=None,
-        expected={"unimodular": True, "solvable": False, "levi_type": "sl2R",
-                  "radical_dim": 4},
-        description="trivial Levi decomposition, rotational radical action",
-    )
+    return {"algebra": alg, "expected": dict(_LEVI_EXPECTED)}
 
 
+@_entry("nonsolv_levi", "none", "non-trivial Levi decomposition")
 def _entry_nonsolv_levi():
     eqs = dict(_SL2_PART)
     eqs.update({4: {(1, 4): -1, (2, 5): -1, (4, 7): -1},
                 5: {(1, 5): 1, (3, 4): -1, (5, 7): -1},
                 6: {(6, 7): 2}})
-    alg = from_structure_equations(7, eqs, name="nonsolv_levi")
-    return CatalogEntry(
-        id="nonsolv_levi", algebra=alg, params={}, su3_pair=None, phi=None,
-        expected={"unimodular": True, "solvable": False, "levi_type": "sl2R",
-                  "radical_dim": 4, "radical_nonabelian": True},
-        description="non-trivial Levi decomposition; radical is a solvable "
-                    "non-abelian 4-dimensional ideal",
-    )
+    return {"algebra": from_structure_equations(7, eqs, name="nonsolv_levi"),
+            "expected": {**_LEVI_EXPECTED, "radical_nonabelian": True}}
 
 
 #: the published list for this family has eight items for seven differentials;
@@ -406,6 +381,8 @@ NONSOLV1_VARIANTS = {
 }
 
 
+@_entry("nonsolv_1", "variant in {'A', 'B'}",
+        "first trivial-Levi family (ambiguous source data)", ambiguous=True)
 def _entry_nonsolv_1(variant=None):
     if variant is None:
         raise AmbiguousEntryError(
@@ -415,48 +392,9 @@ def _entry_nonsolv_1(variant=None):
         raise ParamError("variant must be 'A' or 'B'")
     eqs = dict(_SL2_PART)
     eqs.update(NONSOLV1_VARIANTS[variant])
-    alg = from_structure_equations(7, eqs, name="nonsolv_1%s" % variant)
-    return CatalogEntry(
-        id="nonsolv_1", algebra=alg, params={"variant": variant},
-        su3_pair=None, phi=None,
-        expected={"solvable": False, "levi_type": "sl2R",
-                  "unimodular": (variant == "A")},
-        description="ambiguous source list; variant A is the unimodular "
-                    "reading, variant B fails unimodularity",
-        ambiguous=True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-_register(EntrySpec("abelian7", _entry_abelian7, "none",
-                    "flat baseline with the adapted parallel form"))
-_register(EntrySpec("n1", _entry_n1, "none",
-                    "nilpotent step-4 algebra with coupled pair (c = -1)"))
-_register(EntrySpec("n2", _entry_n2, "none",
-                    "nilpotent step-2 algebra with coupled pair (c = -1)"))
-_register(EntrySpec("ffkm_n", _entry_ffkm_n, "none",
-                    "3-step nilpotent algebra used for closed-form search"))
-_register(EntrySpec("s_ab", _entry_s_ab, "a, b rational",
-                    "unimodular solvable family, coupled with c = b"))
-_register(EntrySpec("g_a", _entry_g_a, "a rational >= 1/4",
-                    "soliton-carrying extensions of n2"))
-_register(EntrySpec("g_ab", _entry_g_ab, "a, b rational",
-                    "extensions of n1 with closed structures"))
-_register(EntrySpec("g_abk", _entry_g_abk, "a, b, k rational",
-                    "extensions of the solvable family (no algebraic soliton "
-                    "for a != 0 and b != 0)"))
-_register(EntrySpec("nonsolv_1", _entry_nonsolv_1, "variant in {'A', 'B'}",
-                    "first trivial-Levi family (ambiguous source data)",
-                    ambiguous=True))
-_register(EntrySpec("nonsolv_2", _entry_nonsolv_2, "mu rational in (-1, 1/2]",
-                    "second trivial-Levi family"))
-_register(EntrySpec("nonsolv_3", _entry_nonsolv_3, "mu rational > 0",
-                    "third trivial-Levi family"))
-_register(EntrySpec("nonsolv_levi", _entry_nonsolv_levi, "none",
-                    "non-trivial Levi decomposition"))
+    return {"algebra": from_structure_equations(7, eqs, name="nonsolv_1%s" % variant),
+            "expected": {"solvable": False, "levi_type": "sl2R",
+                         "unimodular": (variant == "A")}}
 
 
 #: retry ladder for the randomized search (primary seed plus three fallbacks)
@@ -529,15 +467,13 @@ def load_user_catalog(path):
         if "omega" in item and "psi" in item:
             pair = (KForm.from_json_dict(item["omega"], backend=RATIONAL),
                     KForm.from_json_dict(item["psi"], backend=RATIONAL))
-        description = item.get("description", "user entry")
-        builder = partial(_user_entry, entry_id, algebra, phi, pair, description)
-        _register(EntrySpec(entry_id, builder, "none", description))
+        builder = partial(_user_entry, algebra, phi, pair)
+        _entry(entry_id, "none", item.get("description", "user entry"))(builder)
         ids.append(entry_id)
     return ids
 
 
-def _user_entry(entry_id, algebra, phi, pair, description):
+def _user_entry(algebra, phi, pair):
     """A user catalog entry; bound by ``partial``, its builder takes no parameters."""
-    return CatalogEntry(id=entry_id, algebra=algebra, params={}, su3_pair=pair, phi=phi,
-                        expected={"phi_closed": True} if phi is not None else {},
-                        description=description)
+    return {"algebra": algebra, "phi": phi, "su3_pair": pair,
+            "expected": {"phi_closed": True} if phi is not None else {}}

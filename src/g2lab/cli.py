@@ -98,24 +98,12 @@ def _parse_params(tokens):
             raise CliError("malformed parameter %r (expected name=value)" % tok,
                            EXIT_PARSE)
         name, _, raw = tok.partition("=")
-        try:
-            vals = [_parse_rational_or_str(v) for v in raw.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError("cannot parse parameter %r: %s" % (tok, exc),
-                           EXIT_PARSE) from None
         keys.append(name)
-        values.append(vals)
+        values.append([v.strip() for v in raw.split(",")])  # catalog.get converts
     sweeps = [{}]
     for name, vals in zip(keys, values):
         sweeps = [dict(s, **{name: v}) for s in sweeps for v in vals]
     return sweeps
-
-
-def _parse_rational_or_str(text):
-    text = text.strip()
-    if text and text[0].isalpha():
-        return text  # e.g. variant=A
-    return Fraction(text)
 
 
 def _json(path):
@@ -344,8 +332,9 @@ def _compare_closed_form(entry, traj, which):
 
 
 def _cmd_search_closed(entry, args):
-    if args.attempts < 0:
-        raise CliError("--attempts must not be negative", EXIT_PARSE)
+    for flag, value in (("--attempts", args.attempts), ("--seed", args.seed)):
+        if value < 0:
+            raise CliError("%s must not be negative" % flag, EXIT_PARSE)
     phi = search_closed_positive(entry.algebra, attempts=args.attempts,
                                  seed=args.seed,
                                  initial=entry.phi)

@@ -283,7 +283,8 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: Optional[float] = None
     to t_end.  Positivity lost inside a step rejects it, and the stages it
     took still count in rhs_evals.  The integrator stops early with status
     "blowup-approach" when |tau|^2 exceeds 1e12 at an accepted state, or when
-    the step size underflows after the torsion grew.
+    the step size underflows (h < 1e-13 max(1, t)) after the torsion grew; an
+    underflow without torsion growth raises FlowStalled.
     t_end, tol and a given dt0 must be finite and positive.
     """
     if not all(0 < x < math.inf for x in (t_end, tol, 1.0 if dt0 is None else dt0)):
@@ -335,9 +336,10 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: Optional[float] = None
     h_acc = q_acc = None  # the previous accepted step and its error ratio
     while t < t_end - 1e-15 and tau_nsq <= BLOWUP_TAU_SQ:
         h = min(h, t_end - t)
-        if h < 1e-13:
+        if h < 1e-13 * max(1.0, t):
             # the step size underflows exactly when the right-hand side becomes
-            # singular at the requested tolerance: approaching finite-time blow-up
+            # singular at the requested tolerance: approaching finite-time blow-up;
+            # relative to t, or a long run stalls on steps that no longer move t
             if samples[-1].tau_norm_sq <= max(10.0 * samples[0].tau_norm_sq, 1.0):
                 raise FlowStalled("step size underflow at t=%g without torsion "
                                   "growth" % t)

@@ -152,6 +152,48 @@ def test_entry_description_and_export(sab_12):
     assert data["params"] == {"a": "1", "b": "2"}
 
 
+#: per entry, parameters given beside the defaults (nonsolv_1 has no default)
+SAMPLE_PARAMS = {
+    "s_ab": [{"a": F(0), "b": F(2)}], "g_a": [{"a": F(2)}], "g_ab": [{"b": F(-1)}],
+    "g_abk": [{"a": F(2), "k": F(3)}], "nonsolv_1": [{"variant": "A"}, {"variant": "B"}],
+    "nonsolv_2": [{"mu": F(0)}], "nonsolv_3": [{"mu": F(1, 8)}],
+}
+
+
+def test_get_fills_in_the_spec_and_the_parameters():
+    for eid in catalog.entry_ids():
+        spec = catalog.describe(eid)
+        samples = SAMPLE_PARAMS.get(eid, [])
+        for given in samples if eid == "nonsolv_1" else [{}] + samples:
+            entry = catalog.get(eid, **given)
+            assert entry.id == eid
+            assert entry.description == spec.description, eid
+            assert entry.ambiguous == spec.ambiguous, eid
+            assert entry.params == {**spec.defaults, **given}, (eid, given)
+
+
+def test_nonsolv_3_at_mu_one_eighth_carries_a_closed_g2_structure():
+    # a directed ascent of the positivity margin over ker d found this form;
+    # the randomized search misses the thin cone it lies in
+    from oracles import ce_differential_oracle, kform_to_terms
+
+    from g2lab.exterior import KForm
+    from g2lab.g2 import closed_3form_basis, induced_bilinear
+    from g2lab.linalg import positive_det
+
+    alg = catalog.get("nonsolv_3", mu=F(1, 8)).algebra
+    x = [0, 0, 0, 0, 0, F(-1, 8), 1, 1, F(-1, 8), F(1, 2), -1, F(-1, 8), F(1, 2),
+         0, 0, 0, F(1, 8)]
+    basis = closed_3form_basis(alg)
+    assert len(basis) == len(x)
+    phi = sum((c * v for c, v in zip(x, basis)), KForm.zero(7, 3))
+    terms = kform_to_terms(phi)
+    assert len(terms) == 17
+    assert max(c.denominator for c in terms.values()) == 257
+    assert ce_differential_oracle(alg, terms, 3) == {}
+    assert positive_det(induced_bilinear(phi)) is not None
+
+
 def test_search_derived_forms_on_nonsolvable_entries():
     from g2lab.liealg import ce_differential
 

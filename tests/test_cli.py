@@ -461,6 +461,24 @@ def test_flow_stall_exit_5(capsys):
     assert "step size underflow" in report["results"]["error"]
 
 
+def test_long_expanding_flow_stalls_with_exit_5(capsys, monkeypatch):
+    # no float step moves t past ~1.9e8; the run must end, not spin
+    from g2lab.flow import FlowKernel
+
+    calls, rhs = [], FlowKernel.rhs
+
+    def capped(self, y):
+        calls.append(1)
+        assert len(calls) <= 3000, "the flow did not end"
+        return rhs(self, y)
+
+    monkeypatch.setattr(FlowKernel, "rhs", capped)
+    code, report = run_json(capsys, "flow", "g_a", "--param", "a=2", "--t-end", "1e16")
+    assert code == 5 and report["status"] == "error"
+    assert report["schema"] == "g2lab-report/1" and len(report["input_digest"]) == 64
+    assert "step size underflow" in report["results"]["error"]
+
+
 def test_flow_failing_after_the_out_check_leaves_no_csv(capsys, tmp_path):
     out = tmp_path / "traj.csv"
     code, report = run_json(capsys, "flow", "g_a", "--param", "a=1/2",
@@ -488,6 +506,12 @@ def test_search_closed_negative_attempts_exit_2(capsys):
     code, report = run_json(capsys, "search-closed", "ffkm_n", "--attempts", "-5")
     assert_parse_error_report(code, report, ["search-closed", "ffkm_n"])
     assert "--attempts" in report["results"]["error"]
+
+
+def test_search_closed_negative_seed_exit_2(capsys):
+    code, report = run_json(capsys, "search-closed", "ffkm_n", "--seed", "-1")
+    assert_parse_error_report(code, report, ["search-closed", "ffkm_n"])
+    assert "--seed" in report["results"]["error"]
 
 
 # -- catalog and global behaviour ------------------------------------------------------
@@ -701,6 +725,7 @@ def test_user_catalog_verification_failure_exit_4(capsys, tmp_path, monkeypatch)
      "expected a 2-form and a 3-form on R^6"),
     (["analyze", "g_a", "--param", "a=x"], 2, "Invalid literal for Fraction"),
     (["analyze", "nonsolv_2", "--param", "mu=abc"], 2, "Invalid literal for Fraction"),
+    (["analyze", "g_a", "--param", "a=1/0"], 2, "g_a parameter a:"),
     (["flow", "g_a", "--param", "a=1", "--t-end", "0.1", "--out", "{missing}/x.csv"], 2,
      "No such file or directory"),
     (["analyze", "user_entry", "--param", "_algebra=1"], 2,
@@ -708,7 +733,8 @@ def test_user_catalog_verification_failure_exit_4(capsys, tmp_path, monkeypatch)
     (["analyze", "user_entry", "--param", "_id=x"], 2,
      "user_entry does not accept parameters ['_id']"),
 ], ids=["search-6-dim", "g2-6-dim-entry", "g2-6-dim-file", "g2-2-form", "su3-7-dim",
-        "su3-swapped-pair", "param-not-rational", "mu-not-rational", "out-unwritable",
+        "su3-swapped-pair", "param-not-rational", "mu-not-rational", "param-zero-denominator",
+        "out-unwritable",
         "user-entry-_algebra", "user-entry-_id"])
 def test_rejected_input_is_a_well_formed_report(capsys, tmp_path, monkeypatch, argv, code,
                                                 message):

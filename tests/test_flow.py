@@ -271,6 +271,25 @@ def test_flow_reaches_the_gabk_blowup_time_in_few_evaluations(g110_structure):
     assert traj.stats.rhs_evals < 20_000
 
 
+def test_long_expanding_flow_stalls_in_bounded_work(monkeypatch):
+    # g_a at a = 2 expands self-similarly; near t = 1.9e8 no float step moves
+    # t any more, and the step-size underflow relative to t ends the run
+    import g2lab.flow as flow_mod
+
+    calls, rhs = [], flow_mod.FlowKernel.rhs
+
+    def capped(self, y):
+        calls.append(1)
+        assert len(calls) <= 3000, "the flow did not end"
+        return rhs(self, y)
+
+    monkeypatch.setattr(flow_mod.FlowKernel, "rhs", capped)
+    entry = catalog.get("g_a", a=2)
+    with pytest.raises(flow_mod.FlowStalled, match="without torsion growth") as stalled:
+        laplacian_flow(G2Structure(entry.algebra, entry.phi), 1e16)
+    assert float(str(stalled.value).split("t=")[1].split()[0]) > 1e8
+
+
 def test_flow_reports_blowup_approach(g_half_struct, monkeypatch):
     # lower the torsion guard so the singular approach is cheap to reach
     import g2lab.flow as flow_mod
