@@ -446,8 +446,13 @@ def closed_entry_instances():
 # user catalogs
 # ---------------------------------------------------------------------------
 
+#: the entries registered above; a user catalog may not replace one
+_BUILTIN_IDS = frozenset(_REGISTRY)
+
+
 def load_user_catalog(path):
-    """Register parameterless entries from a JSON file.
+    """Register parameterless entries from a JSON file.  An id that names a
+    built-in entry is a ValueError; a user id registered before is replaced.
 
     Schema: {"entries": [{"id": ..., "algebra": <liealg JSON>,
                           "phi": <KForm JSON, optional>,
@@ -460,6 +465,8 @@ def load_user_catalog(path):
     ids = []
     for item in data.get("entries", []):
         entry_id = item["id"]
+        if entry_id in _BUILTIN_IDS:
+            raise ValueError("user entry %r would replace a built-in entry" % entry_id)
         algebra = LieAlgebra.from_json_dict(item["algebra"])
         phi = KForm.from_json_dict(item["phi"], backend=RATIONAL) \
             if "phi" in item else None

@@ -98,6 +98,8 @@ def _parse_params(tokens):
             raise CliError("malformed parameter %r (expected name=value)" % tok,
                            EXIT_PARSE)
         name, _, raw = tok.partition("=")
+        if name in keys:
+            raise CliError("parameter %s given twice" % name, EXIT_PARSE)
         keys.append(name)
         values.append([v.strip() for v in raw.split(",")])  # catalog.get converts
     sweeps = [{}]

@@ -594,18 +594,22 @@ def endo_action(a: Endo, gamma: KForm) -> KForm:
     return KForm(n, k, out, backend)
 
 
+def _raised(metric: MetricData, gamma: KForm):
+    """Coefficients of Lambda^k g^-1 gamma: sum_J gram[I][J] gamma_J in index
+    order, over the nonzero gamma_J and the nonzero Gram entries only."""
+    support = [(j, c) for j, c in enumerate(gamma.coeffs) if c != 0]
+    return [sum(row[j] * c for j, c in support if row[j]) for row in metric.gram(gamma.k)]
+
+
 def inner(metric: MetricData, alpha: KForm, beta: KForm):
     """Metric inner product on degree-k forms: alpha . Lambda^k g^-1 . beta."""
     if (alpha.n, alpha.k) != (beta.n, beta.k):
         raise ValueError("form shape mismatch")
     require_same_backend(metric.backend, alpha.backend, beta.backend)
-    gram = metric.gram(alpha.k)
     total = zero(metric.backend)
-    for i, a in enumerate(alpha.coeffs):
-        if a == 0:
-            continue
-        row = gram[i]
-        total += a * sum(row[j] * b for j, b in enumerate(beta.coeffs) if b != 0)
+    for a, s in zip(alpha.coeffs, _raised(metric, beta)):
+        if a != 0:
+            total += a * s
     return total
 
 
@@ -630,13 +634,8 @@ def hodge(metric: MetricData, gamma: KForm) -> KForm:
         raise ValueError("dimension mismatch")
     require_same_backend(metric.backend, gamma.backend)
     n, k = gamma.n, gamma.k
-    gram = metric.gram(k)
-    volc = metric.vol_coeff
     out = [zero(metric.backend)] * len(basis_indices(n, n - k))
-    comp = complement_table(n, k)
-    for i in range(len(gamma.coeffs)):
-        s = sum(gram[i][j] * c for j, c in enumerate(gamma.coeffs) if c != 0)
+    for (cpos, sign), s in zip(complement_table(n, k), _raised(metric, gamma)):
         if s != 0:
-            cpos, sign = comp[i]
-            out[cpos] += sign * s * volc
+            out[cpos] += sign * s * metric.vol_coeff
     return KForm(n, n - k, out, metric.backend)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .exterior import Endo, KForm, basis_indices, index_position, wedge, wedge_pairs
+from .exterior import Endo, KForm, basis_indices, index_position, wedge_pairs
 from .scalars import RATIONAL, as_rational, zero
 
 ZERO = Fraction(0)
@@ -331,8 +331,8 @@ def _flags_and_radical(alg):
 def _levi3_type(alg, radical):
     """Type of the 3-dim semisimple quotient g/rad from its Killing form K.
 
-    "su2" when K is negative definite, "sl2R" when det K < 0 (exactly one
-    negative square), otherwise None.  ``radical`` is in canonical rref form,
+    A 3-dim semisimple algebra is su(2) or sl(2, R): "su2" when K is negative
+    definite, otherwise "sl2R".  ``radical`` is in canonical rref form,
     so its pivots are the leading nonzeros of its rows; the standard vectors
     on the other columns complete the radical to a basis of g.
     """
@@ -348,11 +348,8 @@ def _levi3_type(alg, radical):
     ad_q = [list(zip(*[quotient_coords(alg.bracket_basis(a, b)) for b in free]))
             for a in free]
     kil = _trace_form(ad_q)
-    if linalg.positive_det([[-x for x in row] for row in kil]) is not None:
-        return "su2"
-    if linalg.det(kil) < 0:
-        return "sl2R"
-    return None
+    negative_definite = linalg.positive_det([[-x for x in row] for row in kil]) is not None
+    return "su2" if negative_definite else "sl2R"
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +426,11 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
 def _extension_structure(alg: LieAlgebra, d: Endo, name=None) -> LieAlgebra:
     """Structure equations of the one-generator extension, without checks."""
     n = alg.n
-    eta = KForm.monomial(n + 1, (n + 1,))
-    new_d1 = []
-    for i in range(n):
-        base = alg.d1[i].embedded(n + 1)
-        one_form = KForm.from_terms(
-            n, 1, {(j + 1,): d.rows[i][j] for j in range(n)})
-        # degree k = 1: sign (-1)^(k+1) = +1
-        new_d1.append(base + wedge(one_form.embedded(n + 1), eta))
-    new_d1.append(KForm.zero(n + 1, 2))
-    return LieAlgebra(new_d1, name=name or (alg.name + "+R" if alg.name else ""),
-                      params=dict(alg.params))
+    # de^i + (D act e^i) ^ e^{n+1}, D act e^i = sum_j D_ij e^j; de^{n+1} = 0
+    equations = {i + 1: {**f.terms(), **{(j + 1, n + 1): dij for j, dij in enumerate(row)}}
+                 for i, (f, row) in enumerate(zip(alg.d1, d.rows))}
+    return from_structure_equations(n + 1, equations, params=alg.params,
+                                    name=name or (alg.name + "+R" if alg.name else ""))
 
 
 def rank_one_extension(alg: LieAlgebra, d: Endo, name=None) -> LieAlgebra:

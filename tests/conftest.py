@@ -10,6 +10,16 @@ from g2lab import catalog
 from g2lab.g2 import G2Structure
 
 
+@pytest.fixture(autouse=True)
+def stock_registry():
+    """Give back the catalog registry as the test found it, whatever the test
+    registered, also when an assertion fails."""
+    saved = dict(catalog._REGISTRY)
+    yield
+    catalog._REGISTRY.clear()
+    catalog._REGISTRY.update(saved)
+
+
 @pytest.fixture(scope="session")
 def n2_entry():
     return catalog.get("n2")

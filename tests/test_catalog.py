@@ -226,8 +226,18 @@ def test_user_catalog_loading(tmp_path):
     loaded = catalog.get("user_n2")
     assert loaded.algebra.n == 6
     assert loaded.su3_pair is not None
-    # cleanup so other tests see the stock registry
-    del catalog._REGISTRY["user_n2"]
+
+
+def test_user_catalog_reloads_but_never_replaces_a_builtin_entry(tmp_path):
+    item = {"algebra": catalog.get("n2").algebra.to_json_dict()}
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps({"entries": [dict(item, id="user_n2")]}))
+    # the CLI loads the user catalog on every call
+    assert catalog.load_user_catalog(path) == catalog.load_user_catalog(path) == ["user_n2"]
+    path.write_text(json.dumps({"entries": [dict(item, id="g_a")]}))
+    with pytest.raises(ValueError, match="'g_a' would replace a built-in entry"):
+        catalog.load_user_catalog(path)
+    assert catalog.get("g_a").algebra.n == 7
 
 
 def test_parameters_are_checked_against_the_builder(tmp_path):
@@ -236,12 +246,9 @@ def test_parameters_are_checked_against_the_builder(tmp_path):
     path = tmp_path / "user.json"
     path.write_text(json.dumps(payload))
     catalog.load_user_catalog(path)
-    try:
-        for name in ("_algebra", "_id"):
-            with pytest.raises(catalog.ParamError, match="user_n2 does not accept"):
-                catalog.get("user_n2", **{name: F(1)})
-    finally:
-        del catalog._REGISTRY["user_n2"]
+    for name in ("_algebra", "_id"):
+        with pytest.raises(catalog.ParamError, match="user_n2 does not accept"):
+            catalog.get("user_n2", **{name: F(1)})
     for value in ("x", 0.5, "1/0"):
         with pytest.raises(catalog.ParamError, match="g_a parameter a"):
             catalog.get("g_a", a=value)

@@ -585,11 +585,8 @@ def test_in_process_sweep_loads_user_catalog_once(capsys, tmp_path, monkeypatch)
     load, calls = catalog.load_user_catalog, []
     monkeypatch.setattr(catalog, "load_user_catalog",
                         lambda path: calls.append(path) or load(path))
-    try:
-        code, report = run_json(capsys, "analyze", "g_a",
-                                "--param", "a=1/2,1,2", "--jobs", "1")
-    finally:
-        catalog._REGISTRY.pop("once_entry", None)
+    code, report = run_json(capsys, "analyze", "g_a",
+                            "--param", "a=1/2,1,2", "--jobs", "1")
     assert code == 0 and len(report["results"]["sweep"]) == 3
     assert len(calls) == 1
 
@@ -681,7 +678,6 @@ def test_user_catalog_env(capsys, tmp_path, monkeypatch):
     code, report = run_json(capsys, "analyze", "env_entry")
     assert code == 0
     assert report["results"]["betti"][1] == 4
-    catalog._REGISTRY.pop("env_entry", None)
 
 
 def _user_catalog(tmp_path, monkeypatch, entry_id, item):
@@ -690,12 +686,21 @@ def _user_catalog(tmp_path, monkeypatch, entry_id, item):
     monkeypatch.setenv("G2LAB_CATALOG_PATH", str(path))
 
 
+def test_user_catalog_cannot_replace_a_builtin_entry_exit_2(capsys, tmp_path, monkeypatch):
+    _user_catalog(tmp_path, monkeypatch, "g_a",
+                  {"algebra": catalog.get("n2").algebra.to_json_dict()})
+    for argv in (["analyze", "g_a"], ["analyze", "g_a", "--param", "a=1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("cannot load user catalog: ")
+        assert "'g_a' would replace a built-in entry" in captured.err
+    assert catalog.get("g_a").algebra.n == 7
+
+
 def test_user_catalog_jacobi_failure_exit_3(capsys, tmp_path, monkeypatch):
     _user_catalog(tmp_path, monkeypatch, "non_jacobi", {"algebra": _non_jacobi_n2()})
-    try:
-        code, report = run_json(capsys, "analyze", "non_jacobi")
-    finally:
-        catalog._REGISTRY.pop("non_jacobi", None)
+    code, report = run_json(capsys, "analyze", "non_jacobi")
     assert code == 3 and report["status"] == "error"
     assert "Jacobi" in report["results"]["error"]
 
@@ -706,10 +711,7 @@ def test_user_catalog_verification_failure_exit_4(capsys, tmp_path, monkeypatch)
     _user_catalog(tmp_path, monkeypatch, "degenerate_phi",
                   {"algebra": catalog.get("abelian7").algebra.to_json_dict(),
                    "phi": phi})
-    try:
-        code, report = run_json(capsys, "analyze", "degenerate_phi")
-    finally:
-        catalog._REGISTRY.pop("degenerate_phi", None)
+    code, report = run_json(capsys, "analyze", "degenerate_phi")
     assert code == 4 and report["status"] == "error"
     assert "phi positive" in report["results"]["error"]
 
@@ -726,6 +728,8 @@ def test_user_catalog_verification_failure_exit_4(capsys, tmp_path, monkeypatch)
     (["analyze", "g_a", "--param", "a=x"], 2, "Invalid literal for Fraction"),
     (["analyze", "nonsolv_2", "--param", "mu=abc"], 2, "Invalid literal for Fraction"),
     (["analyze", "g_a", "--param", "a=1/0"], 2, "g_a parameter a:"),
+    (["analyze", "g_a", "--param", "a=1", "a=2"], 2, "parameter a given twice"),
+    (["analyze", "g_a", "--param", "a=1,2", "a=3"], 2, "parameter a given twice"),
     (["flow", "g_a", "--param", "a=1", "--t-end", "0.1", "--out", "{missing}/x.csv"], 2,
      "No such file or directory"),
     (["analyze", "user_entry", "--param", "_algebra=1"], 2,
@@ -734,6 +738,7 @@ def test_user_catalog_verification_failure_exit_4(capsys, tmp_path, monkeypatch)
      "user_entry does not accept parameters ['_id']"),
 ], ids=["search-6-dim", "g2-6-dim-entry", "g2-6-dim-file", "g2-2-form", "su3-7-dim",
         "su3-swapped-pair", "param-not-rational", "mu-not-rational", "param-zero-denominator",
+        "param-given-twice", "param-sweep-given-twice",
         "out-unwritable",
         "user-entry-_algebra", "user-entry-_id"])
 def test_rejected_input_is_a_well_formed_report(capsys, tmp_path, monkeypatch, argv, code,
@@ -751,10 +756,7 @@ def test_rejected_input_is_a_well_formed_report(capsys, tmp_path, monkeypatch, a
     flows = []  # none of these inputs may start a flow; --out fails before it
     monkeypatch.setattr(cli, "laplacian_flow", lambda *a, **k: flows.append(a))
     argv = [a.format(**paths) for a in argv]
-    try:
-        got, report = run_json(capsys, *argv)
-    finally:
-        catalog._REGISTRY.pop("user_entry", None)
+    got, report = run_json(capsys, *argv)
     assert flows == []
     assert got == code
     assert report["schema"] == "g2lab-report/1"

@@ -13,6 +13,7 @@ from g2lab.exterior import (
     KForm,
     MetricData,
     basis_vector,
+    complement_table,
     endo_action,
     hodge,
     inner,
@@ -347,6 +348,64 @@ def test_rational_gram_takes_no_determinant(monkeypatch, g_half):
     for k in range(8):
         fresh.gram(k)
     assert calls == []
+
+
+def _block_metric(blocks, rng):
+    """Block-diagonal g with the basis permuted; det g must be a rational square."""
+    g = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=object)
+    at = 0
+    for b in blocks:
+        g[at:at + len(b), at:at + len(b)] = [[F(x) for x in row] for row in b]
+        at += len(b)
+    perm = rng.permutation(len(g))
+    g = [[g[i][j] for j in perm] for i in perm]
+    det = linalg.det(g)
+    vol = F(math.isqrt(det.numerator), math.isqrt(det.denominator))
+    assert vol * vol == det
+    return MetricData(g, KForm.monomial(len(g), tuple(range(1, len(g) + 1)), vol))
+
+
+def _sparse_form(rng, n, k, backend):
+    size = len(KForm.zero(n, k).coeffs)
+    if backend == RATIONAL:
+        coeffs = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(size)]
+    else:
+        coeffs = rng.uniform(-2.0, 2.0, size).tolist()
+    return KForm(n, k, [c if rng.random() < 0.3 else 0 * c for c in coeffs], backend)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT])
+def test_hodge_and_inner_equal_the_dense_gram_sum(n, backend):
+    # the dense reference sums gram[i][j] gamma_j over every nonzero gamma_j,
+    # zero Gram entries included; skipping those must change no bit
+    rng = np.random.default_rng(27 + n)
+    square = [[5, 4], [4, 5]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]], [[F(1, 4)]], [[4]]
+    blocks = square if n == 7 else square[:2] + ([[9]],)
+    metric = _block_metric(blocks, rng)
+    if backend == FLOAT:
+        metric = metric.to_float()
+
+    def raised(gamma):
+        gram = metric.gram(gamma.k)
+        return [sum(gram[i][j] * c for j, c in enumerate(gamma.coeffs) if c != 0)
+                for i in range(len(gram))]
+
+    for k in range(n + 1):
+        if 0 < k < n:
+            assert any(x == 0 for row in metric.gram(k) for x in row)
+        for _ in range(4):
+            alpha, gamma = (_sparse_form(rng, n, k, backend) for _ in range(2))
+            out = [0 * metric.vol_coeff] * len(KForm.zero(n, n - k).coeffs)
+            for (cpos, sign), s in zip(complement_table(n, k), raised(gamma)):
+                if s != 0:
+                    out[cpos] += sign * s * metric.vol_coeff
+            assert repr(hodge(metric, gamma).coeffs) == repr(tuple(out))
+            total = 0 * metric.vol_coeff
+            for a, s in zip(alpha.coeffs, raised(gamma)):
+                if a != 0:
+                    total += a * s
+            assert repr(inner(metric, alpha, gamma)) == repr(total)
 
 
 def test_hodge_rational_identity_backend():
