@@ -35,7 +35,8 @@ from .su3 import adapted_su3_pair, reconstruct_su3
 
 
 class UnknownEntryError(KeyError):
-    pass
+    def __str__(self):  # args[0] stays the id
+        return "unknown catalog entry %r" % self.args[0]
 
 
 class ParamError(ValueError):

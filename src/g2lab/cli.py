@@ -4,11 +4,13 @@ Commands: analyze | g2 | su3 | flow | soliton | search-closed | catalog.
 Inputs are catalog ids (with rational --param key=value pairs) or JSON files;
 outputs are deterministic JSON reports (or a readable text rendering with
 --format pretty), CSV trajectories for the flow command, and exit codes
-  0 ok, 2 parse/parameter failure (also a parameter value that is not
-  rational, or an unwritable --out), 3 invalid algebra (Jacobi fails),
-  4 invalid structure (also a form of the wrong degree, or an algebra of the
-  wrong dimension for the command), 5 numerical inconsistency or ambiguous
-  residual.  EXIT_CODES maps each library exception type to its code.
+  0 ok, 2 parse/parameter failure (a rejected flag or input file, an unknown
+  entry, a parameter value that is not rational, an unwritable --out or an
+  unusable user catalog), 3 invalid algebra (Jacobi fails), 4 invalid
+  structure (also a form of the wrong degree, or an algebra of the wrong
+  dimension for the command), 5 numerical inconsistency or ambiguous
+  residual.  EXIT_CODES is the one map from a failure to its code, and each
+  failure it maps is reported as a g2lab-report/1 error report.
 
 The environment variable G2LAB_CATALOG_PATH may point to a JSON file with
 additional user catalog entries.
@@ -23,8 +25,9 @@ import json
 import multiprocessing
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import catalog
 from .exterior import KForm
@@ -68,22 +71,17 @@ EXIT_NUMERICAL = 5
 
 
 class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-    def __reduce__(self):
-        # sweep workers send errors back pickled; keep the code with the message
-        return (CliError, (str(self), self.code))
+    """A rejected flag or input file (exit 2)."""
 
 
-#: (exception types, exit code) for library failures, read by ``main`` in order,
-#: most specific first; a CliError carries its own code.  Every ValueError the
-#: library raises is a rejected argument, and every ArithmeticError a failed
+#: (exception types, exit code), read by ``main`` in order, most specific
+#: first: the only map from a failure to its exit code.  Every other ValueError
+#: the library raises is a rejected argument, and every ArithmeticError a failed
 #: numerical check (AmbiguousResidualError reports status "ambiguous").
 EXIT_CODES = (
     (InvalidStructureError, EXIT_INVALID_ALGEBRA),
-    ((catalog.ParamError, catalog.AmbiguousEntryError, OSError), EXIT_PARSE),
+    ((CliError, catalog.UnknownEntryError, catalog.ParamError,
+      catalog.AmbiguousEntryError, OSError), EXIT_PARSE),
     ((catalog.CatalogVerificationError, ValueError), EXIT_INVALID_STRUCTURE),
     (ArithmeticError, EXIT_NUMERICAL),
 )
@@ -95,11 +93,10 @@ def _parse_params(tokens):
     values = []
     for tok in tokens or []:
         if tok.count("=") != 1:  # in a=1,b=2 "b=2" would be read as a value of a
-            raise CliError("malformed parameter %r (expected name=value)" % tok,
-                           EXIT_PARSE)
+            raise CliError("malformed parameter %r (expected name=value)" % tok)
         name, _, raw = tok.partition("=")
         if name in keys:
-            raise CliError("parameter %s given twice" % name, EXIT_PARSE)
+            raise CliError("parameter %s given twice" % name)
         keys.append(name)
         values.append([v.strip() for v in raw.split(",")])  # catalog.get converts
     sweeps = [{}]
@@ -119,7 +116,7 @@ def _read(what, load):
         return load()
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
             AttributeError, ZeroDivisionError) as exc:
-        raise CliError("cannot load %s: %s" % (what, exc), EXIT_PARSE) from None
+        raise CliError("cannot load %s: %s" % (what, exc)) from None
 
 
 def _load_algebra(spec, params):
@@ -128,17 +125,13 @@ def _load_algebra(spec, params):
         alg = _read("algebra file %s" % spec,
                     lambda: LieAlgebra.from_json_dict(_json(spec)))
         if params:
-            raise CliError("--param applies to catalog entries only", EXIT_PARSE)
+            raise CliError("--param applies to catalog entries only")
         if check_jacobi(alg) != 0:
-            raise CliError("structure equations violate the Jacobi identity",
-                           EXIT_INVALID_ALGEBRA)
+            raise InvalidStructureError("structure equations violate the Jacobi identity")
         return catalog.CatalogEntry(
             id=spec, algebra=alg, params={}, su3_pair=None, phi=None,
             expected={}, description="file input")
-    try:
-        return catalog.get(spec, **params)
-    except catalog.UnknownEntryError:
-        raise CliError("unknown catalog entry %r" % spec, EXIT_PARSE) from None
+    return catalog.get(spec, **params)
 
 
 def _digest(payload) -> str:
@@ -192,9 +185,8 @@ def _structure_from_args(entry, args):
     else:
         phi = entry.phi
         if phi is None:
-            raise CliError("entry %s has no attached 3-form%s" % (
-                entry.id, "; pass --phi" if hasattr(args, "phi") else ""),
-                EXIT_INVALID_STRUCTURE)
+            raise ValueError("entry %s has no attached 3-form%s" % (
+                entry.id, "; pass --phi" if hasattr(args, "phi") else ""))
     if args.backend == FLOAT:
         phi = phi.to_float()
     return G2Structure(entry.algebra, phi)
@@ -219,28 +211,23 @@ def _cmd_g2(entry, args):
     if args.erp_diagnostics:
         try:
             diag = erp_diagnostics(struct)
-            results["erp_diagnostics"] = {
-                "tau_cubed_zero": diag.tau_cubed_zero,
-                "tau_tau_closed": diag.tau_tau_closed,
-                "star_tau_tau_closed": diag.star_tau_tau_closed,
-                "tau_tau_simple": diag.tau_tau_simple,
-                "annihilator_dim": diag.annihilator_dim,
-                "ric_matches_j_formula": diag.ric_matches_j_formula,
-                "ric_eigenvalue_pattern": diag.ric_eigenvalue_pattern,
-                "passed": diag.passed,
-            }
+            fields = asdict(diag)
+            del fields["residual"], fields["tau_norm_sq"]  # reported above
+            results["erp_diagnostics"] = dict(fields, passed=diag.passed)
         except NotERPError as exc:
             results["erp_diagnostics"] = {"error": str(exc)}
     return results
 
 
 def _su3_from_args(entry, args):
-    if args.omega and args.psi:
+    if bool(args.omega) != bool(args.psi):
+        raise CliError("--omega and --psi must be given together")
+    if args.omega:
         pair = _read("SU(3) pair", lambda: tuple(
             KForm.from_json_dict(_json(path)) for path in (args.omega, args.psi)))
     elif entry.su3_pair is None:
-        raise CliError("entry %s has no attached SU(3) pair; pass "
-                       "--omega/--psi" % entry.id, EXIT_INVALID_STRUCTURE)
+        raise ValueError("entry %s has no attached SU(3) pair; pass "
+                         "--omega/--psi" % entry.id)
     else:
         pair = entry.su3_pair
     if args.backend == FLOAT:
@@ -286,7 +273,8 @@ def _cmd_soliton(entry, args):
 def _cmd_flow(entry, args):
     for flag, value in (("--t-end", args.t_end), ("--dt", args.dt), ("--tol", args.tol)):
         if value is not None and not 0 < value < float("inf"):
-            raise CliError("%s must be a finite positive number" % flag, EXIT_PARSE)
+            raise CliError("%s must be a finite positive number" % flag)
+    closed_form = _closed_form(entry, args.compare) if args.compare else None
     struct = _structure_from_args(entry, args)
     paths = ()
     if args.out:
@@ -309,7 +297,8 @@ def _cmd_flow(entry, args):
         }
         if args.compare:
             results["comparison"] = args.compare
-            results["max_deviation"] = _compare_closed_form(entry, traj, args.compare)
+            results["max_deviation"] = max(float((s.phi - closed_form(s.t)).max_abs())
+                                           for s in traj.samples)
         if paths:
             trajectory_to_csv(traj, paths[0])
             derived_series_to_csv(traj, paths[1])
@@ -321,22 +310,24 @@ def _cmd_flow(entry, args):
     return results
 
 
-#: --compare choice -> (catalog parameter, closed-form solution phi(param, t))
-_CLOSED_FORMS = {"lauret": ("a", lauret_solution), "gabk": ("b", gabk_phi)}
+#: --compare choice -> (catalog id, its parameter, closed-form solution phi(param, t))
+_CLOSED_FORMS = {"lauret": ("g_a", "a", lauret_solution),
+                 "gabk": ("g_abk", "b", gabk_phi)}
 
 
-def _compare_closed_form(entry, traj, which):
-    param, solution = _CLOSED_FORMS[which]
-    if param not in entry.params:
-        raise CliError("--compare %s needs parameter %s" % (which, param), EXIT_PARSE)
-    return max(float((s.phi - solution(entry.params[param], s.t)).max_abs())
-               for s in traj.samples)
+def _closed_form(entry, which):
+    """The closed-form solution t -> phi(t) of --compare, checked at t = 0."""
+    entry_id, param, solution = _CLOSED_FORMS[which]
+    if entry.id != entry_id:
+        raise CliError("--compare %s applies to %s only" % (which, entry_id))
+    solution(entry.params[param], 0.0)  # a degenerate parameter fails before the run
+    return partial(solution, entry.params[param])
 
 
 def _cmd_search_closed(entry, args):
     for flag, value in (("--attempts", args.attempts), ("--seed", args.seed)):
         if value < 0:
-            raise CliError("%s must not be negative" % flag, EXIT_PARSE)
+            raise CliError("%s must not be negative" % flag)
     phi = search_closed_positive(entry.algebra, attempts=args.attempts,
                                  seed=args.seed,
                                  initial=entry.phi)
@@ -466,11 +457,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _load_user_catalog()
-    except CliError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
         if args.command == "catalog":
             report = _report(["catalog", args.action], {"command": "catalog-list"},
                              _cmd_catalog_list(args))
@@ -490,18 +476,17 @@ def main(argv=None) -> int:
             outcomes = [_run_job(job) for job in jobs]
 
         command = [args.command, args.algebra]
-        digested = {"command": command, "algebra": outcomes[0][0].algebra.to_json_dict()}
-        if len(outcomes) == 1:
-            results = outcomes[0][1]
+        algebras = [e.algebra.to_json_dict() for e, _ in outcomes]
+        if len(outcomes) == 1:  # a sweep digests every item's algebra
+            algebras, results = algebras[0], outcomes[0][1]
         else:
             results = {"sweep": [{"params": {k: str(v) for k, v in e.params.items()},
                                   "results": r} for e, r in outcomes]}
-        report = _report(command, digested, results)
+        report = _report(command, {"command": command, "algebra": algebras}, results)
         print(_render(report, args.format))
         return EXIT_OK
     except Exception as exc:
-        code = exc.code if isinstance(exc, CliError) else next(
-            (code for types, code in EXIT_CODES if isinstance(exc, types)), None)
+        code = next((code for types, code in EXIT_CODES if isinstance(exc, types)), None)
         if code is None:  # not a rejected input: a bug, shown with its traceback
             raise
         status = "ambiguous" if isinstance(exc, AmbiguousResidualError) else "error"

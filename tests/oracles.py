@@ -214,8 +214,7 @@ def cubic_table_oracle():
     coef = np.array([t[5] for t in b], float)
     return (tuple(sorted(key + (k,) for key, k in jt.items() if k)), tuple(b),
             np.array([t[2:5] for t in b]).T, coef, np.array([ij.index(e) for e in cells]),
-            np.array([cells.index((min(i, j), max(i, j))) for i in range(7) for j in range(7)]),
-            np.eye(7, dtype=int).repeat(15, axis=0) * coef[:105, None].astype(int))
+            np.array([cells.index((min(i, j), max(i, j))) for i in range(7) for j in range(7)]))
 
 
 def gram_minor_oracle(m, k):

@@ -78,6 +78,7 @@ def test_analyze_reuses_the_catalog_checks(capsys, monkeypatch):
 def test_analyze_unknown_entry_exit_2(capsys):
     code, report = run_json(capsys, "analyze", "does_not_exist")
     assert code == 2 and report["status"] == "error"
+    assert report["results"]["error"] == "unknown catalog entry 'does_not_exist'"
 
 
 def test_analyze_bad_param_exit_2(capsys):
@@ -117,6 +118,7 @@ def test_invalid_algebra_exit_3(capsys, tmp_path):
     path.write_text(json.dumps(_non_jacobi_n2()))
     code, report = run_json(capsys, "analyze", str(path))
     assert code == 3 and report["status"] == "error"
+    assert "Jacobi" in report["results"]["error"]
 
 
 def _n2_with_coefficient(c):
@@ -152,16 +154,12 @@ def test_malformed_json_exits_2(capsys, tmp_path, monkeypatch, command, payload)
             "catalog": ["analyze", "n2"]}[command]
     if command == "catalog":
         monkeypatch.setenv("G2LAB_CATALOG_PATH", str(path))
-    code = main(argv)
-    captured = capsys.readouterr()
+    code, report = run_json(capsys, *argv)
     assert code == 2
+    assert report["schema"] == "g2lab-report/1" and report["status"] == "error"
+    assert report["command"] == argv[:2]
     if command == "catalog":
-        assert captured.out == ""
-        assert captured.err.startswith("cannot load user catalog: ")
-    else:
-        report = json.loads(captured.out)
-        assert report["schema"] == "g2lab-report/1" and report["status"] == "error"
-        assert report["command"] == argv[:2]
+        assert report["results"]["error"].startswith("cannot load user catalog: ")
 
 
 # -- g2 ---------------------------------------------------------------------------
@@ -617,9 +615,9 @@ def test_catalog_non_derivation_exits_3(capsys, monkeypatch):
 
 
 def test_cli_error_pickle_round_trip():
-    err = pickle.loads(pickle.dumps(CliError("bad parameters", 2)))
+    err = pickle.loads(pickle.dumps(CliError("bad parameters")))
     assert type(err) is CliError
-    assert str(err) == "bad parameters" and err.code == 2
+    assert str(err) == "bad parameters"
 
 
 def test_failing_parallel_sweep_exits_2():
@@ -633,6 +631,19 @@ def test_failing_parallel_sweep_exits_2():
     report = json.loads(proc.stdout)
     assert report["status"] == "error"
     assert report["command"] == ["analyze", "g_a"]
+
+
+def test_compare_on_another_family_in_a_spawned_worker_exits_2():
+    # the CliError is raised in a worker and maps to 2 through EXIT_CODES
+    env = dict(os.environ, PYTHONPATH=str(Path(g2lab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2lab.cli", "flow", "g_ab", "--param", "a=2,3",
+         "--t-end", "0.1", "--compare", "lauret", "--jobs", "2"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error" and report["command"] == ["flow", "g_ab"]
+    assert report["results"]["error"] == "--compare lauret applies to g_a only"
 
 
 def test_library_error_in_a_spawned_worker_exits_2():
@@ -660,6 +671,15 @@ def test_shared_parser_leaks_nothing_between_invocations(capsys):
                                capture_output=True, text=True, timeout=60, env=env)
         assert code == alone.returncode == 0
         assert out == alone.stdout
+
+
+def test_sweep_digest_covers_every_item(capsys):
+    digests = []
+    for values in ("a=1,2", "a=1,3", "a=1"):
+        code, report = run_json(capsys, "analyze", "g_a", "--param", values)
+        assert code == 0
+        digests.append(report["input_digest"])
+    assert len(set(digests)) == 3
 
 
 def test_pretty_format(capsys):
@@ -690,11 +710,13 @@ def test_user_catalog_cannot_replace_a_builtin_entry_exit_2(capsys, tmp_path, mo
     _user_catalog(tmp_path, monkeypatch, "g_a",
                   {"algebra": catalog.get("n2").algebra.to_json_dict()})
     for argv in (["analyze", "g_a"], ["analyze", "g_a", "--param", "a=1"]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("cannot load user catalog: ")
-        assert "'g_a' would replace a built-in entry" in captured.err
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["schema"] == "g2lab-report/1" and report["status"] == "error"
+        assert report["command"] == argv[:2]
+        error = report["results"]["error"]
+        assert error.startswith("cannot load user catalog: ")
+        assert "'g_a' would replace a built-in entry" in error
     assert catalog.get("g_a").algebra.n == 7
 
 
@@ -736,11 +758,26 @@ def test_user_catalog_verification_failure_exit_4(capsys, tmp_path, monkeypatch)
      "user_entry does not accept parameters ['_algebra']"),
     (["analyze", "user_entry", "--param", "_id=x"], 2,
      "user_entry does not accept parameters ['_id']"),
+    (["flow", "g_ab", "--param", "a=2", "b=1", "--t-end", "0.1", "--compare", "lauret"], 2,
+     "--compare lauret applies to g_a only"),
+    (["flow", "g_abk", "--param", "a=2", "b=1/2", "k=1", "--t-end", "0.1",
+      "--compare", "lauret"], 2, "--compare lauret applies to g_a only"),
+    (["flow", "g_ab", "--param", "a=2", "b=1", "--t-end", "0.1", "--compare", "gabk"], 2,
+     "--compare gabk applies to g_abk only"),
+    (["flow", "g_a", "--param", "a=1", "--t-end", "0.1", "--compare", "lauret"], 4,
+     "a = 1 is the steady case"),
+    (["flow", "g_abk", "--param", "a=1", "b=0", "k=0", "--t-end", "0.1",
+      "--compare", "gabk"], 4, "b must be nonzero"),
+    (["su3", "n2", "--omega", "{missing}/omega.json"], 2,
+     "--omega and --psi must be given together"),
+    (["su3", "n2", "--psi", "{psi}"], 2, "--omega and --psi must be given together"),
 ], ids=["search-6-dim", "g2-6-dim-entry", "g2-6-dim-file", "g2-2-form", "su3-7-dim",
         "su3-swapped-pair", "param-not-rational", "mu-not-rational", "param-zero-denominator",
         "param-given-twice", "param-sweep-given-twice",
         "out-unwritable",
-        "user-entry-_algebra", "user-entry-_id"])
+        "user-entry-_algebra", "user-entry-_id",
+        "compare-lauret-on-g_ab", "compare-lauret-on-g_abk", "compare-gabk-on-g_ab",
+        "compare-lauret-steady", "compare-gabk-b-zero", "su3-lone-omega", "su3-lone-psi"])
 def test_rejected_input_is_a_well_formed_report(capsys, tmp_path, monkeypatch, argv, code,
                                                 message):
     omega, psi = catalog.get("n2").su3_pair

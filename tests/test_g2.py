@@ -725,8 +725,9 @@ def test_j_map_rejects_mixed_backends(g_half):
 def test_cubic_table_matches_loop_oracle():
     from oracles import cubic_table_oracle
 
-    table = g2._cubic_table()
-    for name, got, want in zip(table._fields, table, cubic_table_oracle()):
+    table, oracle = g2._cubic_table(), cubic_table_oracle()
+    assert len(table) == len(table._fields) == len(oracle)
+    for name, got, want in zip(table._fields, table, oracle):
         if isinstance(want, tuple):
             assert got == want, name
             types = [tuple(map(type, t)) for t in got]
