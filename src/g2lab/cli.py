@@ -4,7 +4,8 @@ Commands: analyze | g2 | su3 | flow | soliton | search-closed | catalog.
 Inputs are catalog ids (with rational --param key=value pairs) or JSON files;
 outputs are deterministic JSON reports (or a readable text rendering with
 --format pretty), CSV trajectories for the flow command, and exit codes
-  0 ok, 2 parse/parameter failure (a rejected flag or input file, an unknown
+  0 ok, 1 stdout closed by the reader (nothing is written to stderr), 2
+  parse/parameter failure (a rejected flag or input file, an unknown
   entry, a parameter value that is not rational, an unwritable --out or an
   unusable user catalog), 3 invalid algebra (Jacobi fails), 4 invalid
   structure (also a form of the wrong degree, or an algebra of the wrong
@@ -120,8 +121,9 @@ def _read(what, load):
 
 
 def _load_algebra(spec, params):
-    """Resolve a catalog id or a JSON file path into a CatalogEntry."""
-    if os.path.exists(spec) or spec.endswith(".json"):
+    """Resolve a catalog id or a JSON file path into a CatalogEntry.  A registered
+    id wins over a file of that name, which ``./n1`` or a ``.json`` name reads."""
+    if spec.endswith(".json") or (spec not in catalog.entry_ids() and os.path.exists(spec)):
         alg = _read("algebra file %s" % spec,
                     lambda: LieAlgebra.from_json_dict(_json(spec)))
         if params:
@@ -453,15 +455,13 @@ def _render(report, fmt) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _execute(args):
+    """The report of one invocation and its exit code."""
     try:
         _load_user_catalog()
         if args.command == "catalog":
-            report = _report(["catalog", args.action], {"command": "catalog-list"},
-                             _cmd_catalog_list(args))
-            print(_render(report, args.format))
-            return EXIT_OK
+            return _report(["catalog", args.action], {"command": "catalog-list"},
+                           _cmd_catalog_list(args)), EXIT_OK
 
         sweeps = _parse_params(args.param)
         jobs = [(args.command, args.algebra, params, vars(args))
@@ -482,18 +482,27 @@ def main(argv=None) -> int:
         else:
             results = {"sweep": [{"params": {k: str(v) for k, v in e.params.items()},
                                   "results": r} for e, r in outcomes]}
-        report = _report(command, {"command": command, "algebra": algebras}, results)
-        print(_render(report, args.format))
-        return EXIT_OK
+        return _report(command, {"command": command, "algebra": algebras}, results), EXIT_OK
     except Exception as exc:
         code = next((code for types, code in EXIT_CODES if isinstance(exc, types)), None)
         if code is None:  # not a rejected input: a bug, shown with its traceback
             raise
         status = "ambiguous" if isinstance(exc, AmbiguousResidualError) else "error"
-        report = _report([args.command, getattr(args, "algebra", "")],
-                         {"command": args.command}, {"error": str(exc)}, status)
-        print(_render(report, args.format))
-        return code
+        return _report([args.command, getattr(args, "algebra", "")],
+                       {"command": args.command}, {"error": str(exc)}, status), code
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    report, code = _execute(args)
+    try:
+        print(_render(report, args.format), flush=True)
+    except BrokenPipeError:  # the reader closed stdout, as `g2lab catalog list | head` does
+        # the flush at exit then meets devnull, not the closed pipe (Python
+        # docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -173,6 +173,9 @@ class FlowKernel:
         self.algebra = alg
         self.d2, self.d3, self.d4 = ds = (np.zeros((35, 21)), np.zeros((35, 35)),
                                           np.zeros((21, 35)))
+        # filled from the sparse columns: np.array(alg.d_matrix(k), float) also
+        # converts every zero Fraction, 1.3 ms against 0.08 ms per kernel, and
+        # laplacian_flow builds one kernel per run (~20 % of a 6.7 ms t = 0.3 run)
         for k, m in zip((2, 3, 4), ds):
             for j, col in enumerate(alg.d_columns(k)):
                 for r, c in col:
@@ -589,9 +592,7 @@ def algebraic_soliton_solve(struct: G2Structure) -> SolitonSolution:
                                residual=residual, residual_ratio=ratio,
                                character=None, structure=struct)
     lam, coeffs = x[0], tuple(x[1:])
-    b_total = Endo.zero(7, struct.backend)
-    for c, b in zip(coeffs, basis):
-        b_total = b_total + c * b
+    b_total = sum((c * b for c, b in zip(coeffs, basis) if c), Endo.zero(7, struct.backend))
     return SolitonSolution(feasible=True, lam=lam, derivation=b_total,
                            residual=residual, residual_ratio=ratio,
                            character=_character(lam),

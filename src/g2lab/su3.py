@@ -35,7 +35,6 @@ from .exterior import (
     Endo,
     KForm,
     MetricData,
-    basis_indices,
     basis_vector,
     endo_action,
     hodge,
@@ -51,7 +50,7 @@ from .liealg import (
     _extension_structure,
     _jacobi_checked,
     ce_differential,
-    derivation_equations,
+    derivation_space,
     is_derivation,
 )
 from .scalars import (
@@ -61,8 +60,6 @@ from .scalars import (
     rational_nth_root,
     zero,
 )
-
-ZERO = Fraction(0)
 
 
 class SU3ConstructionError(ValueError):
@@ -319,10 +316,8 @@ class DerivationFamily:
     def element(self, *coeffs) -> Endo:
         if self.particular is None:
             raise ValueError("empty family")
-        out = self.particular
-        for c, d in zip(coeffs, self.directions):
-            out = out + Fraction(c) * d
-        return out
+        return sum((Fraction(c) * d for c, d in zip(coeffs, self.directions) if c),
+                   self.particular)
 
     def contains(self, endo: Endo) -> bool:
         if self.particular is None:
@@ -332,33 +327,24 @@ class DerivationFamily:
 
 def find_compatible_derivations(alg: LieAlgebra, struct: SU3Structure,
                                 c) -> DerivationFamily:
-    """Solve D in Der(alg) with (D act psi) = -c psi, as an affine subspace."""
+    """Solve D in Der(alg) with (D act psi) = -c psi, as an affine subspace.
+
+    The unknowns are the coordinates x of D = sum x_i B_i in the basis B of
+    ``derivation_space``, so the system is sum x_i (B_i act psi) = -c psi:
+    one action per basis derivation and one solve.
+    """
     if struct.backend != RATIONAL:
         raise ValueError("derivation solving requires the rational backend")
-    c = Fraction(c)
-    n = alg.n
-    rows = derivation_equations(alg)
-    rhs = [ZERO] * len(rows)
-    unit_actions = []
-    for r in range(n):
-        for col in range(n):
-            unit = Endo([[1 if (i, j) == (r, col) else 0 for j in range(n)]
-                         for i in range(n)])
-            unit_actions.append(endo_action(unit, struct.psi).coeffs)
-    for pos in range(len(basis_indices(6, 3))):
-        row = [unit_actions[e][pos] for e in range(n * n)]
-        target = -c * struct.psi.coeffs[pos]
-        if any(x != 0 for x in row) or target != 0:
-            rows.append(row)
-            rhs.append(target)
-    particular, null = linalg.solve_affine(rows, rhs)
-    directions = tuple(
-        Endo([v[i * n:(i + 1) * n] for i in range(n)]) for v in null)
-    if particular is None:
+    basis = derivation_space(alg).basis
+    actions = linalg.transpose([endo_action(b, struct.psi).coeffs for b in basis])
+    x, null = linalg.solve_affine(actions, [-Fraction(c) * p for p in struct.psi.coeffs])
+    directions = tuple(sum((vi * b for vi, b in zip(v, basis) if vi), Endo.zero(alg.n))
+                       for v in null)
+    if x is None:
         return DerivationFamily(particular=None, directions=directions, dim=-1)
-    part = Endo([particular[i * n:(i + 1) * n] for i in range(n)])
-    return DerivationFamily(particular=part, directions=directions,
-                            dim=len(directions))
+    return DerivationFamily(
+        particular=sum((xi * b for xi, b in zip(x, basis) if xi), Endo.zero(alg.n)),
+        directions=directions, dim=len(directions))
 
 
 @dataclass(frozen=True)

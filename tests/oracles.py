@@ -72,6 +72,52 @@ def endo_oracle(rows, terms, k, n):
     return out
 
 
+def compatible_derivations_oracle(alg, psi_terms, c):
+    """Derivations D with (D act psi) = -c psi, solved in the n^2 entries of D.
+
+    The unknown D[m][j] sits at m * n + j.  The rows are the derivation
+    equations, the e_k coefficients of D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
+    from ``structure_constants_oracle``, and one row per 3-form basis element
+    holding the actions of the n^2 unit endomorphisms on psi by ``endo_oracle``.
+    sympy solves the system.  Returns (particular, directions) as n x n lists
+    of Fractions, with particular None when the system is inconsistent and
+    directions a basis of its homogeneous solutions.
+    """
+    n = alg.n
+    brackets = structure_constants_oracle(alg)
+    rows, rhs = [], []
+    for i, j in combinations(range(n), 2):
+        eqs = [[Fraction(0)] * (n * n) for _ in range(n)]
+        for m, x in brackets.get((i, j), ()):
+            for k in range(n):
+                eqs[k][k * n + m] += x
+        for m in range(n):
+            for k, x in brackets.get((m, j), ()):
+                eqs[k][m * n + i] -= x
+            for k, x in brackets.get((i, m), ()):
+                eqs[k][m * n + j] -= x
+        rows += eqs
+        rhs += [Fraction(0)] * n
+    units = [endo_oracle([[int((a, b) == (r, col)) for b in range(n)] for a in range(n)],
+                         psi_terms, 3, n)
+             for r in range(n) for col in range(n)]
+    for idx in combinations(range(n), 3):
+        rows.append([u.get(idx, Fraction(0)) for u in units])
+        rhs.append(-Fraction(c) * psi_terms.get(idx, Fraction(0)))
+    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+
+    def square(v):
+        return [[Fraction(int(v[a * n + b].p), int(v[a * n + b].q)) for b in range(n)]
+                for a in range(n)]
+
+    try:
+        sol, free = m.gauss_jordan_solve(sympy.Matrix([sympy.Rational(x) for x in rhs]))
+        particular = square(sol.subs({p: 0 for p in free}))
+    except ValueError:  # inconsistent
+        particular = None
+    return particular, [square(v) for v in m.nullspace()]
+
+
 def kform_to_terms(form):
     """Library KForm -> oracle dict with 0-based keys."""
     return {tuple(i - 1 for i in idx): Fraction(c)

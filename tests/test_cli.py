@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism, CSV output."""
 
+import hashlib
 import json
 import math
 import os
@@ -160,6 +161,19 @@ def test_malformed_json_exits_2(capsys, tmp_path, monkeypatch, command, payload)
     assert report["command"] == argv[:2]
     if command == "catalog":
         assert report["results"]["error"].startswith("cannot load user catalog: ")
+
+
+def test_a_file_named_like_an_entry_does_not_shadow_it(capsys, tmp_path, monkeypatch):
+    from test_report_digests import DIGESTS
+
+    (tmp_path / "n1").write_text("garbage")
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "analyze", "n1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(DIGESTS)[("analyze", "n1")]
+    code, report = run_json(capsys, "analyze", "./n1")
+    assert code == 2
+    assert report["results"]["error"].startswith("cannot load algebra file ./n1: ")
 
 
 # -- g2 ---------------------------------------------------------------------------
@@ -587,6 +601,22 @@ def test_in_process_sweep_loads_user_catalog_once(capsys, tmp_path, monkeypatch)
                             "--param", "a=1/2,1,2", "--jobs", "1")
     assert code == 0 and len(report["results"]["sweep"]) == 3
     assert len(calls) == 1
+
+
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr():
+    # as in `g2lab catalog list | head -c 10`: without the BrokenPipeError
+    # handler the error report also meets the closed pipe, and both tracebacks
+    # reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(g2lab.__file__).parent.parent))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "g2lab.cli", "catalog", "list"],
+                              stdout=write, stderr=subprocess.PIPE, timeout=60, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_spawned_workers_load_the_user_catalog(tmp_path):

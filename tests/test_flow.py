@@ -364,6 +364,20 @@ def test_automatic_start_takes_one_probe(g_half_struct):
     assert stats.rhs_evals == 12 * (stats.accepted + stats.rejected) + 2
 
 
+def test_starting_step_is_capped_at_100_h0():
+    # on g_a at a = 3 with tol = 1e-5, Hairer's (0.01 tol / m)^(1/8) is ~0.065,
+    # so the first step is the cap 100 h0 = 1/35, accepted at once
+    from g2lab.flow import FlowKernel
+
+    entry = catalog.get("g_a", a=3)
+    y = entry.phi.to_float().np_coeffs
+    f0 = FlowKernel(entry.algebra).rhs(y)[0]
+    h0 = 0.01 * float(np.max(np.abs(y))) / float(np.max(np.abs(f0)))
+    traj = laplacian_flow(G2Structure(entry.algebra, entry.phi), 0.1, tol=1e-5)
+    assert traj.stats.rejected == 0
+    assert traj.samples[1].t == 100.0 * h0
+
+
 def test_short_gabk_run_takes_few_evaluations():
     # the starting step from f(phi_0) skips the ramp-up from a tiny step:
     # 38 evaluations, against 109 from dt0 = 1e-3

@@ -3,11 +3,12 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from g2lab import catalog, linalg
-from g2lab.exterior import Endo, KForm, inner, norm_sq, wedge
-from g2lab.liealg import abelian, ce_differential
+from g2lab import catalog, linalg, su3
+from g2lab.exterior import Endo, KForm, endo_action, inner, norm_sq, wedge
+from g2lab.liealg import abelian, ce_differential, check_jacobi, derivation_space
 from g2lab.su3 import (
     SU3ConstructionError,
     adapted_psi_hat,
@@ -20,7 +21,13 @@ from g2lab.su3 import (
     w2_of,
 )
 
-from oracles import kform_to_terms, primitive_11_oracle, sympy_rank, wedge_oracle
+from oracles import (
+    compatible_derivations_oracle,
+    kform_to_terms,
+    primitive_11_oracle,
+    sympy_rank,
+    wedge_oracle,
+)
 
 IDENTITY6 = tuple(tuple(F(1) if i == j else F(0) for j in range(6))
                   for i in range(6))
@@ -408,6 +415,63 @@ def test_family_solves_action_equation(s_n2, n2_entry):
     fam = find_compatible_derivations(n2_entry.algebra, s_n2, -1)
     member = fam.element(F(1, 3), *([0] * (fam.dim - 1)))
     assert endo_action(member, s_n2.psi) == s_n2.psi
+
+
+def _flat(rows):
+    return [x for row in rows for x in row]
+
+
+def _same_family_as_oracle(alg, struct, c):
+    """Assert that find_compatible_derivations and the oracle's solve in the
+    n^2 entries of D give the same affine subspace; return whether it is empty."""
+    fam = find_compatible_derivations(alg, struct, c)
+    particular, directions = compatible_derivations_oracle(
+        alg, kform_to_terms(struct.psi), c)
+    ours, theirs = [_flat(d.rows) for d in fam.directions], [_flat(d) for d in directions]
+    rank = sympy_rank(ours)
+    assert rank == len(ours) == len(theirs) == sympy_rank(theirs) == sympy_rank(ours + theirs)
+    assert fam.empty == (particular is None)
+    if particular is None:
+        assert fam.dim == -1
+        return True
+    assert fam.dim == len(theirs)
+    assert fam.contains(Endo(particular))
+    gap = [a - b for a, b in zip(_flat(fam.particular.rows), _flat(particular))]
+    assert sympy_rank(theirs + [gap]) == rank
+    return False
+
+
+@pytest.mark.parametrize("entry_id, params, c", [
+    ("n1", {}, -1), ("n2", {}, -1), ("s_ab", {"a": 1, "b": 2}, 2), ("n2", {}, 0)])
+def test_family_matches_the_entrywise_oracle(entry_id, params, c):
+    entry = catalog.get(entry_id, **params)
+    struct = reconstruct_su3(entry.algebra, *entry.su3_pair)
+    assert not _same_family_as_oracle(entry.algebra, struct, c)
+
+
+def test_family_matches_the_entrywise_oracle_on_random_algebras():
+    from test_acceptance import _random_structure_equations
+
+    rng = np.random.default_rng(5)
+    omega, psi = adapted_su3_pair()
+    empty = []
+    while len(empty) < 60:
+        alg = _random_structure_equations(rng)
+        if check_jacobi(alg) == 0:
+            empty.append(_same_family_as_oracle(alg, reconstruct_su3(alg, omega, psi), 1))
+    assert empty.count(True) == 12  # both branches are covered
+
+
+def test_family_acts_once_per_basis_derivation(monkeypatch, n2_entry, s_n2):
+    calls = []
+
+    def counted(a, gamma):
+        calls.append(a)
+        return endo_action(a, gamma)
+
+    monkeypatch.setattr(su3, "endo_action", counted)
+    find_compatible_derivations(n2_entry.algebra, s_n2, -1)
+    assert len(calls) == derivation_space(n2_entry.algebra).dim < 36
 
 
 # -- extensions ------------------------------------------------------------------------
