@@ -452,8 +452,9 @@ _BUILTIN_IDS = frozenset(_REGISTRY)
 
 
 def load_user_catalog(path):
-    """Register parameterless entries from a JSON file.  An id that names a
-    built-in entry is a ValueError; a user id registered before is replaced.
+    """Register parameterless entries from a JSON file.  An id that is not a
+    string or names a built-in entry, and an omega without psi or the reverse,
+    are a ValueError; a user id registered before is replaced.
 
     Schema: {"entries": [{"id": ..., "algebra": <liealg JSON>,
                           "phi": <KForm JSON, optional>,
@@ -466,15 +467,17 @@ def load_user_catalog(path):
     ids = []
     for item in data.get("entries", []):
         entry_id = item["id"]
+        if not isinstance(entry_id, str):
+            raise ValueError("user entry id %r is not a string" % (entry_id,))
         if entry_id in _BUILTIN_IDS:
             raise ValueError("user entry %r would replace a built-in entry" % entry_id)
+        if ("omega" in item) != ("psi" in item):
+            raise ValueError("user entry %r: omega and psi must be given together" % entry_id)
         algebra = LieAlgebra.from_json_dict(item["algebra"])
         phi = KForm.from_json_dict(item["phi"], backend=RATIONAL) \
             if "phi" in item else None
-        pair = None
-        if "omega" in item and "psi" in item:
-            pair = (KForm.from_json_dict(item["omega"], backend=RATIONAL),
-                    KForm.from_json_dict(item["psi"], backend=RATIONAL))
+        pair = tuple(KForm.from_json_dict(item[key], backend=RATIONAL)
+                     for key in ("omega", "psi")) if "psi" in item else None
         builder = partial(_user_entry, algebra, phi, pair)
         _entry(entry_id, "none", item.get("description", "user entry"))(builder)
         ids.append(entry_id)

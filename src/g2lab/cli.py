@@ -457,10 +457,13 @@ def _render(report, fmt) -> str:
 
 def _execute(args):
     """The report of one invocation and its exit code."""
+    command = [args.command, args.action if args.command == "catalog" else args.algebra]
     try:
+        if args.jobs < 1:
+            raise CliError("--jobs must be at least 1")
         _load_user_catalog()
         if args.command == "catalog":
-            return _report(["catalog", args.action], {"command": "catalog-list"},
+            return _report(command, {"command": "catalog-list"},
                            _cmd_catalog_list(args)), EXIT_OK
 
         sweeps = _parse_params(args.param)
@@ -475,7 +478,6 @@ def _execute(args):
         else:
             outcomes = [_run_job(job) for job in jobs]
 
-        command = [args.command, args.algebra]
         algebras = [e.algebra.to_json_dict() for e, _ in outcomes]
         if len(outcomes) == 1:  # a sweep digests every item's algebra
             algebras, results = algebras[0], outcomes[0][1]
@@ -488,8 +490,7 @@ def _execute(args):
         if code is None:  # not a rejected input: a bug, shown with its traceback
             raise
         status = "ambiguous" if isinstance(exc, AmbiguousResidualError) else "error"
-        return _report([args.command, getattr(args, "algebra", "")],
-                       {"command": args.command}, {"error": str(exc)}, status), code
+        return _report(command, {"command": args.command}, {"error": str(exc)}, status), code
 
 
 def main(argv=None) -> int:

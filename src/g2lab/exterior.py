@@ -406,7 +406,7 @@ class MetricData:
     H = prod g_ii / det g >= 1 the Hadamard ratio.
     """
 
-    __slots__ = ("n", "g", "vol", "backend", "_ginv", "_gram")
+    __slots__ = ("n", "g", "vol", "backend", "_gram")
 
     def __init__(self, g, vol: KForm):
         rows = [tuple(r) for r in g]
@@ -437,7 +437,6 @@ class MetricData:
         object.__setattr__(self, "g", tuple(rows))
         object.__setattr__(self, "vol", vol)
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_ginv", None)
         object.__setattr__(self, "_gram", {})
 
     def __setattr__(self, *_):
@@ -458,36 +457,34 @@ class MetricData:
         return self.vol.coeffs[0]
 
     def g_inv(self):
-        if self._ginv is None:
-            if self.backend == RATIONAL:
-                inv = linalg.inverse([list(r) for r in self.g])
-                object.__setattr__(self, "_ginv", tuple(tuple(r) for r in inv))
-            else:
-                inv = np.linalg.inv(np.array(self.g))
-                object.__setattr__(self, "_ginv", tuple(tuple(r) for r in inv.tolist()))
-        return self._ginv
+        return self.gram(1)
 
     def gram(self, k: int):
         """Gram matrix Lambda^k g^-1 on degree-k forms, cached per degree; entry
         (I, J) is det g^-1[I, J], and column J is g^-1 e^{j_1} ^ ... ^ g^-1 e^{j_k}.
-        Float: every k x k minor by one batched LU determinant.  Rational: Laplace
-        expansion along the last column over the cached degree-(k-1) table,
+        Degree 1 is g^-1 itself, by the backend's inverse.  Float: every k x k
+        minor by one batched LU determinant.  Rational: Laplace expansion along
+        the last column over the cached degree-(k-1) table,
         sum_r (-1)^(k+r) g^-1[i_r, j_k] gram_{k-1}[I - i_r][J - j_k] (r = 1..k)."""
         if k in self._gram:
             return self._gram[k]
-        n, ginv = self.n, self.g_inv()
-        if self.backend == FLOAT:
+        n = self.n
+        if k == 1:
+            inv = (linalg.inverse(self.g) if self.backend == RATIONAL
+                   else np.linalg.inv(np.array(self.g)).tolist())
+            gram = tuple(map(tuple, inv))
+        elif self.backend == FLOAT:
             idx = basis_indices(n, k)
             idx = np.array(idx, int).reshape(len(idx), k)
-            sub = np.array(ginv)[idx[:, None, :, None], idx[None, :, None, :]]  # (N, N, k, k)
-            gram = tuple(tuple(row) for row in np.linalg.det(sub).tolist())
-        elif k <= 1:
-            gram = ginv if k else ((Fraction(1),),)
+            sub = np.array(self.gram(1))[idx[:, None, :, None], idx[None, :, None, :]]
+            gram = tuple(tuple(row) for row in np.linalg.det(sub).tolist())  # (N, N) minors
+        elif k == 0:
+            gram = ((Fraction(1),),)
         else:
             prev, pos, idxs = self.gram(k - 1), index_position(n, k - 1), basis_indices(n, k)
             ends = [[(b, pos[idx[:-1]]) for b, idx in enumerate(idxs) if idx[-1] == j]
                     for j in range(n)]
-            support = [[(j, x) for j, x in enumerate(row) if x] for row in ginv]
+            support = [[(j, x) for j, x in enumerate(row) if x] for row in self.gram(1)]
             rows = [[Fraction(0)] * len(idxs) for _ in idxs]
             # e^{I - i_r} ^ e^{i_r} = (-1)^(k+r) e^I: one wedge pair per term
             for (p, i), (a, sign) in wedge_pairs(n, k - 1, 1).items():

@@ -287,7 +287,9 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: Optional[float] = None
     took still count in rhs_evals.  The integrator stops early with status
     "blowup-approach" when |tau|^2 exceeds 1e12 at an accepted state, or when
     the step size underflows (h < 1e-13 max(1, t)) after the torsion grew; an
-    underflow without torsion growth raises FlowStalled.
+    underflow without torsion growth raises FlowStalled.  The last step, cut
+    to reach t_end, is exempt from the underflow test, and the run ends once
+    t is within 4 ulps of t_end.
     t_end, tol and a given dt0 must be finite and positive.
     """
     if not all(0 < x < math.inf for x in (t_end, tol, 1.0 if dt0 is None else dt0)):
@@ -337,9 +339,8 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: Optional[float] = None
         h = min(100.0 * h0, (0.01 * tol / m) ** (1 / 8))
     just_rejected = False
     h_acc = q_acc = None  # the previous accepted step and its error ratio
-    while t < t_end - 1e-15 and tau_nsq <= BLOWUP_TAU_SQ:
-        h = min(h, t_end - t)
-        if h < 1e-13 * max(1.0, t):
+    while t_end - t > 4 * math.ulp(t_end) and tau_nsq <= BLOWUP_TAU_SQ:
+        if h < min(1e-13 * max(1.0, t), t_end - t):
             # the step size underflows exactly when the right-hand side becomes
             # singular at the requested tolerance: approaching finite-time blow-up;
             # relative to t, or a long run stalls on steps that no longer move t
@@ -348,6 +349,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: Optional[float] = None
                                   "growth" % t)
             status = "blowup-approach"
             break
+        h = min(h, t_end - t)
         try:
             for i in range(1, 13):
                 # at i = 12 this is the 8th-order solution: the last row of A is b

@@ -10,11 +10,11 @@ are reduced, and entries that cancel are dropped.  The reduced row-echelon
 form of a matrix is unique, so the result does not depend on the pivot order.
 Ranks, inverses, each linear system (whose solution and kernel are read off
 one reduction) and least squares (by the rank factorisation one reduction
-gives) come from ``rref``; ``det`` and ``positive_det``, the exact
-positivity rule (positive definite by the pivots of an elimination without
-row exchanges, Sylvester), are the other two elimination loops.  None of
-these depends on a float threshold: ranks, nullspaces, positivity and
-least-squares solutions are exact.
+gives) come from ``rref``.  The other elimination is the dense ``_pivots``:
+``det`` multiplies its pivots, and ``positive_det``, the exact positivity
+rule, accepts when every pivot is positive and no row was exchanged
+(Sylvester).  None of these depends on a float threshold: ranks,
+nullspaces, positivity and least-squares solutions are exact.
 
 The one float routine is ``positive_det_np``, the float twin of
 ``positive_det``: positivity and the determinant of a symmetric form from one
@@ -36,10 +36,6 @@ ONE = Fraction(1)
 
 #: positive_det_np refuses a pivot L_ii^2 at or below this times max |b_ii|
 CHOLESKY_PIVOT_TOL = 1e-12
-
-
-def mat_copy(m):
-    return [list(row) for row in m]
 
 
 def rref(m):
@@ -136,30 +132,31 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def det(m) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    a = mat_copy(m)
+def _pivots(m):
+    """Gaussian elimination of a copy of the square ``m``: yields (pivot, swapped)
+    per column, swapped when the diagonal entry was zero and a lower row with a
+    nonzero entry was exchanged in; stops after a zero pivot."""
+    a = [list(row) for row in m]
     n = len(a)
-    sign = ONE
-    result = ONE
     for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
+        p = next((i for i in range(c, n) if a[i][c] != 0), c)
+        a[c], a[p] = a[p], a[c]
         pv = a[c][c]
-        result *= pv
+        yield pv, p != c
+        if pv == 0:
+            return
         for i in range(c + 1, n):
             if a[i][c] != 0:
                 f = a[i][c] / pv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * result
+
+
+def det(m) -> Fraction:
+    """Determinant: the product of the elimination pivots, negated once per row exchange."""
+    result = ONE
+    for pv, swapped in _pivots(m):
+        result *= -pv if swapped else pv
+    return result
 
 
 def positive_det(m):
@@ -168,20 +165,13 @@ def positive_det(m):
     Elimination without row exchanges: the k-th pivot is D_k / D_{k-1}, so
     all pivots are positive exactly when all leading minors D_k are, which
     for a symmetric m is positive-definiteness (Sylvester's criterion); the
-    product of the pivots is det m.
+    product of the pivots is det m.  A row exchange means some D_k = 0.
     """
-    a = mat_copy(m)
-    n = len(a)
     result = ONE
-    for c in range(n):
-        pv = a[c][c]
-        if pv <= 0:
+    for pv, swapped in _pivots(m):
+        if swapped or pv <= 0:
             return None
         result *= pv
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return result
 
 

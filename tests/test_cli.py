@@ -144,22 +144,25 @@ def _form_with_coefficient(n, c):
     ("catalog", lambda: {"entries": [{"id": "bad", "algebra": _n2_with_coefficient(0.5)}]}),
     ("catalog", lambda: {"entries": [{"id": "bad", "algebra": _n2_with_coefficient("1/0")}]}),
     ("catalog", lambda: [{"id": "bad", "algebra": _n2_with_coefficient("1")}]),
+    ("catalog list", lambda: [{"id": "bad", "algebra": _n2_with_coefficient("1")}]),
 ], ids=["algebra-float", "algebra-list", "algebra-1/0", "phi-list", "phi-list-coefficient",
-        "phi-1/0", "su3-list", "su3-1/0", "catalog-float", "catalog-1/0", "catalog-list"])
+        "phi-1/0", "su3-list", "su3-1/0", "catalog-float", "catalog-1/0", "catalog-list",
+        "catalog-list-command"])
 def test_malformed_json_exits_2(capsys, tmp_path, monkeypatch, command, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload()))
     argv = {"analyze": ["analyze", str(path)],
             "g2": ["g2", "abelian7", "--phi", str(path)],
             "su3": ["su3", "n2", "--omega", str(path), "--psi", str(path)],
-            "catalog": ["analyze", "n2"]}[command]
-    if command == "catalog":
+            "catalog": ["analyze", "n2"],
+            "catalog list": ["catalog", "list"]}[command]
+    if command.startswith("catalog"):
         monkeypatch.setenv("G2LAB_CATALOG_PATH", str(path))
     code, report = run_json(capsys, *argv)
     assert code == 2
     assert report["schema"] == "g2lab-report/1" and report["status"] == "error"
     assert report["command"] == argv[:2]
-    if command == "catalog":
+    if command.startswith("catalog"):
         assert report["results"]["error"].startswith("cannot load user catalog: ")
 
 
@@ -749,6 +752,39 @@ def test_user_catalog_cannot_replace_a_builtin_entry_exit_2(capsys, tmp_path, mo
         assert "'g_a' would replace a built-in entry" in error
     assert catalog.get("g_a").algebra.n == 7
 
+
+
+@pytest.mark.parametrize("entry_id", [5, None])
+def test_user_catalog_id_that_is_not_a_string_exit_2(capsys, tmp_path, monkeypatch, entry_id):
+    _user_catalog(tmp_path, monkeypatch, entry_id,
+                  {"algebra": catalog.get("n2").algebra.to_json_dict()})
+    for argv in (["catalog", "list"], ["analyze", "n1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert_parse_error_report(code, report, argv)
+        assert report["results"]["error"] == (
+            "cannot load user catalog: user entry id %r is not a string" % entry_id)
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("given", ["omega", "psi"])
+def test_user_catalog_lone_omega_or_psi_exit_2(capsys, tmp_path, monkeypatch, given):
+    entry = catalog.get("n2")
+    form = dict(zip(("omega", "psi"), entry.su3_pair))[given]
+    _user_catalog(tmp_path, monkeypatch, "lone_form",
+                  {"algebra": entry.algebra.to_json_dict(), given: form.to_json_dict()})
+    code, report = run_json(capsys, "su3", "lone_form")
+    assert_parse_error_report(code, report, ["su3", "lone_form"])
+    assert "omega and psi must be given together" in report["results"]["error"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_1_exit_2(capsys, jobs):
+    for argv in (["analyze", "g_a", "--param", "a=1/2,1"], ["catalog", "list"]):
+        code, report = run_json(capsys, *argv, "--jobs", jobs)
+        assert_parse_error_report(code, report, argv[:2])
+        assert report["results"]["error"] == "--jobs must be at least 1"
 
 def test_user_catalog_jacobi_failure_exit_3(capsys, tmp_path, monkeypatch):
     _user_catalog(tmp_path, monkeypatch, "non_jacobi", {"algebra": _non_jacobi_n2()})

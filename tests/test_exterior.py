@@ -301,6 +301,23 @@ def test_float_gram_matches_minor_oracle():
                 assert err <= 1e-13 * np.max(np.abs(ref)), (n, k)
 
 
+
+def test_g_inv_is_the_cached_degree_one_gram_matrix(g_half):
+    from g2lab.g2 import G2Structure
+
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((7, 7))
+    g = a @ a.T + 0.5 * np.eye(7)
+    vol = KForm.monomial(7, tuple(range(1, 8)), float(np.sqrt(np.linalg.det(g))),
+                         backend=FLOAT)
+    metric = G2Structure(g_half.algebra, g_half.phi).metric
+    exact, floats = MetricData(metric.g, metric.vol), MetricData(g.tolist(), vol)
+    for m in (exact, floats):
+        assert m.g_inv() is m.gram(1)
+    assert exact.g_inv() == tuple(map(tuple, linalg.inverse(metric.g)))
+    # the float g^-1 is np.linalg.inv's, bit for bit
+    assert np.array(floats.gram(1)).tobytes() == np.linalg.inv(g).tobytes()
+
 def test_float_gram_is_accurate_on_ill_conditioned_metrics():
     # g = A^T A with integer A and cond(g) in [1e4, 1.4e5]: every entry is
     # within cond(g) eps max|entry| of the exact minor of g^-1 = adj(g) / det g

@@ -271,6 +271,15 @@ def test_flow_reaches_the_gabk_blowup_time_in_few_evaluations(g110_structure):
     assert traj.stats.rhs_evals < 20_000
 
 
+
+@pytest.mark.parametrize("t_end", [1e-14, 5e-14, 1e-16])
+def test_a_tiny_t_end_is_reached_in_one_step(g_half_struct, t_end):
+    # the one step is cut to reach t_end, so it is exempt from the underflow
+    # test, and a t_end below 1e-15 still takes it
+    traj = laplacian_flow(g_half_struct, t_end)
+    assert traj.status == "completed"
+    assert traj.samples[-1].t == t_end and traj.stats.accepted == 1
+
 def test_long_expanding_flow_stalls_in_bounded_work(monkeypatch):
     # g_a at a = 2 expands self-similarly; near t = 1.9e8 no float step moves
     # t any more, and the step-size underflow relative to t ends the run

@@ -119,6 +119,19 @@ def test_positive_det_is_sylvester_and_det():
     assert all(linalg.det(m) > 0 and linalg.positive_det(m) is None for m in cases[-2:])
 
 
+
+def test_zero_pivot_after_elimination_takes_a_row_exchange():
+    # the second diagonal entry of the 3 x 3 vanishes only once the first
+    # column is eliminated; the 4 x 4 takes two row exchanges.  det must count
+    # each exchange, and positive_det must refuse: a leading minor is zero
+    cases = [[[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+             [[1, 0, 1, 0], [1, 0, 1, 1], [1, 1, 1, 2], [-1, -1, 0, 1]]]
+    for m, swaps in zip(cases, (1, 2)):
+        m = [[F(x) for x in row] for row in m]
+        assert sum(swapped for _, swapped in linalg._pivots(m)) == swaps
+        assert linalg.det(m) == sympy.Matrix(m).det() != 0
+        assert linalg.positive_det(m) is None
+
 def _system_cases(rng):
     cases = []
     for trial in range(36):
