@@ -452,9 +452,10 @@ _BUILTIN_IDS = frozenset(_REGISTRY)
 
 
 def load_user_catalog(path):
-    """Register parameterless entries from a JSON file.  An id that is not a
-    string or names a built-in entry, and an omega without psi or the reverse,
-    are a ValueError; a user id registered before is replaced.
+    """Register parameterless entries from a JSON file, all of them or none:
+    every entry is read and checked before any is registered.  An id that is
+    not a string or names a built-in entry, and an omega without psi or the
+    reverse, are a ValueError; a user id registered before is replaced.
 
     Schema: {"entries": [{"id": ..., "algebra": <liealg JSON>,
                           "phi": <KForm JSON, optional>,
@@ -464,7 +465,7 @@ def load_user_catalog(path):
     """
     with open(path) as fh:
         data = json.load(fh)
-    ids = []
+    builders = []
     for item in data.get("entries", []):
         entry_id = item["id"]
         if not isinstance(entry_id, str):
@@ -478,10 +479,11 @@ def load_user_catalog(path):
             if "phi" in item else None
         pair = tuple(KForm.from_json_dict(item[key], backend=RATIONAL)
                      for key in ("omega", "psi")) if "psi" in item else None
-        builder = partial(_user_entry, algebra, phi, pair)
-        _entry(entry_id, "none", item.get("description", "user entry"))(builder)
-        ids.append(entry_id)
-    return ids
+        builders.append((entry_id, item.get("description", "user entry"),
+                         partial(_user_entry, algebra, phi, pair)))
+    for entry_id, description, builder in builders:
+        _entry(entry_id, "none", description)(builder)
+    return [entry_id for entry_id, _, _ in builders]
 
 
 def _user_entry(algebra, phi, pair):

@@ -231,7 +231,7 @@ class KForm:
         return all(abs(c) <= tol for c in self.coeffs)
 
     def max_abs(self):
-        return max((abs(c) for c in self.coeffs), default=0)
+        return max((abs(c) for c in self.coeffs if c), default=zero(self.backend))
 
     def norm_l2(self) -> float:
         return float(np.sqrt(sum(float(c) * float(c) for c in self.coeffs)))

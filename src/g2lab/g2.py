@@ -460,8 +460,12 @@ def hodge_laplacian_closed(struct: G2Structure) -> KForm:
 # ---------------------------------------------------------------------------
 
 def closed_3form_basis(alg: LieAlgebra):
-    """Exact basis of the kernel of d on 3-forms."""
-    null = linalg.nullspace(alg.d_matrix(3), ncols=len(basis_indices(alg.n, 3)))
+    """Exact basis of the kernel of d on 3-forms, from the sparse rows of d."""
+    rows = [{} for _ in basis_indices(alg.n, 4)]
+    for col, entries in enumerate(alg.d_columns(3)):
+        for r, c in entries:
+            rows[r][col] = c
+    null = linalg.nullspace(rows, ncols=len(basis_indices(alg.n, 3)))
     return [KForm(alg.n, 3, v, RATIONAL) for v in null]
 
 

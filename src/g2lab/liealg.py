@@ -3,7 +3,8 @@
 An n-dimensional Lie algebra is stored as the degree-1 part of its
 Chevalley-Eilenberg differential: the list (de^1, ..., de^n) of 2-forms.
 d in each degree is kept once, as the sparse columns of d e^I that
-``ce_differential`` reads in both scalar backends.  The Jacobi identity
+``ce_differential`` reads in both scalar backends and ``d_rank`` ranks as
+the rows of d^T.  The Jacobi identity
 is equivalent to d o d = 0.  The constructor reads the
 bracket off de^k(e_i, e_j) = -e^k([e_i, e_j]) once, into one table of the
 nonzero structure constants c_ij^k of every ordered pair; brackets,
@@ -53,7 +54,7 @@ class LieAlgebra:
         sc = [[[] for _ in range(n)] for _ in range(n)]
         for k, f in enumerate(d1):
             for (i, j), c in zip(basis_indices(n, 2), f.coeffs):
-                if c != 0:
+                if c:
                     sc[i][j].append((k, -c))
                     sc[j][i].append((k, c))
         self._sc = tuple(tuple(tuple(pairs) for pairs in row) for row in sc)
@@ -108,30 +109,33 @@ class LieAlgebra:
             cols = [{} for _ in basis_indices(n, k)]
             if 0 < k < n:  # d of constants vanishes
                 pairs, rest_pos = wedge_pairs(n, 2, k - 1), index_position(n, k - 1)
-                terms = [[(pos, c) for pos, c in enumerate(f.coeffs) if c != 0]
+                terms = [[(pos, c) for pos, c in enumerate(f.coeffs) if c]
                          for f in self.d1]
                 for col, idx in zip(cols, basis_indices(n, k)):
                     for p, i in enumerate(idx):
                         rest = rest_pos[idx[:p] + idx[p + 1:]]
                         for pos, c in terms[i]:
                             hit = pairs.get((pos, rest))
-                            if hit is not None:
-                                col[hit[0]] = col.get(hit[0], ZERO) + (-1) ** p * hit[1] * c
-            self._d_columns[k] = tuple(tuple((r, c) for r, c in col.items() if c != 0)
+                            if hit is not None:  # +-c, not an int times a Fraction
+                                col[hit[0]] = col.get(hit[0], ZERO) + (
+                                    c if hit[1] == (-1) ** p else -c)
+            self._d_columns[k] = tuple(tuple((r, c) for r, c in col.items() if c)
                                        for col in cols)
         return self._d_columns[k]
 
     def d_matrix(self, k: int):
         """Exact dense matrix of d: degree k -> degree k+1 (rows = target
-        basis), assembled afresh from ``d_columns(k)``; [] for k >= n."""
+        basis), assembled afresh from ``d_columns(k)``; [] for k >= n.  A copy
+        for callers that want one: the library ranks and solves on the columns."""
         cols = [dict(col) for col in self.d_columns(k)]
         return [[col.get(r, ZERO) for col in cols]
                 for r in range(len(basis_indices(self.n, k + 1)))]
 
     def d_rank(self, k: int) -> int:
-        """Exact rank of d_matrix(k), computed once per degree."""
+        """Exact rank of d: degree k -> degree k+1, computed once per degree as
+        the rank of d^T, whose rows are ``d_columns(k)``."""
         if k not in self._d_ranks:
-            self._d_ranks[k] = linalg.rank(self.d_matrix(k))
+            self._d_ranks[k] = linalg.rank([dict(col) for col in self.d_columns(k)])
         return self._d_ranks[k]
 
     # -- serialization -----------------------------------------------------------
@@ -186,7 +190,7 @@ def ce_differential(alg: LieAlgebra, gamma: KForm) -> KForm:
         return KForm.zero(n, n, gamma.backend)
     out = [zero(gamma.backend)] * len(basis_indices(n, k + 1))
     for x, col in zip(gamma.coeffs, alg.d_columns(k)):
-        if x != 0:
+        if x:
             for r, c in col:
                 out[r] += c * x
     return KForm(n, k + 1, out, gamma.backend)
@@ -239,7 +243,7 @@ class StructureFlags:
 
 def _span(vectors):
     """Canonical basis (rref rows) of the span of the given vectors."""
-    rows = [list(v) for v in vectors if any(c != 0 for c in v)]
+    rows = [list(v) for v in vectors if any(v)]
     if not rows:
         return []
     red, pivots = linalg.rref(rows)
@@ -247,7 +251,19 @@ def _span(vectors):
 
 
 def _bracket_span(alg, ubasis, vbasis):
-    prods = [alg.bracket(u, v) for u in ubasis for v in vbasis]
+    """Span of the [u, v], summed over the nonzero coordinates of u and v and
+    the nonzero structure constants."""
+    vs = [[(j, y) for j, y in enumerate(v) if y] for v in vbasis]
+    prods = []
+    for u in ubasis:
+        us = [(i, x) for i, x in enumerate(u) if x]
+        for v in vs:
+            out = [ZERO] * alg.n
+            for i, x in us:
+                for j, y in v:
+                    for k, c in alg._sc[i][j]:
+                        out[k] += x * y * c
+            prods.append(out)
     return _span(prods)
 
 
@@ -257,7 +273,7 @@ def _trace_form(ads):
     out = [[ZERO] * m for _ in range(m)]
     for i in range(m):
         nonzero = [(a, b, x) for a, row in enumerate(ads[i])
-                   for b, x in enumerate(row) if x != 0]
+                   for b, x in enumerate(row) if x]
         for j in range(i, m):
             adj = ads[j]
             out[i][j] = out[j][i] = sum((x * adj[b][a] for a, b, x in nonzero), ZERO)
@@ -375,16 +391,22 @@ def is_derivation(alg: LieAlgebra, d: Endo) -> bool:
     if d.n != alg.n:
         raise ValueError("endomorphism has wrong dimension")
     entries = [as_rational(x) for row in d.rows for x in row]
-    return not any(linalg.matvec(derivation_equations(alg), entries))
+    return not any(sum((c * entries[col] for col, c in eq.items()), ZERO)
+                   for eq in _derivation_rows(alg))
 
 
 def derivation_equations(alg: LieAlgebra):
-    """Rows of the homogeneous linear system cutting out Der(alg).
+    """Rows of the homogeneous linear system cutting out Der(alg), dense.
 
     Unknowns are the n^2 entries of D in row-major order.  Row (i, j, k),
     i < j, is the e_k coefficient of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j];
     all-zero rows are dropped.
     """
+    return [[eq.get(col, ZERO) for col in range(alg.n ** 2)] for eq in _derivation_rows(alg)]
+
+
+def _derivation_rows(alg):
+    """The rows of ``derivation_equations`` as {row-major position: coefficient} dicts."""
     n, sc = alg.n, alg._sc
     rows = []
     for i in range(n):
@@ -399,20 +421,14 @@ def derivation_equations(alg: LieAlgebra):
                 for col, pairs in ((m * n + i, sc[m][j]), (m * n + j, sc[i][m])):
                     for k, c in pairs:
                         eqs[k][col] = eqs[k].get(col, ZERO) - c
-            for eq in eqs:
-                if any(c != 0 for c in eq.values()):
-                    row = [ZERO] * (n * n)
-                    for col, c in eq.items():
-                        row[col] = c
-                    rows.append(row)
+            rows += [eq for eq in eqs if any(eq.values())]
     return rows
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     """Exact basis of Der(alg) as the nullspace of the derivation equations."""
     n = alg.n
-    rows = derivation_equations(alg)
-    null = linalg.nullspace(rows, ncols=n * n)
+    null = linalg.nullspace(_derivation_rows(alg), ncols=n * n)
     basis = tuple(
         Endo([v[i * n:(i + 1) * n] for i in range(n)]) for v in null
     )

@@ -1,8 +1,10 @@
 """Exact-rational linear algebra over ``fractions.Fraction``, and the float positivity rule.
 
-Matrices are lists of lists (row major); products skip zero entries.
-``rref`` is a sparse Gauss-Jordan elimination: each row is held as a
-``{column: value}`` dict of its nonzeros, and each column takes as pivot the
+Matrices are lists of lists (row major); ``matvec`` and ``matmul`` skip the
+zero entries of both factors.  ``rref`` is a sparse Gauss-Jordan elimination
+that also takes its rows as ``{column: value}`` dicts of their nonzeros, so
+callers holding sparse data pass it on: each row is held as such a dict, and
+each column that holds a nonzero takes as pivot the
 unused row that holds it with the fewest nonzeros (lowest index on ties), a
 Markowitz-style rule that keeps fill-in small on the very sparse derivation
 and Chevalley-Eilenberg systems.  Only the rows that hold the pivot column
@@ -38,21 +40,27 @@ ONE = Fraction(1)
 CHOLESKY_PIVOT_TOL = 1e-12
 
 
-def rref(m):
+def rref(m, ncols=None):
     """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns).
 
-    The pivot rows come first in pivot-column order, then zero rows, so the
-    result has as many rows as ``m``; ``m`` itself is not changed.
+    Rows are dense sequences or ``{column: value}`` dicts, and ``ncols`` is the
+    column count: by default the length of a dense first row, or one past the
+    last column a dict row holds.  The pivot rows come first in pivot-column
+    order, then zero rows, so the result has as many rows as ``m``; ``m``
+    itself is not changed.
     """
-    ncols = len(m[0]) if m else 0
-    rows = [{j: x for j, x in enumerate(row) if x != 0} for row in m]
-    holders = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
+    rows = [{j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+            for row in m]
+    holders = {}  # column -> rows with a nonzero there; fill-in adds no column
     for i, row in enumerate(rows):
         for j in row:
-            holders[j].add(i)
+            holders.setdefault(j, set()).add(i)
+    if ncols is None:
+        dense_rows = m and not isinstance(m[0], dict)
+        ncols = len(m[0]) if dense_rows else max(holders, default=-1) + 1
     free = set(range(len(rows)))
     pivots, pivot_rows = [], []
-    for c in range(ncols):
+    for c in sorted(holders):
         hold = holders[c]
         cand = [(len(rows[i]), i) for i in hold if i in free]
         if not cand:
@@ -74,7 +82,7 @@ def rref(m):
                     holders[j].add(i)
                 else:
                     x -= f * y
-                    if x != 0:
+                    if x:
                         row[j] = x
                     else:
                         del row[j]
@@ -90,8 +98,7 @@ def rref(m):
 
 
 def rank(m) -> int:
-    if not m or not m[0]:
-        return 0
+    """Rank of ``m``, dense or dict rows as ``rref`` takes them."""
     return len(rref(m)[1])
 
 
@@ -111,21 +118,24 @@ def _kernel(red, pivots, ncols):
 
 
 def nullspace(m, ncols=None):
-    """Basis of the kernel of ``m`` acting on column vectors."""
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    return _kernel(*rref(m), ncols)
+    """Basis of the kernel of ``m`` acting on column vectors; rows and ``ncols``
+    as ``rref`` takes them."""
+    red, pivots = rref(m, ncols)
+    return _kernel(red, pivots, len(red[0]) if red else ncols or 0)
 
 
 def matvec(m, v):
-    nonzero = [(j, x) for j, x in enumerate(v) if x != 0]
-    return [sum((row[j] * x for j, x in nonzero), ZERO) for row in m]
+    """m v over the nonzero entries of both factors; a sum of no products is
+    the zero of v's backend."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    zero = ZERO * v[0] if v else ZERO  # 0.0 for a float v
+    return [sum((row[j] * x for j, x in nonzero if row[j]), zero) for row in m]
 
 
 def matmul(a, b):
-    cols = range(len(b[0]))
-    rows = ([(x, brow) for x, brow in zip(row, b) if x != 0] for row in a)
-    return [[sum((x * brow[j] for x, brow in nz), ZERO) for j in cols] for nz in rows]
+    """a b, row by row as ``matvec`` of b^T: over the nonzero entries of both factors."""
+    bt = transpose(b)
+    return [matvec(bt, row) for row in a]
 
 
 def transpose(m):

@@ -240,6 +240,20 @@ def test_user_catalog_reloads_but_never_replaces_a_builtin_entry(tmp_path):
     assert catalog.get("g_a").algebra.n == 7
 
 
+def test_user_catalog_registers_all_entries_or_none(tmp_path):
+    item = {"algebra": catalog.get("n2").algebra.to_json_dict()}
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps({"entries": [dict(item, id="kept")]}))
+    catalog.load_user_catalog(path)
+    kept = catalog.describe("kept").builder
+    path.write_text(json.dumps({"entries": [dict(item, id="good"), dict(item, id="kept"),
+                                            dict(item, id="g_a")]}))
+    with pytest.raises(ValueError, match="'g_a' would replace a built-in entry"):
+        catalog.load_user_catalog(path)
+    assert "good" not in catalog.entry_ids()
+    assert catalog.describe("kept").builder is kept
+
+
 def test_parameters_are_checked_against_the_builder(tmp_path):
     payload = {"entries": [{"id": "user_n2",
                             "algebra": catalog.get("n2").algebra.to_json_dict()}]}

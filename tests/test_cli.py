@@ -76,6 +76,23 @@ def test_analyze_reuses_the_catalog_checks(capsys, monkeypatch):
     assert calls.count("_derived") == 1
 
 
+def test_analyze_works_on_sparse_data_only(capsys, monkeypatch):
+    # ranks from d^T = d_columns, brackets through the structure constants,
+    # derivations from sparse rows: the dense copies are never built
+    from g2lab import liealg
+    argv = ("analyze", "g_a", "--param", "a=2")
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0
+
+    def dense(*_):
+        raise AssertionError("analyze built a dense copy")
+
+    for owner, name in ((liealg.LieAlgebra, "d_matrix"), (liealg.LieAlgebra, "bracket"),
+                        (liealg, "derivation_equations")):
+        monkeypatch.setattr(owner, name, dense)
+    assert run_cli(capsys, *argv) == (0, expected)
+
+
 def test_analyze_unknown_entry_exit_2(capsys):
     code, report = run_json(capsys, "analyze", "does_not_exist")
     assert code == 2 and report["status"] == "error"

@@ -454,6 +454,18 @@ def test_search_deterministic_under_seed():
     assert residual < 1e-10 * max(1.0, float(first.max_abs()))
 
 
+def test_closed_3form_basis_is_the_kernel_of_the_dense_d():
+    # the basis comes from the sparse columns of d; the dense copy gives the same
+    import sympy
+    for entry_id in catalog.entry_ids():
+        spec = catalog.describe(entry_id)
+        alg = catalog.get(entry_id, **({"variant": "B"} if spec.ambiguous else {})).algebra
+        got = [f.coeffs for f in closed_3form_basis(alg)]
+        assert got == [tuple(v) for v in linalg.nullspace(alg.d_matrix(3))], entry_id
+        dim = len(basis_indices(alg.n, 3))
+        assert len(got) == dim - sympy.Matrix(alg.d_matrix(3)).rank(), entry_id
+
+
 def _serial_search(alg, attempts, seed):
     """The draw-by-draw search loop: (index, coefficients) of the first hit, or (None, None)."""
     kernel = closed_3form_basis(alg)

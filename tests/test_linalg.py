@@ -101,6 +101,59 @@ def test_rref_matches_sympy():
     assert min(kinds.values()) >= 8, kinds
 
 
+def test_sparse_rows_match_dense_rows_and_sympy():
+    # rows as {column: value} dicts of their nonzeros, with the column count
+    rng = np.random.default_rng(47)
+    edge = [[[F(0)] * 4, [F(0), F(2), F(0), F(0)], [F(1), F(0), F(0), F(0)]],  # empty row 0
+            [[F(0)] * 5 for _ in range(3)],  # all rows empty
+            [[F(1), F(2), F(0), F(0)], [F(2), F(4), F(0), F(0)]]]  # trailing zero columns
+    for m in edge + _sparse_cases(rng) + _derivation_systems():
+        ncols = len(m[0]) if m else 0
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+        s = sympy.Matrix(m) if m else sympy.zeros(0, 0)
+        expected, expected_pivots = s.rref()
+        red, pivots = linalg.rref(sparse, ncols)
+        assert (red, pivots) == linalg.rref(m)
+        assert tuple(pivots) == expected_pivots
+        assert red == [[F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(s.rows)]
+        assert linalg.rank(sparse) == linalg.rank(m) == s.rank()
+        assert linalg.nullspace(sparse, ncols) == linalg.nullspace(m)
+        assert len(linalg.nullspace(sparse, ncols)) == ncols - s.rank()
+        # without the count the columns end at the last one a row holds
+        width = max((max(row) for row in sparse if row), default=-1) + 1
+        assert linalg.rref(sparse) == ([row[:width] for row in red], pivots)
+    # a stored zero is not a nonzero: it neither pivots nor widens the result
+    assert linalg.rref([{0: F(0), 1: F(2)}, {3: F(0)}]) == ([[F(0), F(1)], [F(0), F(0)]], [1])
+    assert linalg.rank([{}, {2: F(0)}]) == 0
+
+
+def test_products_skip_zero_factors_and_keep_the_backend():
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        r, inner, c = (int(x) for x in rng.integers(1, 8, size=3))
+        a, b = _rational(rng, r, inner, 0.3), _rational(rng, inner, c, 0.3)
+        v = _rational(rng, 1, inner, 0.3)[0]
+        got_mv, got_mm = linalg.matvec(a, v), linalg.matmul(a, b)
+        assert got_mv == [sum((x * y for x, y in zip(row, v)), F(0)) for row in a]
+        assert got_mm == [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)]
+                          for row in a]
+        assert all(type(x) is F for x in got_mv + [x for row in got_mm for x in row])
+        # the same zeros in float matrices: the dense sums, bit for bit
+        fa, fb, fv = ((np.array(x, float) * rng.normal(size=np.shape(x))).tolist()
+                      for x in (a, b, v))
+        got = [linalg.matvec(fa, fv)] + linalg.matmul(fa, fb)
+        assert got == [[sum((x * y for x, y in zip(row, fv)), 0.0) for row in fa]] + [
+            [sum((x * y for x, y in zip(row, col)), 0.0) for col in zip(*fb)] for row in fa]
+        assert all(type(x) is float for row in got for x in row)
+    # every product of an entry skipped: a float zero, not Fraction(0)
+    a = [[0.0, 1.5], [2.0, 0.0]]
+    for got in (linalg.matmul(a, [[3.0, 0.0], [0.0, 0.0]]), [linalg.matvec(a, [0.0, 2.0])],
+                [linalg.matvec(a, [0.0, 0.0])]):
+        assert all(type(x) is float for row in got for x in row)
+    assert linalg.matmul(a, [[3.0, 0.0], [0.0, 0.0]]) == [[0.0, 0.0], [6.0, 0.0]]
+    assert linalg.matvec(a, [0.0, 2.0]) == [3.0, 0.0]
+
+
 def test_positive_det_is_sylvester_and_det():
     rng = np.random.default_rng(31)
     cases = _square_cases(rng)
