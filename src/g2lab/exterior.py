@@ -145,10 +145,12 @@ class KForm:
             if len(set(zero_based)) != k:
                 continue  # repeated index wedges to zero
             order = tuple(sorted(zero_based))
-            sign = _permutation_sign(zero_based)
-            vals[order] = vals.get(order, 0) + sign * c
-        coeffs = [vals.get(idx, 0) for idx in basis_indices(n, k)]
-        return cls(n, k, coeffs, backend)
+            c = c if _permutation_sign(zero_based) > 0 else -c
+            vals[order] = vals[order] + c if order in vals else c
+        if backend is None:
+            backend = backend_of(vals.values())
+        fill = zero(backend)
+        return cls(n, k, [vals.get(idx, fill) for idx in basis_indices(n, k)], backend)
 
     @classmethod
     def monomial(cls, n, idx, c=1, backend=None):

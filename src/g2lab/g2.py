@@ -154,10 +154,12 @@ def induced_bilinear_np(y: np.ndarray) -> np.ndarray:
 
 def _contract(terms, y, z, acc):
     """The symmetric rows acc + sum k y_a y_b z_c over (i, j, a, b, c, k) terms of
-    _cubic_table, skipping the terms with a zero factor."""
+    _cubic_table whose a, b and c index nonzeros of y and z."""
     rows = [[acc] * 7 for _ in range(7)]
+    ny = {a for a, x in enumerate(y) if x}
+    nz = {c for c, x in enumerate(z) if x}
     for i, j, a, b, c, k in terms:
-        if y[a] and y[b] and z[c]:
+        if a in ny and b in ny and c in nz:
             rows[i][j] += k * y[a] * y[b] * z[c]
     return [[rows[min(i, j)][max(i, j)] for j in range(7)] for i in range(7)]
 

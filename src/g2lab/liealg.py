@@ -102,23 +102,25 @@ class LieAlgebra:
         """Sparse columns of d: degree k -> degree k+1, built once per degree.
 
         Entry I lists the (row, c), c != 0, of
-        d e^I = sum_p (-1)^p de^{I_p} ^ e^{I - I_p}.
+        d e^I = sum_p (-1)^p de^{I_p} ^ e^{I - I_p}, from +c and -c formed once
+        per structure constant c: the first hit on a row is stored as it is.
         """
         if k not in self._d_columns:
             n = self.n
             cols = [{} for _ in basis_indices(n, k)]
             if 0 < k < n:  # d of constants vanishes
                 pairs, rest_pos = wedge_pairs(n, 2, k - 1), index_position(n, k - 1)
-                terms = [[(pos, c) for pos, c in enumerate(f.coeffs) if c]
+                terms = [[(pos, (c, -c)) for pos, c in enumerate(f.coeffs) if c]
                          for f in self.d1]
                 for col, idx in zip(cols, basis_indices(n, k)):
                     for p, i in enumerate(idx):
-                        rest = rest_pos[idx[:p] + idx[p + 1:]]
-                        for pos, c in terms[i]:
+                        rest, sign = rest_pos[idx[:p] + idx[p + 1:]], (-1) ** p
+                        for pos, pm in terms[i]:
                             hit = pairs.get((pos, rest))
-                            if hit is not None:  # +-c, not an int times a Fraction
-                                col[hit[0]] = col.get(hit[0], ZERO) + (
-                                    c if hit[1] == (-1) ** p else -c)
+                            if hit is not None:  # +c where the signs agree
+                                r, v = hit[0], pm[hit[1] != sign]
+                                x = col.get(r)
+                                col[r] = v if x is None else x + v
             self._d_columns[k] = tuple(tuple((r, c) for r, c in col.items() if c)
                                        for col in cols)
         return self._d_columns[k]
@@ -268,7 +270,7 @@ def _bracket_span(alg, ubasis, vbasis):
 
 
 def _trace_form(ads):
-    """[[tr(a_i a_j)]] = [[sum_{a,b} a_i[a][b] a_j[b][a]]] over the nonzero a_i[a][b]."""
+    """[[tr(a_i a_j)]] = [[sum_{a,b} a_i[a][b] a_j[b][a]]] over the nonzero factors."""
     m = len(ads)
     out = [[ZERO] * m for _ in range(m)]
     for i in range(m):
@@ -276,7 +278,8 @@ def _trace_form(ads):
                    for b, x in enumerate(row) if x]
         for j in range(i, m):
             adj = ads[j]
-            out[i][j] = out[j][i] = sum((x * adj[b][a] for a, b, x in nonzero), ZERO)
+            out[i][j] = out[j][i] = sum((x * adj[b][a] for a, b, x in nonzero if adj[b][a]),
+                                        ZERO)
     return out
 
 

@@ -2,21 +2,25 @@
 
 Matrices are lists of lists (row major); ``matvec`` and ``matmul`` skip the
 zero entries of both factors.  ``rref`` is a sparse Gauss-Jordan elimination
-that also takes its rows as ``{column: value}`` dicts of their nonzeros, so
-callers holding sparse data pass it on: each row is held as such a dict, and
-each column that holds a nonzero takes as pivot the
-unused row that holds it with the fewest nonzeros (lowest index on ties), a
-Markowitz-style rule that keeps fill-in small on the very sparse derivation
-and Chevalley-Eilenberg systems.  Only the rows that hold the pivot column
-are reduced, and entries that cancel are dropped.  The reduced row-echelon
-form of a matrix is unique, so the result does not depend on the pivot order.
-Ranks, inverses, each linear system (whose solution and kernel are read off
-one reduction) and least squares (by the rank factorisation one reduction
-gives) come from ``rref``.  The other elimination is the dense ``_pivots``:
-``det`` multiplies its pivots, and ``positive_det``, the exact positivity
-rule, accepts when every pivot is positive and no row was exchanged
-(Sylvester).  None of these depends on a float threshold: ranks,
-nullspaces, positivity and least-squares solutions are exact.
+on Python ints of exact rationals only (a float raises ``TypeError``), also
+of rows given as ``{column: value}`` dicts of their nonzeros (a column
+outside ``range(ncols)`` raises ``ValueError``).  Each row is held as such a
+dict, scaled to integers by the lcm of its denominators; each column that
+holds a nonzero takes as pivot the unused row that holds it with the fewest
+nonzeros (lowest index on ties), a Markowitz-style rule that keeps fill-in
+small on the very sparse derivation and Chevalley-Eilenberg systems.  Only
+the rows that hold the pivot column are reduced, by integer
+cross-multiplication and then division by the gcd of their entries, and
+entries that cancel are dropped.  The reduced row-echelon form is unique, so
+the result, one ``Fraction(x, pivot)`` per nonzero, does not depend on the
+pivot order; ``rank`` counts the pivots without building it.  Inverses, each
+linear system (whose solution and kernel are read off one reduction) and
+least squares (by the rank factorisation one reduction gives) come from
+``rref``.  The other elimination is the dense ``_pivots``: ``det`` multiplies
+its pivots, and ``positive_det``, the exact positivity rule, accepts when
+every pivot is positive and no row was exchanged (Sylvester).  None of these
+depends on a float threshold: ranks, nullspaces, positivity and least-squares
+solutions are exact.
 
 The one float routine is ``positive_det_np``, the float twin of
 ``positive_det``: positivity and the determinant of a symmetric form from one
@@ -29,6 +33,7 @@ directly where needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
@@ -40,17 +45,18 @@ ONE = Fraction(1)
 CHOLESKY_PIVOT_TOL = 1e-12
 
 
-def rref(m, ncols=None):
-    """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns).
-
-    Rows are dense sequences or ``{column: value}`` dicts, and ``ncols`` is the
-    column count: by default the length of a dense first row, or one past the
-    last column a dict row holds.  The pivot rows come first in pivot-column
-    order, then zero rows, so the result has as many rows as ``m``; ``m``
-    itself is not changed.
-    """
-    rows = [{j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
-            for row in m]
+def _eliminate(m, ncols):
+    """(pivot_rows, pivots, ncols) of ``rref``: pivot row r is row r of the rref scaled to ints."""
+    rows = []
+    for row in m:
+        nonzero = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row))
+                   if x]
+        try:
+            den = lcm(*[x.denominator for _, x in nonzero])
+        except AttributeError:
+            raise TypeError("expected an exact rational (int or Fraction), got %r" % next(
+                x for _, x in nonzero if not hasattr(x, "denominator"))) from None
+        rows.append({j: x.numerator * (den // x.denominator) for j, x in nonzero})
     holders = {}  # column -> rows with a nonzero there; fill-in adds no column
     for i, row in enumerate(rows):
         for j in row:
@@ -58,6 +64,8 @@ def rref(m, ncols=None):
     if ncols is None:
         dense_rows = m and not isinstance(m[0], dict)
         ncols = len(m[0]) if dense_rows else max(holders, default=-1) + 1
+    if holders and not (0 <= min(holders) and max(holders) < ncols):
+        raise ValueError("a nonzero lies outside the %d columns" % ncols)
     free = set(range(len(rows)))
     pivots, pivot_rows = [], []
     for c in sorted(holders):
@@ -67,39 +75,63 @@ def rref(m, ncols=None):
             continue
         p = min(cand)[1]
         free.remove(p)
-        pv = rows[p][c]
-        prow = rows[p] = {j: x / pv for j, x in rows[p].items()}
+        prow = rows[p]
+        pv = prow[c]
         tail = [(j, y) for j, y in prow.items() if j != c]
         for i in hold:
             if i == p:
                 continue
             row = rows[i]
             f = row.pop(c)
+            g = gcd(pv, f)
+            a, b = pv // g, f // g  # row <- a row - b prow
+            if a != 1:
+                for j in row:
+                    row[j] *= a
             for j, y in tail:
                 x = row.get(j)
                 if x is None:
-                    row[j] = -f * y
+                    row[j] = -b * y
                     holders[j].add(i)
                 else:
-                    x -= f * y
+                    x -= b * y
                     if x:
                         row[j] = x
                     else:
                         del row[j]
                         holders[j].discard(i)
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
         holders[c] = {p}
         pivots.append(c)
         pivot_rows.append(prow)
         if not free:
             break
-    dense = [[row.get(j, ZERO) for j in range(ncols)] for row in pivot_rows]
-    dense += [[ZERO] * ncols for _ in range(len(rows) - len(pivots))]
+    return pivot_rows, pivots, ncols
+
+
+def rref(m, ncols=None):
+    """Reduced row-echelon form.  Returns (rref_matrix, pivot_columns).
+
+    Rows are dense sequences or ``{column: value}`` dicts, and ``ncols`` is the
+    column count: by default the length of a dense first row, or one past the
+    last column where a dict row holds a nonzero.  The pivot rows come first in
+    pivot-column order, then zero rows, so the result has as many rows as
+    ``m``; ``m`` itself is not changed.
+    """
+    pivot_rows, pivots, ncols = _eliminate(m, ncols)
+    dense = [[ZERO] * ncols for _ in m]
+    for out, c, row in zip(dense, pivots, pivot_rows):
+        for j, x in row.items():
+            out[j] = Fraction(x, row[c])
     return dense, pivots
 
 
 def rank(m) -> int:
-    """Rank of ``m``, dense or dict rows as ``rref`` takes them."""
-    return len(rref(m)[1])
+    """Rank of ``m``, dense or dict rows as ``rref`` takes them, without building the rref."""
+    return len(_eliminate(m, None)[1])
 
 
 def _kernel(red, pivots, ncols):

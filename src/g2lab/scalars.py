@@ -81,7 +81,8 @@ def backend_of(values) -> str:
 def coerce(values, backend: str):
     """Return ``values`` as a tuple of scalars in the requested backend."""
     if backend == RATIONAL:
-        return tuple(as_rational(v) for v in values)
+        values = tuple(values)  # all Fractions already: returned as they are
+        return values if set(map(type, values)) <= {Fraction} else tuple(map(as_rational, values))
     if backend == FLOAT:
         return tuple(float(v) for v in values)
     raise ValueError("unknown backend %r" % (backend,))

@@ -12,6 +12,7 @@ from g2lab.exterior import (
     Endo,
     KForm,
     MetricData,
+    basis_indices,
     basis_vector,
     complement_table,
     endo_action,
@@ -21,7 +22,7 @@ from g2lab.exterior import (
     wedge,
 )
 from g2lab.g2 import adapted_phi
-from g2lab.scalars import FLOAT, RATIONAL, BackendMismatch
+from g2lab.scalars import FLOAT, RATIONAL, BackendMismatch, coerce
 from g2lab.su3 import adapted_su3_pair
 
 from oracles import (
@@ -516,6 +517,56 @@ def test_json_roundtrip_float():
 def test_from_terms_unsorted_indices_alternate():
     assert KForm.from_terms(6, 2, {(2, 1): 1}) == -1 * KForm.monomial(6, (1, 2))
     assert KForm.from_terms(6, 2, {(1, 1): 5}).is_zero()
+
+
+def test_from_terms_sums_signed_terms_per_index_in_both_backends():
+    rng = np.random.default_rng(61)
+    for trial in range(40):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(0, n + 1))
+        backend = (RATIONAL, FLOAT)[trial % 2]
+        terms = {}
+        for _ in range(int(rng.integers(0, 8))):
+            idx = tuple(int(i) + 1 for i in rng.choice(n, size=k, replace=False))
+            c = F(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+            terms[idx] = c if backend == RATIONAL else float(c)
+            if k >= 2 and rng.random() < 0.4:  # the swapped index: cancels or adds up
+                swapped = (idx[1], idx[0]) + idx[2:]
+                terms[swapped] = terms[idx] * (1 if rng.random() < 0.5 else 2)
+            if k >= 2 and rng.random() < 0.3:  # a repeated index wedges to zero
+                terms[(idx[0],) * 2 + idx[2:]] = terms[idx]
+        want = {}
+        for idx, c in terms.items():
+            if len(set(idx)) == k:
+                key = tuple(sorted(idx))
+                want[key] = want.get(key, 0) + perm_sign(idx) * c
+        # the backend is read off the terms when there are any (no terms below)
+        form = KForm.from_terms(n, k, terms, None if trial % 4 < 2 and want else backend)
+        assert form.backend == backend
+        zero = F(0) if backend == RATIONAL else 0.0
+        assert form.coeffs == tuple(want.get(tuple(i + 1 for i in idx), zero)
+                                    for idx in basis_indices(n, k))
+        scalar = F if backend == RATIONAL else float
+        assert all(type(c) is scalar for c in form.coeffs)
+    # no terms: the backend's zeros, rational unless told otherwise
+    for backend, scalar in ((None, F), (RATIONAL, F), (FLOAT, float)):
+        form = KForm.from_terms(7, 3, {}, backend)
+        assert form.is_zero() and all(type(c) is scalar for c in form.coeffs)
+    cancelled = KForm.from_terms(7, 2, {(1, 2): F(1, 3), (2, 1): F(1, 3)})
+    assert cancelled.is_zero() and all(type(c) is F for c in cancelled.coeffs)
+
+
+def test_coerce_passes_fractions_through_and_still_converts():
+    values = (F(1, 2), F(-3), F(0))
+    got = coerce(values, RATIONAL)
+    assert got == values and all(a is b for a, b in zip(got, values))
+    assert coerce(iter(values), RATIONAL) == values
+    got = coerce([1, "3/8", F(1, 2), True], RATIONAL)
+    assert got == (F(1), F(3, 8), F(1, 2), F(1)) and all(type(x) is F for x in got)
+    for bad in ((F(1), 0.5), (0.0,), (F(1), np.float64(2))):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            coerce(bad, RATIONAL)
+    assert coerce(values, FLOAT) == (0.5, -3.0, 0.0)
 
 
 def test_embedded_and_restricted():

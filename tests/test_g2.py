@@ -746,3 +746,29 @@ def test_cubic_table_matches_loop_oracle():
             assert types == [tuple(map(type, t)) for t in want], name
         else:
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_induced_bilinear_on_sparse_forms_matches_the_table_oracle():
+    # _contract skips the terms whose indices miss the nonzeros of phi; the
+    # sum over every term of the oracle's table must come out the same
+    from oracles import cubic_table_oracle
+
+    terms = cubic_table_oracle()[1]
+    rng = np.random.default_rng(67)
+    for trial in range(24):
+        density = (0.0, 0.1, 0.2, 0.4, 0.7, 1.0)[trial % 6]
+        y = [F(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) if rng.random() < density
+             else F(0) for _ in range(35)]
+        for backend in (RATIONAL, FLOAT):
+            phi = KForm(7, 3, y, RATIONAL)
+            if backend == FLOAT:
+                phi = phi.to_float()
+            c = phi.coeffs
+            rows = [[F(0) if backend == RATIONAL else 0.0] * 7 for _ in range(7)]
+            for i, j, a, b, d, k in terms:
+                rows[i][j] += k * c[a] * c[b] * c[d]
+            want = [[rows[min(i, j)][max(i, j)] for j in range(7)] for i in range(7)]
+            got = induced_bilinear(phi)
+            assert got == want
+            scalar = F if backend == RATIONAL else float
+            assert all(type(x) is scalar for row in got for x in row)

@@ -8,6 +8,7 @@ inconsistent systems.
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 import sympy
 
 from g2lab import linalg
@@ -125,6 +126,80 @@ def test_sparse_rows_match_dense_rows_and_sympy():
     # a stored zero is not a nonzero: it neither pivots nor widens the result
     assert linalg.rref([{0: F(0), 1: F(2)}, {3: F(0)}]) == ([[F(0), F(1)], [F(0), F(0)]], [1])
     assert linalg.rank([{}, {2: F(0)}]) == 0
+
+
+def _sympy_rref(m):
+    s = sympy.Matrix([[sympy.Rational(x) for x in row] for row in m])
+    expected, pivots = s.rref()
+    return [[F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(s.rows)], list(pivots)
+
+
+def test_integer_elimination_matches_sympy_on_hard_entries():
+    # rows are scaled to ints by the lcm of their denominators: large coprime
+    # denominators, int entries among Fractions, stored zeros and rows that
+    # cancel to zero must all give sympy's rref, one Fraction per entry
+    rng = np.random.default_rng(59)
+    big = [2 ** 61 - 1, 3 ** 40, 5 ** 27, 7, 1]
+    cases = [[[F(1, 2 ** 61 - 1), F(1, 3 ** 40)], [F(1, 3 ** 40), F(1, 2 ** 61 - 1)]],
+             [[1, F(1, 3 ** 40), 0], [F(2, 2 ** 61 - 1), 3, F(0)], [2, F(2, 3 ** 40), 0]],
+             [[F(1, 3), F(2, 3)], [F(-1, 3), F(-2, 3)], [0, 0]]]  # rows 2 and 3 cancel
+    for trial in range(40):
+        rows, cols = (int(x) for x in rng.integers(1, 8, size=2))
+        m = [[(int(rng.integers(-9, 10)) if rng.random() < 0.3
+               else F(int(rng.integers(-9, 10)), big[int(rng.integers(len(big)))]))
+              if rng.random() < 0.5 else F(0) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2:  # a combination of two rows, which cancels to zero
+            m[-1] = [x - F(7, 3 ** 40) * y for x, y in zip(m[0], m[1])]
+            m[-2] = [x - F(7, 3 ** 40) * y for x, y in zip(m[0], m[1])]
+        cases.append(m)
+    for m in cases:
+        ncols = len(m[0])
+        expected = _sympy_rref(m)
+        stored = [{j: x for j, x in enumerate(row)} for row in m]  # zeros stored too
+        for rows in (m, stored):
+            red, pivots = linalg.rref(rows, ncols)
+            assert (red, pivots) == expected
+            assert all(type(x) is F for row in red for x in row)
+            assert linalg.rank(rows) == len(pivots)
+            null = linalg.nullspace(rows, ncols)
+            assert len(null) == ncols - len(pivots)
+            assert all(type(x) is F for v in null for x in v)
+            assert all(linalg.matvec(m, v) == [0] * len(m) for v in null)
+
+
+def test_rank_counts_pivots_without_densifying():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert linalg.rank([{10 ** 6: F(1)}]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a dense row of 10^6 + 1 entries takes 8 MB
+
+
+def test_columns_outside_the_count_raise():
+    for call in (lambda: linalg.rref([{5: F(1)}], ncols=3),
+                 lambda: linalg.rref([{-1: F(2)}, {0: F(1)}], ncols=2),
+                 lambda: linalg.nullspace([{0: F(1)}, {3: F(1)}], ncols=3),
+                 lambda: linalg.rank([{0: F(1)}, {-2: F(1)}]),
+                 lambda: linalg.rref([[F(1), F(0), F(2)]], ncols=2)):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+    # the column count itself and a stored zero past it are fine
+    assert linalg.rref([{2: F(3)}, {4: F(0)}], ncols=3) == (
+        [[F(0), F(0), F(1)], [F(0), F(0), F(0)]], [2])
+
+
+def test_only_exact_rationals_are_eliminated():
+    for call in (lambda: linalg.rank([[1.5, 2.0], [3.0, 4.0]]),
+                 lambda: linalg.rref([{0: F(1)}, {1: 0.5}], ncols=2),
+                 lambda: linalg.nullspace([[F(1), np.float64(2.0)]]),
+                 lambda: linalg.solve([[F(1), 2.5]], [F(1)])):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            call()
+    assert linalg.rank([[True, 2], [np.int64(3), F(6)]]) == 1
 
 
 def test_products_skip_zero_factors_and_keep_the_backend():
