@@ -133,8 +133,9 @@ class KForm:
     def from_terms(cls, n, k, terms, backend=None):
         """Build from {(i_1,...,i_k): coefficient} with 1-based indices.
 
-        Indices need not be sorted; the usual alternating sign is applied.
+        Indices need not be sorted; the sign applies to the backend's scalar.
         """
+        terms = terms if backend is None else dict(zip(terms, coerce(terms.values(), backend)))
         vals = {}
         for idx, c in terms.items():
             if len(idx) != k:

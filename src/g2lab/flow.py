@@ -4,9 +4,9 @@ The flow evolves the 35 coefficients of a closed 3-form by
 d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
 closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
 the one float metric (positive by linalg.positive_det_np), and the torsion
-identity tau = -*d*phi, guarded by tau wedge phi = d*phi, each star a 7 x 7
-matrix product, its inputs taken from phi by constant maps (no per-call
-scatter, gather or sign pass).  Integration uses the Dormand-Prince 8(5,3)
+identity tau = -*d*phi, guarded by tau wedge phi = d*phi.  Both stars come
+from Lambda^2 g, gathered from g by one constant index table, without an
+inverse (see FlowKernel.torsion).  Integration uses the Dormand-Prince 8(5,3)
 pair: the 8th-order solution advances, its embedded 5th- and 3rd-order
 solutions give the error estimate that controls the step, and the last stage,
 taken at the new state, is the next step's first (FSAL), so a step costs
@@ -42,7 +42,6 @@ from .exterior import (
     complement_table,
     endo_action,
     index_position,
-    interior_table,
     wedge_pairs,
 )
 from .g2 import (
@@ -117,8 +116,9 @@ DOP853_E5 = ("0.1312004499419488073250102996e-1 0 0 0 0"
              " -0.2235530786388629525884427845e-1")
 _A = np.array([[float(x) for x in row.split()] + [0.0] * (12 - i)
                for i, row in enumerate(DOP853_A)])
-_E3 = _A[-1] - [float(x) for x in DOP853_BHAT3.split()]
-_E5 = np.array([float(x) for x in DOP853_E5.split()])
+#: rows: the error weights of the embedded 5th- and 3rd-order solutions
+_E53 = np.array([[float(x) for x in DOP853_E5.split()],
+                 _A[-1] - [float(x) for x in DOP853_BHAT3.split()]])
 
 #: soliton feasibility thresholds relative to |d tau|
 FEASIBLE_RATIO = 1e-8
@@ -139,29 +139,24 @@ class FlowStalled(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def _torsion_gathers():
-    """The constant maps of FlowKernel.torsion, shared by every kernel: +-1/0
-    matrices with at most one nonzero per output entry, so each product is exact."""
-    # TP: y -> P, the 21 x 7 matrix whose column k is i_{e_k} phi
-    q, r, s = np.array(interior_table(7, 3)).transpose(2, 0, 1)  # (7, 15) each, row k
-    tp = np.zeros((35, 21, 7))
-    tp[q, r, np.arange(7)[:, None]] = s
-    # *phi at i < j < a < b from the flattened P g^-1 P^T and g
-    pos, quads = index_position(7, 2), basis_indices(7, 4)
-    i, j, a, b = np.array(quads).T
-    star_idx = (np.array([21 * pos[q[:2]] + pos[q[2:]] for q in quads]),
-                7 * i + a, 7 * j + b, 7 * i + b, 7 * j + a)
-    cpos, sign = np.array(complement_table(7, 5)).T  # S_5 as a signed permutation
-    # TX: x -> the antisymmetric X with X_ij = x_ij, i < j lexicographic as 2-forms
+    """The constant maps of FlowKernel.torsion, shared by every kernel: index
+    tables and a +-1/0 matrix, at most one nonzero per output entry (an exact product)."""
+    # Lambda^2 g: entry (ij, ab), i < j and a < b, is g_ia g_jb - g_ib g_ja,
+    # the products of the pairs of one gather from the flattened g
     i, j = np.triu_indices(7, 1)
-    tx = np.zeros((21, 49))
-    tx[range(21), 7 * i + j], tx[range(21), 7 * j + i] = 1.0, -1.0
-    # TW: y -> the matrix of tau -> S_5 (tau ^ phi), rows in the order of x
+    lam2_idx = np.array([[7 * i[:, None] + i, 7 * j[:, None] + j],
+                         [7 * i[:, None] + j, 7 * j[:, None] + i]]).reshape(2, 2, 441)
+    # *phi at i < j < a < b: the flat positions (ij, ab) of a 21 x 21 matrix
+    pos = index_position(7, 2)
+    star = [21 * pos[q[:2]] + pos[q[2:]] for q in basis_indices(7, 4)]
+    cpos, sign = np.array(complement_table(7, 5)).T  # S_5 as a signed permutation
+    # TW: y -> the symmetric W[r, a] = top(e^r ^ e^a ^ phi), also the matrix
+    # of tau -> S_5 (tau ^ phi), rows in the order of x
     tw = np.zeros((35, 21, 21))
     for (a, q), (c, s) in wedge_pairs(7, 2, 3).items():
         tw[q, cpos[c], a] = s * sign[c]
     src = np.argsort(cpos)
-    return (tp.reshape(35, 147), star_idx, (src, sign[src]), tx, 7 * i + j,
-            tw.reshape(35, 441))
+    return lam2_idx, star, (src, sign[src]), tw.reshape(35, 441)
 
 
 class FlowKernel:
@@ -180,43 +175,43 @@ class FlowKernel:
             for j, col in enumerate(alg.d_columns(k)):
                 for r, c in col:
                     m[r, j] = c
-        self.tp, self.star_idx, (src, sign), self.tx, self.upper, self.tw = \
-            _torsion_gathers()
-        self.d4x = self.d4[src] * sign[:, None]  # S_5 d on 3-forms
+        self.lam2_idx, star, (src, sign), self.tw = _torsion_gathers()
+        # x = S_5 d *phi as one product with the flattened Lambda^2 g W Lambda^2 g
+        self.dstar = np.zeros((21, 441))
+        self.dstar[:, star] = self.d4[src] * sign[:, None]
 
     def metric(self, y):
-        g, volc = metric_np(y)
-        return g, np.linalg.inv(g), volc
+        return metric_np(y)
 
     def torsion(self, y):
         """tau = -*d*phi, |tau|^2 and the volume coefficient at phi = y.
 
-        Each star is a 7 x 7 product.  With P the 21 x 7 matrix of the 2-forms
-        i_{e_k} phi, the contraction identity phi_ijk g^kl phi_abl =
-        g_ia g_jb - g_ib g_ja + (*phi)_ijab (this sign in the orientation
-        e^{1..7}) gives *phi = P g^-1 P^T - (g_ia g_jb - g_ib g_ja) at
-        i < j < a < b.  On 5-forms * = (*_2)^-1 sends d*phi to g X g / vol, X
-        the antisymmetric matrix of x = S_5 d*phi; and |tau|^2 vol =
-        tau ^ *tau = -tau . x.  P, X and the matrix of tau -> tau ^ phi come
-        from y and x by the constant maps of _torsion_gathers.  The guard
-        tau ^ phi = d*phi is checked after S_5, which keeps its norms."""
-        g, ginv, volc = self.metric(y)
-        p = (y @ self.tp).reshape(21, 7)
-        pq, ia, jb, ib, ja = self.star_idx
-        gf = g.ravel()
-        star_phi = (p @ ginv @ p.T).ravel()[pq] - gf[ia] * gf[jb] + gf[ib] * gf[ja]
-        x = self.d4x @ star_phi
-        tau = -(g @ (x @ self.tx).reshape(7, 7) @ g).ravel()[self.upper] / volc
-        res = (y @ self.tw).reshape(21, 21) @ tau - x
-        if math.sqrt(res @ res) > 1e-9 * max(1.0, math.sqrt(x @ x)):
+        Both stars come from the 21 x 21 matrix Lambda^2 g of g on 2-vectors,
+        with no inverse.  W, the matrix of the 2-forms alpha, beta ->
+        top(alpha ^ beta ^ phi), is linear in y, and
+        alpha ^ beta ^ phi = <alpha ^ beta, *phi> vol gives
+        *phi = Lambda^2 g W Lambda^2 g / vol at i < j < a < b.  On 5-forms
+        * = (*_2)^-1 sends d*phi to -tau = Lambda^2 g x / vol, x = S_5 d*phi;
+        and |tau|^2 vol = tau ^ *tau = -tau . x.  W is also the matrix of
+        tau -> S_5 (tau ^ phi), so the guard tau ^ phi = d*phi reuses it; it
+        is checked after S_5, which keeps its norms."""
+        g, volc = self.metric(y)
+        pairs = g.ravel()[self.lam2_idx]
+        lam2 = (pairs[0, 0] * pairs[0, 1] - pairs[1, 0] * pairs[1, 1]).reshape(21, 21)
+        dot = np.dot  # on these small operands ~1 us cheaper per product than @
+        w = dot(y, self.tw).reshape(21, 21)
+        x = dot(self.dstar, dot(dot(lam2, w), lam2).ravel()) / volc
+        tau = dot(lam2, x) / -volc
+        res = dot(w, tau) - x
+        if math.sqrt(dot(res, res)) > 1e-9 * max(1.0, math.sqrt(dot(x, x))):
             raise InconsistentTorsionError(
                 "tau = -*d*phi fails tau wedge phi = d*phi along the flow")
-        return tau, 0.0 - float(tau @ x) / volc, volc  # +0.0 at zero torsion
+        return tau, 0.0 - float(dot(tau, x)) / volc, volc  # +0.0 at zero torsion
 
     def rhs(self, y):
         """d tau at phi = y, and |tau|^2 for the sample taken there."""
         tau, tau_nsq, _ = self.torsion(y)
-        return self.d2 @ tau, tau_nsq
+        return np.dot(self.d2, tau), tau_nsq
 
     def closedness_residual(self, y) -> float:
         return float(np.max(np.abs(self.d3 @ y)))
@@ -358,8 +353,7 @@ def laplacian_flow(start: G2Structure, t_end: float, dt0: Optional[float] = None
         except NotPositiveError:
             err = math.inf  # may be pure overshoot: a rejected step
         else:
-            e5 = float(np.max(np.abs(_E5 @ k[:12])))
-            e3 = float(np.max(np.abs(_E3 @ k[:12])))
+            e5, e3 = np.abs(_E53 @ k[:12]).max(axis=1).tolist()
             # h e5^2 / sqrt(e5^2 + e3^2 / 100), without overflow or 0 / 0
             err = h * e5 / math.hypot(1.0, 0.1 * e3 / e5) if e5 else 0.0
         evals += i  # stages 1..i were evaluated
@@ -639,7 +633,7 @@ def self_similar_check(traj: FlowTrajectory, sol: SolitonSolution,
     b = sol.derivation.to_float()
     tr_b = float(b.trace())
     kernel = FlowKernel(traj.algebra)
-    vol0 = kernel.metric(start.np_coeffs)[2]
+    vol0 = kernel.metric(start.np_coeffs)[1]
 
     picks = traj.samples
     if len(picks) > max_samples:

@@ -16,11 +16,11 @@ the result, one ``Fraction(x, pivot)`` per nonzero, does not depend on the
 pivot order; ``rank`` counts the pivots without building it.  Inverses, each
 linear system (whose solution and kernel are read off one reduction) and
 least squares (by the rank factorisation one reduction gives) come from
-``rref``.  The other elimination is the dense ``_pivots``: ``det`` multiplies
-its pivots, and ``positive_det``, the exact positivity rule, accepts when
-every pivot is positive and no row was exchanged (Sylvester).  None of these
-depends on a float threshold: ranks, nullspaces, positivity and least-squares
-solutions are exact.
+``rref``.  The other elimination is the dense ``_pivots``, also exact only:
+``det`` multiplies its pivots, and ``positive_det``, the exact positivity
+rule, accepts when every pivot is positive and no row was exchanged
+(Sylvester).  None of these depends on a float threshold: ranks, nullspaces,
+positivity and least-squares solutions are exact.
 
 The one float routine is ``positive_det_np``, the float twin of
 ``positive_det``: positivity and the determinant of a symmetric form from one
@@ -33,10 +33,12 @@ directly where needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 import numpy as np
+
+from .scalars import as_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -175,10 +177,11 @@ def transpose(m):
 
 
 def _pivots(m):
-    """Gaussian elimination of a copy of the square ``m``: yields (pivot, swapped)
-    per column, swapped when the diagonal entry was zero and a lower row with a
+    """Gaussian elimination of a Fraction copy of the square ``m`` (a nonzero
+    float raises ``TypeError``, as in ``rref``): yields (pivot, swapped) per
+    column, swapped when the diagonal entry was zero and a lower row with a
     nonzero entry was exchanged in; stops after a zero pivot."""
-    a = [list(row) for row in m]
+    a = [[as_rational(x) if x else ZERO for x in row] for row in m]
     n = len(a)
     for c in range(n):
         p = next((i for i in range(c, n) if a[i][c] != 0), c)
@@ -221,18 +224,19 @@ def positive_det_np(b: np.ndarray) -> Optional[float]:
     """det b if the float symmetric form b is positive-definite, else None.
 
     The float twin of positive_det, by one Cholesky factor b = L L^T: it must
-    exist with min L_ii^2 > CHOLESKY_PIVOT_TOL * max |b_ii|, a bound relative to
-    b so that it holds at every scale.  Then det b = prod L_ii^2, accurate to
+    exist with every L_ii^2 > CHOLESKY_PIVOT_TOL * max |b_ii|, a bound relative
+    to b so that it holds at every scale.  Then det b = prod L_ii^2, accurate to
     about n eps H relative, H = prod b_ii / det b the Hadamard ratio.
     """
-    try:
-        pivots = np.linalg.cholesky(b).diagonal()
+    try:  # Python floats: numpy reductions cost more than 7 products
+        pivots = np.linalg.cholesky(b).diagonal().tolist()
     except np.linalg.LinAlgError:
         return None
-    pivots = pivots * pivots
-    if not pivots.min() > CHOLESKY_PIVOT_TOL * abs(b.diagonal()).max():
+    pivots = [p * p for p in pivots]
+    bound = CHOLESKY_PIVOT_TOL * max(map(abs, b.diagonal().tolist()))
+    if not all(p > bound for p in pivots):
         return None  # also refuses a NaN pivot
-    return float(pivots.prod())
+    return prod(pivots)
 
 
 def inverse(m):

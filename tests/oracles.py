@@ -271,6 +271,19 @@ def gram_minor_oracle(m, k):
     return np.linalg.det(sub)
 
 
+def positive_det_np_oracle(b, tol):
+    """positive_det_np by numpy reductions over the vector of Cholesky pivots:
+    None unless every L_ii^2 > tol max |b_ii|, else the numpy product of the L_ii^2."""
+    try:
+        pivots = np.linalg.cholesky(b).diagonal()
+    except np.linalg.LinAlgError:
+        return None
+    pivots = pivots * pivots
+    if not pivots.min() > tol * abs(b.diagonal()).max():
+        return None
+    return float(pivots.prod())
+
+
 def star_oracle(g, volc, k):
     """Matrix of the Hodge star on float k-forms, vol S_k Lambda^k g^-1 by minors.
 

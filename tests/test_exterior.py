@@ -40,6 +40,19 @@ def random_form(rng, n, k, span=4):
     return KForm(n, k, [F(int(c)) for c in coeffs])
 
 
+def test_from_terms_takes_both_index_orders_alike():
+    # the coefficient enters the backend before the permutation sign is applied
+    for idx, sign in (((1, 2, 3), 1), ((2, 1, 3), -1), ((3, 1, 2), 1)):
+        form = KForm.from_terms(7, 3, {idx: "1/2"}, backend=RATIONAL)
+        assert form == KForm.monomial(7, (1, 2, 3), F(sign, 2))
+        assert form.terms() == {(1, 2, 3): F(sign, 2)}
+        with pytest.raises(TypeError):
+            KForm.from_terms(7, 3, {idx: "1/2"})
+    # two terms on one index add in the backend
+    assert KForm.from_terms(7, 2, {(1, 2): "1/3", (2, 1): "1/2"}, RATIONAL).terms() == {
+        (1, 2): F(-1, 6)}
+
+
 # -- wedge --------------------------------------------------------------------
 
 def test_wedge_basis_case():

@@ -434,7 +434,8 @@ def test_kernel_torsion_matches_minor_oracle():
         for _ in range(50):
             y = y0 + 0.05 * kernel.d2 @ rng.standard_normal(21)  # stays closed
             tau, tau_nsq, _ = kernel.torsion(y)
-            g, ginv, volc = kernel.metric(y)
+            g, volc = kernel.metric(y)
+            ginv = np.linalg.inv(g)
             ref = -star_oracle(g, volc, 5) @ kernel.d4 @ star_oracle(g, volc, 3) @ y
             ref_nsq = ref @ gram_minor_oracle(ginv, 2) @ ref
             assert np.max(np.abs(tau - ref)) <= 1e-13 * np.max(np.abs(ref)), entry.params
@@ -466,6 +467,19 @@ def test_kernel_torsion_takes_no_determinant(g_half, monkeypatch):
     monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(1) or det(a))
     kernel.torsion(g_half.phi.to_float().np_coeffs)
     assert len(dets) == 0
+
+
+def test_kernel_torsion_takes_no_inverse(g_half, monkeypatch):
+    # both stars come from Lambda^2 g, which lowers indices; none is raised
+    from g2lab.flow import FlowKernel
+
+    kernel = FlowKernel(g_half.algebra)
+    invs, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: invs.append(1) or inv(a))
+    y = g_half.phi.to_float().np_coeffs
+    kernel.rhs(y)
+    kernel.torsion(y)
+    assert len(invs) == 0
 
 
 def test_flow_evaluates_torsion_at_most_12_times_per_step(g_half_struct, monkeypatch):

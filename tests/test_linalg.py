@@ -248,6 +248,66 @@ def test_positive_det_is_sylvester_and_det():
 
 
 
+def test_determinants_take_exact_entries_only():
+    for f in (linalg.det, linalg.positive_det):
+        for m in ([[2.0, 0.1], [0.1, 1.0]], [[F(2), F(1, 2)], [F(1, 2), np.float64(1.0)]],
+                  [[1, 0], [0, float("nan")]]):
+            with pytest.raises(TypeError, match="expected an exact rational"):
+                f(m)
+    # a zero of any type is a zero, as in rref; int entries are divided exactly
+    ints = [[3, 1, 1], [1, 3, 1], [1, 1, 7]]
+    fracs = [[F(x) for x in row] for row in ints]
+    for m in (ints, fracs, [[np.int64(x) for x in row] for row in ints]):
+        for got in (linalg.det(m), linalg.positive_det(m)):
+            assert got == 52 and type(got) is F
+    m = [[F(1, 3), 0.0], [0.0, 6]]
+    assert linalg.det(m) == linalg.positive_det(m) == 2
+    assert linalg.det([[0, 1], [1, 0]]) == -1 and linalg.positive_det([[0, 1], [1, 0]]) is None
+    for m in _square_cases(np.random.default_rng(61)):
+        exact = sympy.Matrix(m).det()
+        assert linalg.det(m) == exact == linalg.det([[F(x) for x in row] for row in m])
+
+
+def test_positive_det_np_matches_the_numpy_reduction_bit_for_bit():
+    # the pivots read as Python floats, multiplied in order, against numpy's
+    # min, max and prod over the pivot vector: the same None or the same float
+    from oracles import positive_det_np_oracle
+
+    rng = np.random.default_rng(67)
+    tol = linalg.CHOLESKY_PIVOT_TOL
+    seen = {"pd": 0, "refused": 0, "near_above": 0, "near_below": 0, "nan": 0}
+    for t in range(20000):
+        kind = t % 4
+        a = rng.standard_normal((7, 7))
+        if kind == 0:  # positive-definite
+            b = a @ a.T
+        elif kind == 1:  # symmetric, mostly indefinite
+            b = a + a.T
+        else:  # b = L L^T with its last pivot within 1 % of the bound
+            low = np.tril(a, -1) + np.diag(rng.uniform(0.5, 2.0, size=7))
+            low[6, :6] *= 0.1
+            low[6, 6] = 0.0
+            b = low @ low.T
+            edge = tol * np.max(np.abs(np.diag(b))) * rng.uniform(0.99, 1.01)
+            b[6, 6] += edge
+            if kind == 3:  # and a NaN somewhere, upper or lower triangle
+                i, j = rng.integers(0, 7, size=2)
+                b[i, j] = np.nan
+        b *= 10.0 ** rng.uniform(-6, 6)
+        got, want = linalg.positive_det_np(b), positive_det_np_oracle(b, tol)
+        if want is None:
+            assert got is None, t
+        else:
+            assert type(got) is float and got == want, t
+        if kind == 2:
+            seen["near_above" if got is not None else "near_below"] += 1
+        elif kind == 3:
+            seen["nan"] += got is None
+        else:
+            seen["pd" if got is not None else "refused"] += 1
+    assert min(seen.values()) >= 1000, seen
+
+
 def test_zero_pivot_after_elimination_takes_a_row_exchange():
     # the second diagonal entry of the 3 x 3 vanishes only once the first
     # column is eliminated; the 4 x 4 takes two row exchanges.  det must count
