@@ -5,11 +5,12 @@ d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
 closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
 the one float metric (positive by linalg.positive_det_np), and the torsion
 identity tau = -*d*phi, guarded by tau wedge phi = d*phi.  Both stars come
-from Lambda^2 g, gathered from g by one constant index table, without an
-inverse (see FlowKernel.torsion).  Integration uses the Dormand-Prince 8(5,3)
-pair: the 8th-order solution advances, its embedded 5th- and 3rd-order
-solutions give the error estimate that controls the step, and the last stage,
-taken at the new state, is the next step's first (FSAL), so a step costs
+from W, which metric_np returns with g, and Lambda^2 g, gathered from g by one
+constant index table, without an inverse (see FlowKernel.torsion).
+Integration uses the Dormand-Prince 8(5,3) pair: the 8th-order solution
+advances, its embedded 5th- and 3rd-order solutions give the error estimate
+that controls the step, and the last stage, taken at the new state, is the
+next step's first (FSAL), so a step costs
 twelve evaluations.  Unless a first step is given, it is chosen from f(phi_0)
 and one more evaluation at an Euler point (Hairer's starting step, as in
 dop853.f), and after each accepted step the next is the smaller of the
@@ -42,7 +43,6 @@ from .exterior import (
     complement_table,
     endo_action,
     index_position,
-    wedge_pairs,
 )
 from .g2 import (
     ANSATZ_MONOMIALS,
@@ -139,8 +139,7 @@ class FlowStalled(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def _torsion_gathers():
-    """The constant maps of FlowKernel.torsion, shared by every kernel: index
-    tables and a +-1/0 matrix, at most one nonzero per output entry (an exact product)."""
+    """The constant index tables of FlowKernel.torsion, shared by every kernel."""
     # Lambda^2 g: entry (ij, ab), i < j and a < b, is g_ia g_jb - g_ib g_ja,
     # the products of the pairs of one gather from the flattened g
     i, j = np.triu_indices(7, 1)
@@ -150,13 +149,8 @@ def _torsion_gathers():
     pos = index_position(7, 2)
     star = [21 * pos[q[:2]] + pos[q[2:]] for q in basis_indices(7, 4)]
     cpos, sign = np.array(complement_table(7, 5)).T  # S_5 as a signed permutation
-    # TW: y -> the symmetric W[r, a] = top(e^r ^ e^a ^ phi), also the matrix
-    # of tau -> S_5 (tau ^ phi), rows in the order of x
-    tw = np.zeros((35, 21, 21))
-    for (a, q), (c, s) in wedge_pairs(7, 2, 3).items():
-        tw[q, cpos[c], a] = s * sign[c]
-    src = np.argsort(cpos)
-    return lam2_idx, star, (src, sign[src]), tw.reshape(35, 441)
+    src = np.argsort(cpos)  # the 5-form rows of d by the 2-form position of S_5
+    return lam2_idx, star, src, sign[src]
 
 
 class FlowKernel:
@@ -175,12 +169,13 @@ class FlowKernel:
             for j, col in enumerate(alg.d_columns(k)):
                 for r, c in col:
                     m[r, j] = c
-        self.lam2_idx, star, (src, sign), self.tw = _torsion_gathers()
+        self.lam2_idx, star, src, sign = _torsion_gathers()
         # x = S_5 d *phi as one product with the flattened Lambda^2 g W Lambda^2 g
         self.dstar = np.zeros((21, 441))
         self.dstar[:, star] = self.d4[src] * sign[:, None]
 
     def metric(self, y):
+        """g, the volume coefficient and W at phi = y (g2.metric_np)."""
         return metric_np(y)
 
     def torsion(self, y):
@@ -188,18 +183,17 @@ class FlowKernel:
 
         Both stars come from the 21 x 21 matrix Lambda^2 g of g on 2-vectors,
         with no inverse.  W, the matrix of the 2-forms alpha, beta ->
-        top(alpha ^ beta ^ phi), is linear in y, and
-        alpha ^ beta ^ phi = <alpha ^ beta, *phi> vol gives
+        top(alpha ^ beta ^ phi), comes with g from the one product of y that
+        gives b (metric), and alpha ^ beta ^ phi = <alpha ^ beta, *phi> vol gives
         *phi = Lambda^2 g W Lambda^2 g / vol at i < j < a < b.  On 5-forms
         * = (*_2)^-1 sends d*phi to -tau = Lambda^2 g x / vol, x = S_5 d*phi;
         and |tau|^2 vol = tau ^ *tau = -tau . x.  W is also the matrix of
         tau -> S_5 (tau ^ phi), so the guard tau ^ phi = d*phi reuses it; it
         is checked after S_5, which keeps its norms."""
-        g, volc = self.metric(y)
+        g, volc, w = self.metric(y)
         pairs = g.ravel()[self.lam2_idx]
         lam2 = (pairs[0, 0] * pairs[0, 1] - pairs[1, 0] * pairs[1, 1]).reshape(21, 21)
         dot = np.dot  # on these small operands ~1 us cheaper per product than @
-        w = dot(y, self.tw).reshape(21, 21)
         x = dot(self.dstar, dot(dot(lam2, w), lam2).ravel()) / volc
         tau = dot(lam2, x) / -volc
         res = dot(w, tau) - x

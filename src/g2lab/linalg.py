@@ -2,7 +2,8 @@
 
 Matrices are lists of lists (row major); ``matvec`` and ``matmul`` skip the
 zero entries of both factors.  ``rref`` is a sparse Gauss-Jordan elimination
-on Python ints of exact rationals only (a float raises ``TypeError``), also
+on Python ints of exact rationals only (a float raises ``TypeError``; numpy
+integers are read as Python ints, so nothing wraps at 2**63), also
 of rows given as ``{column: value}`` dicts of their nonzeros (a column
 outside ``range(ncols)`` raises ``ValueError``).  Each row is held as such a
 dict, scaled to integers by the lcm of its denominators; each column that
@@ -58,13 +59,14 @@ def _eliminate(m, ncols):
         except AttributeError:
             raise TypeError("expected an exact rational (int or Fraction), got %r" % next(
                 x for _, x in nonzero if not hasattr(x, "denominator"))) from None
-        rows.append({j: x.numerator * (den // x.denominator) for j, x in nonzero})
+        # as Python ints: the cross-multiplication of numpy ints would wrap at 2**63
+        rows.append({j: int(x.numerator) * (den // int(x.denominator)) for j, x in nonzero})
     holders = {}  # column -> rows with a nonzero there; fill-in adds no column
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
     if ncols is None:
-        dense_rows = m and not isinstance(m[0], dict)
+        dense_rows = len(m) > 0 and not isinstance(m[0], dict)  # also a 2-D ndarray
         ncols = len(m[0]) if dense_rows else max(holders, default=-1) + 1
     if holders and not (0 <= min(holders) and max(holders) < ncols):
         raise ValueError("a nonzero lies outside the %d columns" % ncols)

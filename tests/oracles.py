@@ -255,12 +255,7 @@ def cubic_table_oracle():
                 bt[(i, j) + tuple(sorted((a1, a2, c)))] += sign * s1 * s2
     b = sorted((key + (Fraction(k, 6),) for key, k in bt.items() if k),
                key=lambda t: (t[0] != t[1], t))
-    ij = [t[:2] for t in b]
-    cells = list(dict.fromkeys(ij))
-    coef = np.array([t[5] for t in b], float)
-    return (tuple(sorted(key + (k,) for key, k in jt.items() if k)), tuple(b),
-            np.array([t[2:5] for t in b]).T, coef, np.array([ij.index(e) for e in cells]),
-            np.array([cells.index((min(i, j), max(i, j))) for i in range(7) for j in range(7)]))
+    return tuple(sorted(key + (k,) for key, k in jt.items() if k)), tuple(b)
 
 
 def gram_minor_oracle(m, k):

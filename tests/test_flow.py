@@ -434,7 +434,7 @@ def test_kernel_torsion_matches_minor_oracle():
         for _ in range(50):
             y = y0 + 0.05 * kernel.d2 @ rng.standard_normal(21)  # stays closed
             tau, tau_nsq, _ = kernel.torsion(y)
-            g, volc = kernel.metric(y)
+            g, volc, _ = kernel.metric(y)
             ginv = np.linalg.inv(g)
             ref = -star_oracle(g, volc, 5) @ kernel.d4 @ star_oracle(g, volc, 3) @ y
             ref_nsq = ref @ gram_minor_oracle(ginv, 2) @ ref
@@ -480,6 +480,41 @@ def test_kernel_torsion_takes_no_inverse(g_half, monkeypatch):
     kernel.rhs(y)
     kernel.torsion(y)
     assert len(invs) == 0
+
+
+def test_kernel_maps_y_once_per_evaluation(g_half, monkeypatch):
+    # b and W come from one product of y with g2._wedge_map, which the metric
+    # and the torsion share; no cubic terms are summed by np.add.reduceat
+    from g2lab.flow import FlowKernel
+    from g2lab.g2 import _wedge_map
+
+    kernel = FlowKernel(g_half.algebra)
+    y = g_half.phi.to_float().np_coeffs
+    wedge_map, dot, add = _wedge_map(), np.dot, np.add
+    products, reduceats = [], []
+
+    class CountedAdd:  # np.add, its reduceat counted
+        def __getattr__(self, name):
+            return getattr(add, name)
+
+        def __call__(self, *args, **kwargs):
+            return add(*args, **kwargs)
+
+        def reduceat(self, *args, **kwargs):
+            reduceats.append(1)
+            return add.reduceat(*args, **kwargs)
+
+    def counted_dot(a, b, *rest):
+        if a is y:
+            products.append(b is wedge_map)
+        return dot(a, b, *rest)
+
+    monkeypatch.setattr(np, "dot", counted_dot)
+    monkeypatch.setattr(np, "add", CountedAdd())
+    kernel.rhs(y)
+    assert products == [True]
+    kernel.torsion(y)
+    assert products == [True, True] and reduceats == []
 
 
 def test_flow_evaluates_torsion_at_most_12_times_per_step(g_half_struct, monkeypatch):

@@ -167,6 +167,30 @@ def test_integer_elimination_matches_sympy_on_hard_entries():
             assert all(linalg.matvec(m, v) == [0] * len(m) for v in null)
 
 
+def test_numpy_integers_are_eliminated_as_python_ints():
+    # np.int64 entries of size 2**62 overflow int64 in the first
+    # cross-multiplication unless they are read as Python ints; a 2-D array
+    # is taken as its rows
+    big = 2 ** 62
+    rng = np.random.default_rng(61)
+    cases = [np.array([[big, 3, 1], [5, big, 7], [3, 1, big]], dtype=np.int64)]
+    for _ in range(12):
+        m = rng.integers(-big, big, size=(3, 4), dtype=np.int64)
+        m[2] = m[0] if rng.random() < 0.5 else m[2]  # rank 2 or 3
+        cases.append(m)
+    for m in cases:
+        expected = _sympy_rref(m.tolist())
+        rank = sympy.Matrix(m.tolist()).rank()
+        for rows in (m, list(m), [{j: x for j, x in enumerate(row)} for row in m]):
+            red, pivots = linalg.rref(rows)
+            assert (red, pivots) == expected and len(pivots) == rank
+            assert all(type(x) is F for row in red for x in row)
+            assert linalg.rank(rows) == rank
+            null = linalg.nullspace(rows)
+            assert len(null) == m.shape[1] - rank
+            assert all(linalg.matvec(m.tolist(), v) == [0] * len(m) for v in null)
+
+
 def test_rank_counts_pivots_without_densifying():
     import tracemalloc
 
