@@ -5,8 +5,8 @@ d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
 closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
 the one float metric (positive by linalg.positive_det_np), and the torsion
 identity tau = -*d*phi, guarded by tau wedge phi = d*phi.  Both stars come
-from W, which metric_np returns with g, and Lambda^2 g, gathered from g by one
-constant index table, without an inverse (see FlowKernel.torsion).
+from W (metric_np gathers it from phi with b) and Lambda^2 g (gathered from g
+by one constant index table), without an inverse (see FlowKernel.torsion).
 Integration uses the Dormand-Prince 8(5,3) pair: the 8th-order solution
 advances, its embedded 5th- and 3rd-order solutions give the error estimate
 that controls the step, and the last stage, taken at the new state, is the
@@ -183,7 +183,7 @@ class FlowKernel:
 
         Both stars come from the 21 x 21 matrix Lambda^2 g of g on 2-vectors,
         with no inverse.  W, the matrix of the 2-forms alpha, beta ->
-        top(alpha ^ beta ^ phi), comes with g from the one product of y that
+        top(alpha ^ beta ^ phi), comes with g from the one gather of y that
         gives b (metric), and alpha ^ beta ^ phi = <alpha ^ beta, *phi> vol gives
         *phi = Lambda^2 g W Lambda^2 g / vol at i < j < a < b.  On 5-forms
         * = (*_2)^-1 sends d*phi to -tau = Lambda^2 g x / vol, x = S_5 d*phi;

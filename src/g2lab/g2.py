@@ -2,11 +2,11 @@
 
 A positive 3-form phi induces a metric and volume via
     g(X,Y) dV = (1/6) i_X phi wedge i_Y phi wedge phi,
-a cubic form in the coefficients of phi: exactly, one table of signed monomials
-that also gives j(gamma) for the Ricci tensor and the diagonal cubics that screen
-the search (_cubic_table); in floats, Omega W Omega^T / 6 from one constant map
-(_wedge_map).  When d phi = 0 there is an intrinsic torsion 2-form tau
-characterised by
+that is Omega W Omega^T / 6 (rows of Omega: i_{e_i} phi; W: alpha, beta ->
+top(alpha wedge beta wedge phi)), both gathered from phi by one signed table: in
+floats by one take, exactly by a sparse sum that also gives j(gamma) for the Ricci
+tensor and the diagonal cubics that screen the search (_wedge_table).  When
+d phi = 0 there is an intrinsic torsion 2-form tau characterised by
     d(*phi) = tau wedge phi,   tau in the 14-dimensional component of Lambda^2.
 With this module's convention Lambda^2_14 = {alpha : alpha wedge phi = -*alpha}
 and ** = 1 in dimension 7, so tau is given by the closed identity
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -53,7 +53,6 @@ from .scalars import (
     negligible,
     rational_nth_root,
     require_same_backend,
-    zero,
 )
 
 #: search draws in the first block of search_closed_positive; later blocks double
@@ -93,57 +92,31 @@ def adapted_phi(backend=RATIONAL) -> KForm:
     return ansatz_phi((1,) * 7, backend)
 
 
-_CubicTable = namedtuple("_CubicTable", "j b")
-
-
 @lru_cache(maxsize=None)
-def _cubic_table() -> _CubicTable:
-    """The exact tables of j and b, summed from the interior and wedge tables.
-
-    j lists the 2 205 terms (i, j, a, b, c, k), i <= j, a <= b, k = +-1, +-2, of
-    top(i_i phi ^ i_j phi ^ gamma) = sum k y_a y_b gamma_c.  b lists the 735 terms of
-    b_ij = sum k y_a y_b y_c, a <= b <= c, k = +-1, +-1/2: j at gamma = phi over 6,
-    summed over the orderings of (a, b, c); the 105 diagonal (Pfaffian) terms come
-    first, 15 per i, then 30 per i < j.  Floats take b from _wedge_map instead.
-    """
-    a, q, s = np.array(interior_table(7, 3)).transpose(2, 0, 1)  # (7, 15) each
-    at, st = np.zeros((2, 7, 21), int)  # i_i phi = sum s y_a e^q: a and s at [i, q]
-    at[np.arange(7)[:, None], q], st[np.arange(7)[:, None], q] = a, s
-    top = {r: (c, s) for (r, c), (_, s) in wedge_pairs(7, 4, 3).items()}
-    q1, q2, c, k = np.array([(q1, q2, top[r][0], s * top[r][1])
-                             for (q1, q2), (r, s) in wedge_pairs(7, 2, 2).items()]).T
-    i, j = (x[:, None] for x in np.triu_indices(7))
-    k = k * st[i, q1] * st[j, q2]  # one term per entry i <= j and pair (q1, q2)
-    a1, a2 = at[i, q1], at[j, q2]
-
-    def summed(*key):  # the nonzero sums of k per key, keys in lexicographic order
-        dims = (7, 7, 35, 35, 35)
-        key, inverse = np.unique(np.ravel_multi_index(key, dims), return_inverse=True)
-        sums = np.bincount(inverse.ravel(), k.ravel()).astype(int)
-        key = np.unravel_index(key[sums != 0], dims)
-        return np.transpose(key).tolist(), sums[sums != 0].tolist()
-
-    jt = summed(i, j, np.minimum(a1, a2), np.maximum(a1, a2), c)
-    bt = summed(i, j, *np.sort(np.broadcast_arrays(a1, a2, c), axis=0))
-    sixths = {x: Fraction(x, 6) for x in set(bt[1])}
-    b = sorted(((*key, sixths[x]) for key, x in zip(*bt)), key=lambda t: t[0] != t[1])
-    return _CubicTable(tuple((*key, x) for key, x in zip(*jt)), tuple(b))
-
-
-@lru_cache(maxsize=None)
-def _wedge_map() -> np.ndarray:
-    """The constant +-1/0 map of the 3-form y to the symmetric 21 x 21 matrix
-    W[r, a] = top(e^r ^ e^a ^ phi) (columns 0-440) and the 7 x 21 matrix Omega
-    whose row i is i_{e_i} phi (columns 441-587); y @ map is exact."""
-    m = np.zeros((35, 588))
-    w, om = m[:, :441].reshape(35, 21, 21), m[:, 441:].reshape(35, 7, 21)  # views
-    cpos, sign = np.array(complement_table(7, 5)).T  # e^c ^ e^{c'} = sign[c] vol
+def _wedge_table():
+    """(src, sign): entry m of W (0-440, the 21 x 21 W[r, a] = top(e^r ^ e^a ^ phi))
+    and Omega (441-587, the 7 x 21 matrix of rows i_{e_i} phi) of the 3-form y is
+    sign[m] * y[src[m]]; 315 entries are nonzero, and src is 0 where sign is."""
+    src, sign = np.zeros(588, int), np.zeros(588)
+    cpos, csign = np.array(complement_table(7, 5)).T  # e^c ^ e^{c'} = csign[c] vol
     for (a, q), (c, s) in wedge_pairs(7, 2, 3).items():
-        w[q, cpos[c], a] = s * sign[c]
+        src[21 * cpos[c] + a], sign[21 * cpos[c] + a] = q, s * csign[c]
     a, q, s = np.array(interior_table(7, 3)).transpose(2, 0, 1)  # i_i e^a = s e^q
-    om[a, np.arange(7)[:, None], q] = s
-    m.flags.writeable = False  # shared by every caller of the cache
-    return m
+    m = 441 + 21 * np.arange(7)[:, None] + q
+    src[m], sign[m] = a, s
+    src.flags.writeable = sign.flags.writeable = False  # shared by every caller
+    return src, sign
+
+
+@lru_cache(maxsize=None)
+def _wedge_terms():
+    """Per coefficient a of y, its nonzero entries of _wedge_table as Python ints
+    (row, column, sign): those of W in the first list, of Omega in the second."""
+    src, sign = _wedge_table()
+    terms = [[] for _ in range(35)], [[] for _ in range(35)]
+    for m in np.flatnonzero(sign).tolist():
+        terms[m >= 441][src[m]].append((*divmod(m % 441, 21), int(sign[m])))
+    return terms
 
 
 #: per (i, j), the flat position of entry (min(i, j), max(i, j)) of a 7 x 7 matrix
@@ -151,9 +124,10 @@ _UPPER = np.array([7 * min(i, j) + max(i, j) for i in range(7) for j in range(7)
 
 
 def _wedge_and_bilinear(y):
-    """W and b = Omega W Omega^T / 6 of the 3-form y, from one product with
-    _wedge_map; b is read from its upper triangle, so it is exactly symmetric."""
-    wo = np.dot(y, _wedge_map())
+    """W and b = Omega W Omega^T / 6 of the 3-form y, from one gather of
+    _wedge_table; b is read from its upper triangle, so it is exactly symmetric."""
+    src, sign = _wedge_table()
+    wo = y.take(src) * sign
     w, om = wo[:441].reshape(21, 21), wo[441:].reshape(7, 21)
     b = np.dot(np.dot(om, w), om.T) / 6
     return w, b.take(_UPPER).reshape(7, 7)
@@ -162,35 +136,48 @@ def _wedge_and_bilinear(y):
 def induced_bilinear_np(y: np.ndarray) -> np.ndarray:
     """Float induced bilinear form of the 3-form with coefficients y: (35,) -> (7, 7).
 
-    b_ij vol = (1/6) i_i phi ^ i_j phi ^ phi = (1/6) Omega_i W Omega_j^T.  On 300
-    GL(7) images A* phi_std at cond(A) = 1e4 its worst error is 2.2e-10 of max |b|,
-    against 9.9e-10 for the sum of _cubic_table's 735 monomials.
+    b_ij vol = (1/6) i_i phi ^ i_j phi ^ phi = (1/6) Omega_i W Omega_j^T, with W
+    and Omega gathered from y by _wedge_table.  On 300 GL(7) images A* phi_std at
+    cond(A) = 1e4 its worst error is 2.2e-10 of max |b|.
     """
     return _wedge_and_bilinear(y)[1]
 
 
-def _contract(terms, y, z, acc):
-    """The symmetric rows acc + sum k y_a y_b z_c over (i, j, a, b, c, k) terms of
-    _cubic_table whose a, b and c index nonzeros of y and z."""
-    rows = [[acc] * 7 for _ in range(7)]
-    ny = {a for a, x in enumerate(y) if x}
-    nz = {c for c, x in enumerate(z) if x}
-    for i, j, a, b, c, k in terms:
-        if a in ny and b in ny and c in nz:
-            rows[i][j] += k * y[a] * y[b] * z[c]
-    return [[rows[min(i, j)][max(i, j)] for j in range(7)] for i in range(7)]
+def _sandwich(y, z, scale, backend):
+    """The symmetric rows of Omega(y) W(z) Omega(y)^T / scale (_wedge_terms), summed
+    over the nonzeros of y and z only; exact rationals as Python ints over one
+    common denominator, the lcm of each form's denominators, folded into scale."""
+    if backend == RATIONAL:
+        dens = [math.lcm(*(x.denominator for x in f)) for f in (y, z)]
+        y, z = ([x.numerator * (d // x.denominator) for x in f] for f, d in zip((y, z), dens))
+        scale = Fraction(scale) * dens[0] ** 2 * dens[1]
+    w, om = [{} for _ in range(21)], [{} for _ in range(7)]
+    for rows, terms, coeffs in zip((w, om), _wedge_terms(), (z, y)):
+        for a, x in enumerate(coeffs):
+            for r, c, s in terms[a] if x else ():
+                rows[r][c] = s * x
+    out = [[None] * 7 for _ in range(7)]
+    for i in range(7):
+        v = {}  # row i of Omega(y) W(z)
+        for q, x in om[i].items():
+            for r, u in w[q].items():
+                v[r] = v.get(r, 0) + x * u
+        for j in range(i, 7):
+            total = sum(x * v[r] for r, x in om[j].items() if r in v)
+            out[i][j] = out[j][i] = total / scale  # a Fraction if scale is one
+    return out
 
 
 def induced_bilinear(phi: KForm):
     """The symmetric bilinear form b with b_ij e^{1..7} = (1/6) i_i phi ^ i_j phi ^ phi."""
     if phi.n != 7 or phi.k != 3:
         raise ValueError("expected a 3-form on R^7")
-    return _contract(_cubic_table().b, phi.coeffs, phi.coeffs, zero(phi.backend))
+    return _sandwich(phi.coeffs, phi.coeffs, 6, phi.backend)
 
 
 def metric_np(y: np.ndarray):
     """The float metric b / (det b)^(1/9), the volume coefficient (det b)^(1/9)
-    and W (_wedge_map) of the 3-form with coefficients y, from one product;
+    and W of the 3-form with coefficients y, from one gather (_wedge_table);
     NotPositiveError unless the form is positive."""
     w, b = _wedge_and_bilinear(y)
     det_b = positive_det_np(b)
@@ -366,9 +353,8 @@ def j_map(struct: G2Structure, gamma: KForm):
     """Symmetric tensor j(gamma)(X,Y) = *(i_X phi wedge i_Y phi wedge gamma)."""
     if gamma.k != 3 or gamma.n != 7:
         raise ValueError("expected a 3-form on R^7")
-    rows = _contract(_cubic_table().j, struct.phi.coeffs, gamma.coeffs,
-                     zero(require_same_backend(struct.backend, gamma.backend)))
-    return tuple(tuple(x / struct.metric.vol_coeff for x in r) for r in rows)
+    return tuple(map(tuple, _sandwich(struct.phi.coeffs, gamma.coeffs, struct.metric.vol_coeff,
+                                      require_same_backend(struct.backend, gamma.backend))))
 
 
 def _generalized_eigenvalues(ric, g) -> tuple:
@@ -489,12 +475,25 @@ def closed_3form_basis(alg: LieAlgebra):
     return [KForm(alg.n, 3, v, RATIONAL) for v in null]
 
 
+@lru_cache(maxsize=None)
+def _diagonal_terms():
+    """The 105 terms (i, a, b, c, k), a <= b <= c, of b_ii = sum k y_a y_b y_c, 15
+    per i, k = +-1: sum_qr Omega_iq W_qr Omega_ir / 6 from _wedge_table, merged
+    per (i, a, b, c) in lexicographic order."""
+    src, sign = (x.tolist() for x in _wedge_table())
+    sums = Counter()
+    for i, q, r in np.ndindex(7, 21, 21):
+        m = (441 + 21 * i + q, 21 * q + r, 441 + 21 * i + r)  # Omega_iq, W_qr, Omega_ir
+        sums[(i, *sorted(src[x] for x in m))] += int(sign[m[0]] * sign[m[1]] * sign[m[2]])
+    return tuple((*key, Fraction(k, 6)) for key, k in sorted(sums.items()) if k)
+
+
 def _search_cubics(alg: LieAlgebra):
     """(float kernel rows, cubics, stages) of the search, built once per algebra.
 
     cubics[i] = {(k1, k2, k3): Fraction}, k1 <= k2 <= k3, is p_i(x) = b_ii(sum_k x_k v_k)
-    over the closed_3form_basis v: the 105 diagonal rows of _cubic_table expanded
-    over the kernel columns.  stages are the nonzero p_i, sparsest first, as
+    over the closed_3form_basis v: the 105 terms of _diagonal_terms expanded over
+    the kernel columns.  stages are the nonzero p_i, sparsest first, as
     ((k1, k2, k3) index arrays, float coefficients).
     """
     if alg._search_cubics is None:
@@ -502,7 +501,7 @@ def _search_cubics(alg: LieAlgebra):
         cols = [[(m, v.coeffs[a]) for m, v in enumerate(kernel) if v.coeffs[a]]
                 for a in range(35)]
         cubics = [Counter() for _ in range(7)]
-        for i, _, a, b, c, k in _cubic_table().b[:105]:
+        for i, a, b, c, k in _diagonal_terms():
             for m1, v1 in cols[a]:
                 for m2, v2 in cols[b]:
                     for m3, v3 in cols[c]:

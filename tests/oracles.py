@@ -7,10 +7,9 @@ correct on the small spaces involved.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 import sympy
@@ -235,27 +234,6 @@ def series_dims_oracle(alg):
                                   for v in cur[a + 1:]])
     lower = series(lambda cur: [bracket(e, v) for e in full for v in cur])
     return derived, lower
-
-
-def cubic_table_oracle():
-    """The fields of g2._cubic_table by a loop of keyed Counter updates, one per
-    term of i_i phi ^ i_j phi ^ phi.  Unlike the rest of this module it reads the
-    library's interior and wedge tables, which the oracles above check."""
-    from g2lab.exterior import interior_table, wedge_pairs
-
-    iphi = [{q: (a, sign) for a, q, sign in rows} for rows in interior_table(7, 3)]
-    top = {r: (c, sign) for (r, c), (_, sign) in wedge_pairs(7, 4, 3).items()}
-    jt, bt = Counter(), Counter()
-    for (q1, q2), (r, sign) in wedge_pairs(7, 2, 2).items():
-        c, sign = top[r][0], sign * top[r][1]
-        for i, j in combinations_with_replacement(range(7), 2):
-            if q1 in iphi[i] and q2 in iphi[j]:
-                (a1, s1), (a2, s2) = iphi[i][q1], iphi[j][q2]
-                jt[i, j, min(a1, a2), max(a1, a2), c] += sign * s1 * s2
-                bt[(i, j) + tuple(sorted((a1, a2, c)))] += sign * s1 * s2
-    b = sorted((key + (Fraction(k, 6),) for key, k in bt.items() if k),
-               key=lambda t: (t[0] != t[1], t))
-    return tuple(sorted(key + (k,) for key, k in jt.items() if k)), tuple(b)
 
 
 def gram_minor_oracle(m, k):

@@ -483,38 +483,27 @@ def test_kernel_torsion_takes_no_inverse(g_half, monkeypatch):
 
 
 def test_kernel_maps_y_once_per_evaluation(g_half, monkeypatch):
-    # b and W come from one product of y with g2._wedge_map, which the metric
-    # and the torsion share; no cubic terms are summed by np.add.reduceat
+    # b and W come from one gather of y (g2._wedge_and_bilinear), which the
+    # metric and the torsion share; no np.dot takes y itself
+    from g2lab import g2
     from g2lab.flow import FlowKernel
-    from g2lab.g2 import _wedge_map
 
     kernel = FlowKernel(g_half.algebra)
     y = g_half.phi.to_float().np_coeffs
-    wedge_map, dot, add = _wedge_map(), np.dot, np.add
-    products, reduceats = [], []
+    dot, gather = np.dot, g2._wedge_and_bilinear
+    gathers, products = [], []
 
-    class CountedAdd:  # np.add, its reduceat counted
-        def __getattr__(self, name):
-            return getattr(add, name)
-
-        def __call__(self, *args, **kwargs):
-            return add(*args, **kwargs)
-
-        def reduceat(self, *args, **kwargs):
-            reduceats.append(1)
-            return add.reduceat(*args, **kwargs)
-
-    def counted_dot(a, b, *rest):
-        if a is y:
-            products.append(b is wedge_map)
-        return dot(a, b, *rest)
+    def counted_dot(*args):
+        products.extend(a is y for a in args)
+        return dot(*args)
 
     monkeypatch.setattr(np, "dot", counted_dot)
-    monkeypatch.setattr(np, "add", CountedAdd())
+    monkeypatch.setattr(g2, "_wedge_and_bilinear", lambda v: gathers.append(v is y) or gather(v))
     kernel.rhs(y)
-    assert products == [True]
+    assert gathers == [True]
     kernel.torsion(y)
-    assert products == [True, True] and reduceats == []
+    assert gathers == [True, True]
+    assert products and not any(products)
 
 
 def test_flow_evaluates_torsion_at_most_12_times_per_step(g_half_struct, monkeypatch):

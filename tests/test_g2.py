@@ -769,38 +769,66 @@ def test_j_map_rejects_mixed_backends(g_half):
         j_map(struct.to_float(), g_half.phi)
 
 
-def test_cubic_table_matches_loop_oracle():
-    from oracles import cubic_table_oracle
-
-    table, oracle = g2._cubic_table(), cubic_table_oracle()
-    assert len(table) == len(table._fields) == len(oracle)
-    for name, got, want in zip(table._fields, table, oracle):
-        assert got == want, name
-        types = [tuple(map(type, t)) for t in got]
-        assert types == [tuple(map(type, t)) for t in want], name
-
-
-def test_induced_bilinear_on_sparse_forms_matches_the_table_oracle():
-    # _contract skips the terms whose indices miss the nonzeros of phi; the
-    # sum over every term of the oracle's table must come out the same
-    from oracles import cubic_table_oracle
-
-    terms = cubic_table_oracle()[1]
+def test_induced_bilinear_on_sparse_forms_matches_the_top_pairing_oracle():
+    # the contraction skips the zero coefficients of phi: at every density the
+    # exact b is (1/6) top(i_i phi ^ i_j phi ^ phi) in Fractions, and the float b
+    # is within the random-form bound of test_float_bilinear_matches_top_pairing_oracle
     rng = np.random.default_rng(67)
     for trial in range(24):
         density = (0.0, 0.1, 0.2, 0.4, 0.7, 1.0)[trial % 6]
         y = [F(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) if rng.random() < density
              else F(0) for _ in range(35)]
-        for backend in (RATIONAL, FLOAT):
-            phi = KForm(7, 3, y, RATIONAL)
-            if backend == FLOAT:
-                phi = phi.to_float()
-            c = phi.coeffs
-            rows = [[F(0) if backend == RATIONAL else 0.0] * 7 for _ in range(7)]
-            for i, j, a, b, d, k in terms:
-                rows[i][j] += k * c[a] * c[b] * c[d]
-            want = [[rows[min(i, j)][max(i, j)] for j in range(7)] for i in range(7)]
-            got = induced_bilinear(phi)
-            assert got == want
-            scalar = F if backend == RATIONAL else float
-            assert all(type(x) is scalar for row in got for x in row)
+        phi = KForm(7, 3, y, RATIONAL)
+        want = [[F(_top_oracle(phi, phi, i, j), 6) for j in range(7)] for i in range(7)]
+        got = induced_bilinear(phi)
+        assert got == want
+        assert all(type(x) is F for row in got for x in row)
+        got = induced_bilinear(phi.to_float())
+        assert all(type(x) is float for row in got for x in row)
+        scale = max(abs(x) for row in want for x in row)
+        assert np.max(np.abs(np.array(got) - np.array(want, float))) <= 4e-15 * scale
+
+
+def test_exact_cubics_take_one_common_denominator():
+    # b and j(gamma) summed as integers over the lcm of the denominators: large
+    # coprime denominators, numerators past 2^63, and gamma = 0 and phi = 0
+    rng = np.random.default_rng(73)
+    dens = (12345678901234567891, 98765432109876543211)
+    a = np.eye(7, dtype=int)
+    a[0, 0], a[1, 0] = 3, 1  # det 3, so j is divided by a volume coefficient 3
+    struct = G2Structure(abelian(7), pullback(a.tolist(), adapted_phi()))
+    assert struct.metric.vol_coeff == 3
+    zero = KForm(7, 3, [F(0)] * 35)
+    forms = [KForm(7, 3, [F(int(p) * 2 ** 70 + 1, dens[k % 2]) if p else F(0)
+                          for k, p in enumerate(rng.integers(-3, 4, 35))]),
+             KForm(7, 3, [F(1, dens[k % 3 == 0]) for k in range(35)]),
+             zero]
+    for phi in forms:
+        b = induced_bilinear(phi)
+        assert all(type(x) is F for row in b for x in row)
+        for i in range(7):
+            for j in range(7):
+                assert b[i][j] == F(_top_oracle(phi, phi, i, j), 6), (i, j)
+    for gamma in forms:
+        j = j_map(struct, gamma)
+        assert all(type(x) is F for row in j for x in row)
+        for i in range(7):
+            for k in range(7):
+                top = _top_oracle(struct.phi, gamma, i, k)
+                assert j[i][k] == top / struct.metric.vol_coeff, (i, k)
+    # phi = 0 against a gamma with large coprime denominators
+    rows = g2._sandwich(zero.coeffs, forms[1].coeffs, F(1, dens[0]), RATIONAL)
+    assert rows == [[0] * 7] * 7 and all(type(x) is F for row in rows for x in row)
+
+
+def test_diagonal_terms_keep_the_search_stage_order():
+    # the search's cubics and stage order come from these terms in this order:
+    # (i, a, b, c) lexicographic, 15 per i, as the parent's 105 Pfaffian terms
+    import hashlib
+
+    terms = g2._diagonal_terms()
+    assert len(terms) == 105
+    assert [sum(t[0] == i for t in terms) for i in range(7)] == [15] * 7
+    assert all(a <= b <= c and k in (1, -1) and type(k) is F for _, a, b, c, k in terms)
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == \
+        "909d0430129880c7f64da7e4fd1413878e417d54edb65a6ef46f8a1777387855"
