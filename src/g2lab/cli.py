@@ -53,9 +53,9 @@ from .g2 import (
 from .liealg import (
     InvalidStructureError,
     LieAlgebra,
+    _derivation_dim,
     betti,
     check_jacobi,
-    derivation_space,
     is_unimodular,
     structure_flags,
 )
@@ -165,7 +165,6 @@ def _scalar(value):
 def _cmd_analyze(entry, args):
     alg = entry.algebra
     flags = structure_flags(alg)
-    der = derivation_space(alg)
     return {
         "n": alg.n,
         "params": {k: str(v) for k, v in entry.params.items()},
@@ -177,7 +176,7 @@ def _cmd_analyze(entry, args):
         "radical_dim": flags.radical_dim,
         "levi_type": flags.levi_type,
         "betti": [betti(alg, k) for k in range(alg.n + 1)],
-        "dim_der": der.dim,
+        "dim_der": _derivation_dim(alg),
     }
 
 

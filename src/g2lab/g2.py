@@ -144,27 +144,38 @@ def induced_bilinear_np(y: np.ndarray) -> np.ndarray:
 
 
 def _sandwich(y, z, scale, backend):
-    """The symmetric rows of Omega(y) W(z) Omega(y)^T / scale (_wedge_terms), summed
-    over the nonzeros of y and z only; exact rationals as Python ints over one
-    common denominator, the lcm of each form's denominators, folded into scale."""
-    if backend == RATIONAL:
-        dens = [math.lcm(*(x.denominator for x in f)) for f in (y, z)]
-        y, z = ([x.numerator * (d // x.denominator) for x in f] for f, d in zip((y, z), dens))
+    """The symmetric rows of Omega(y) W(z) Omega(y)^T / scale (_wedge_terms), walking
+    only nonzero (q, r) pairs: M = Omega W takes each nonzero Omega_iq along the
+    nonzero W_qr of row q, then entry (i, j), i <= j, sums M_ir Omega_jr over the
+    nonzero Omega_jr (float sums run in the order of y's nonzeros).  Exact
+    rationals are Python ints over one common denominator, the lcm of each form's
+    denominators, folded into scale."""
+    exact = backend == RATIONAL
+    ys, zs = ([(a, x) for a, x in enumerate(f) if x] for f in (y, z))
+    if exact:
+        dens = [math.lcm(*(x.denominator for _, x in f)) for f in (ys, zs)]
+        ys, zs = ([(a, x.numerator * (d // x.denominator)) for a, x in f]
+                  for f, d in zip((ys, zs), dens))
         scale = Fraction(scale) * dens[0] ** 2 * dens[1]
-    w, om = [{} for _ in range(21)], [{} for _ in range(7)]
-    for rows, terms, coeffs in zip((w, om), _wedge_terms(), (z, y)):
-        for a, x in enumerate(coeffs):
-            for r, c, s in terms[a] if x else ():
-                rows[r][c] = s * x
-    out = [[None] * 7 for _ in range(7)]
+    w_terms, om_terms = _wedge_terms()
+    w = [[] for _ in range(21)]  # per row q, the nonzero (r, W_qr)
+    for a, x in zs:
+        for q, r, s in w_terms[a]:
+            w[q].append((r, s * x))
+    om = [(i, q, s * x) for a, x in ys for i, q, s in om_terms[a]]
+    m = [[0] * 21 for _ in range(7)]  # Omega W
+    for i, q, x in om:
+        for r, u in w[q]:
+            m[i][r] += x * u
+    out = [[0] * 7 for _ in range(7)]
+    for j, r, x in om:
+        for i in range(j + 1):
+            out[i][j] += m[i][r] * x
     for i in range(7):
-        v = {}  # row i of Omega(y) W(z)
-        for q, x in om[i].items():
-            for r, u in w[q].items():
-                v[r] = v.get(r, 0) + x * u
         for j in range(i, 7):
-            total = sum(x * v[r] for r, x in om[j].items() if r in v)
-            out[i][j] = out[j][i] = total / scale  # a Fraction if scale is one
+            t = out[i][j]  # t / scale; a Fraction is normalised once, by the constructor
+            out[i][j] = out[j][i] = (Fraction(t * scale.denominator, scale.numerator)
+                                     if exact else t / scale)
     return out
 
 

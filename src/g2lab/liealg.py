@@ -4,7 +4,8 @@ An n-dimensional Lie algebra is stored as the degree-1 part of its
 Chevalley-Eilenberg differential: the list (de^1, ..., de^n) of 2-forms.
 d in each degree is kept once, as the sparse columns of d e^I that
 ``ce_differential`` reads in both scalar backends and ``d_rank`` ranks as
-the rows of d^T.  The Jacobi identity
+the rows of d^T, in the degrees that Poincare duality does not fix (d_1 to
+d_3 on a unimodular 7-dimensional algebra).  The Jacobi identity
 is equivalent to d o d = 0.  The constructor reads the
 bracket off de^k(e_i, e_j) = -e^k([e_i, e_j]) once, into one table of the
 nonzero structure constants c_ij^k of every ordered pair; brackets,
@@ -12,7 +13,7 @@ ad-matrices, unimodularity and the derivation equations read only that
 table.  ``is_derivation`` tests D against the derivation equations.
 ``structure_flags`` builds [g, g] once from the table: it opens both the
 derived series and the lower central series, and its Killing-orthogonal is
-the radical.
+the radical (all of g when g is solvable, by Cartan's criterion).
 
 Everything structural (ranks, series, radicals, derivation spaces) is
 computed over exact rationals; parameters must be rationals.
@@ -134,10 +135,20 @@ class LieAlgebra:
                 for r in range(len(basis_indices(self.n, k + 1)))]
 
     def d_rank(self, k: int) -> int:
-        """Exact rank of d: degree k -> degree k+1, computed once per degree as
-        the rank of d^T, whose rows are ``d_columns(k)``."""
+        """Exact rank of d: degree k -> degree k+1, once per degree.  rank d_0 = 0;
+        rank d_{n-1} = 0 iff g is unimodular, as d(i_{e_i} vol) = +-tr(ad e_i) vol.
+        Then d alpha ^ beta = -(-1)^k alpha ^ d beta makes d_k and d_{n-1-k} adjoint
+        under the wedge pairing into degree n, so d_k, 2k > n-1, has the rank of
+        d_{n-1-k} (Poincare duality).  Other degrees rank d^T = ``d_columns(k)``."""
         if k not in self._d_ranks:
-            self._d_ranks[k] = linalg.rank([dict(col) for col in self.d_columns(k)])
+            n = self.n
+            if k in (0, n - 1):
+                rank = 0 if k == 0 or is_unimodular(self) else 1
+            elif n - 1 < 2 * k < 2 * n and is_unimodular(self):
+                rank = self.d_rank(n - 1 - k)
+            else:
+                rank = linalg.rank([dict(col) for col in self.d_columns(k)])
+            self._d_ranks[k] = rank
         return self._d_ranks[k]
 
     # -- serialization -----------------------------------------------------------
@@ -210,7 +221,8 @@ def check_jacobi(alg: LieAlgebra) -> Fraction:
 
 
 def betti(alg: LieAlgebra, k: int) -> int:
-    """dim H^k of the Chevalley-Eilenberg complex, by exact ranks."""
+    """dim H^k = dim Lambda^k - rank d_k - rank d_{k-1} of the Chevalley-Eilenberg
+    complex, by ``LieAlgebra.d_rank``: Poincare duality on a unimodular g."""
     if not (0 <= k <= alg.n):
         raise ValueError("degree out of range")
     dim_k = len(basis_indices(alg.n, k))
@@ -305,7 +317,8 @@ def _series_dims(first, step, n):
 
 def radical_basis(alg: LieAlgebra):
     """Exact basis of the radical, the Killing-orthogonal of [g, g], as the
-    canonical rows that ``structure_flags`` reads."""
+    canonical rows that ``structure_flags`` reads: the identity rows when g is
+    solvable, since then K(g, [g, g]) = 0 (Cartan's criterion)."""
     return _flags_and_radical(alg)[1]
 
 
@@ -313,7 +326,8 @@ def structure_flags(alg: LieAlgebra) -> StructureFlags:
     """Solvability, nilpotency, radical and Levi-quotient type.
 
     One [g, g] opens both the derived series and the lower central series,
-    and its Killing-orthogonal complement is the radical.  When the
+    and its Killing-orthogonal complement is the radical: all of a solvable g,
+    with no Killing form built (Cartan's criterion: K(g, [g, g]) = 0).  When the
     semisimple quotient is 3-dimensional, its Killing signature
     distinguishes sl(2,R) (indefinite) from su(2) (negative-definite).
     """
@@ -330,9 +344,12 @@ def _flags_and_radical(alg):
     derived = _derived(alg)
     derived_dims = _series_dims(derived, lambda cur: _bracket_span(alg, cur, cur), n)
     lcs_dims = _series_dims(derived, lambda cur: _bracket_span(alg, full, cur), n)
-    kil = killing_matrix(alg)  # the radical: the Killing-orthogonal of [g, g]
-    constraint = [linalg.matvec(kil, b) for b in derived]
-    radical = [tuple(v) for v in _span(linalg.nullspace(constraint, ncols=n))]
+    if derived_dims[-1] == 0:  # solvable: its own radical
+        radical = [tuple(row) for row in full]
+    else:  # the radical: the Killing-orthogonal of [g, g]
+        kil = killing_matrix(alg)
+        constraint = [linalg.matvec(kil, b) for b in derived]
+        radical = [tuple(v) for v in _span(linalg.nullspace(constraint, ncols=n))]
     ss_dim = n - len(radical)
     alg._flags = StructureFlags(
         solvable=derived_dims[-1] == 0,
@@ -426,6 +443,11 @@ def _derivation_rows(alg):
                         eqs[k][col] = eqs[k].get(col, ZERO) - c
             rows += [eq for eq in eqs if any(eq.values())]
     return rows
+
+
+def _derivation_dim(alg):
+    """dim Der(alg) = n^2 - rank of the derivation equations, with no kernel basis."""
+    return alg.n ** 2 - linalg.rank(_derivation_rows(alg))
 
 
 def derivation_space(alg: LieAlgebra) -> DerivationSpace:

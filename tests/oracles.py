@@ -183,9 +183,12 @@ def jacobiator_oracle(alg):
 
 
 def sympy_rank(rows) -> int:
+    """Exact rank by elimination over sympy's field QQ (Matrix.rank simplifies
+    every pivot candidate, which takes minutes on large rational entries)."""
     if not rows:
         return 0
-    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rank()
+    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+    return m.to_DM(sympy.QQ).rank()
 
 
 def sympy_nullity(rows, ncols) -> int:

@@ -51,14 +51,23 @@ def test_analyze_n2_first_betti(capsys):
 
 
 def test_analyze_ranks_each_differential_once(capsys, monkeypatch):
-    # betti needs rank d_k and rank d_{k-1}; the algebra ranks each d_k once
-    from g2lab import linalg
+    # betti needs rank d_k and rank d_{k-1}; the algebra ranks each d_k once,
+    # and only where no identity gives it: rank d_0 = 0, rank d_6 = 1 - [unimodular],
+    # and on a unimodular algebra rank d_k = rank d_{6-k} (Poincare duality);
+    # dim Der takes one more rank, of the derivation equations
+    from g2lab import liealg, linalg
     calls = []
     rank = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or rank(m))
-    code, _ = run_cli(capsys, "analyze", "nonsolv_levi")
-    assert code == 0
-    assert len(calls) == 7
+    for argv, degrees in ((("nonsolv_levi",), (1, 2, 3)),
+                          (("g_a", "--param", "a=2"), (1, 2, 3, 4, 5))):
+        calls.clear()
+        code, _ = run_cli(capsys, "analyze", *argv)
+        assert code == 0
+        alg = catalog.get(argv[0], **dict(p.split("=") for p in argv[2:])).algebra
+        assert liealg.is_unimodular(alg) == (degrees == (1, 2, 3))
+        assert calls == [[dict(col) for col in alg.d_columns(k)] for k in degrees] \
+            + [liealg._derivation_rows(alg)]
 
 
 def test_analyze_reuses_the_catalog_checks(capsys, monkeypatch):

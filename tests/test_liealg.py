@@ -1,6 +1,7 @@
 """Structure equations, cohomology, classification, derivations, extensions."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     ce_differential_oracle,
     kform_to_terms,
     series_dims_oracle,
+    structure_constants_oracle,
     sympy_nullity,
     sympy_rank,
     wedge_oracle,
@@ -357,7 +359,8 @@ def test_structure_flags_match_series_oracle():
 
 
 def test_structure_flags_builds_derived_algebra_once(monkeypatch):
-    # one span for [g, g], one per further series term, one for the radical
+    # one span for [g, g], one per further series term, and one for the radical
+    # unless g is solvable, which is its own radical
     import g2lab.liealg as liealg_mod
 
     spans, span = [], liealg_mod._span
@@ -367,8 +370,9 @@ def test_structure_flags_builds_derived_algebra_once(monkeypatch):
         spans.clear()
         flags = structure_flags(alg)
         series_terms = len(flags.derived_series_dims) + len(flags.lower_central_dims) - 1
-        assert len(spans) == series_terms + 1, alg.name
-        assert structure_flags(alg) is flags and len(spans) == series_terms + 1, alg.name
+        expected = series_terms + (not flags.solvable)
+        assert len(spans) == expected, alg.name
+        assert structure_flags(alg) is flags and len(spans) == expected, alg.name
 
 
 # -- derivations -----------------------------------------------------------------
@@ -627,3 +631,95 @@ def test_matvec_and_matmul_match_sympy():
         assert got_mm == expected_mm
         assert all(type(x) is F for x in got_mv)
         assert all(type(x) is F for row in got_mm for x in row)
+
+
+# -- closed identities in place of solves, against independent oracles -------------
+
+def _identity_algebras():
+    """oracle_algebras() and e(3), each also in one random rational basis, as fresh
+    algebras: no rank, flag or radical is cached on them yet."""
+    rng = np.random.default_rng(53)
+    algs = oracle_algebras() + [_euclidean3()]
+    algs += [_random_basis_change(alg, rng) for alg in algs]
+    return [LieAlgebra(alg.d1, alg.name) for alg in algs]
+
+
+def test_betti_matches_sympy_ranks_of_every_differential():
+    for alg in _identity_algebras():
+        n = alg.n
+        ranks = [sympy_rank(alg.d_matrix(k)) for k in range(n)] + [0]
+        assert [alg.d_rank(k) for k in range(n + 1)] == ranks, alg
+        assert [betti(alg, k) for k in range(n + 1)] \
+            == [len(basis_indices(n, k)) - ranks[k] - (ranks[k - 1] if k else 0)
+                for k in range(n + 1)], alg
+        if is_unimodular(alg):  # Poincare duality
+            assert all(betti(alg, k) == betti(alg, n - k) for k in range(n + 1)), alg
+
+
+def test_d_is_self_adjoint_under_the_top_pairing_iff_unimodular():
+    # d(alpha ^ beta) = 0 for every (n-1)-form exactly on a unimodular algebra, so
+    # there d alpha ^ beta = -(-1)^k alpha ^ d beta on all basis forms.  Each pair
+    # of degrees (k, n-1-k) is one statement, so 2k <= n-1 covers all; a pair is
+    # wedged only if a monomial of d alpha misses J or one of d beta misses I
+    # (both sides vanish otherwise).  Random bases leave few such zeros: in
+    # dimension 7 they would add some 20 s, so only the smaller algebras move.
+    def disjoint(terms, idx):
+        return any(not set(key) & set(idx) for key in terms)
+
+    rng = np.random.default_rng(59)
+    algs = oracle_algebras() + [_euclidean3()]
+    for alg in algs + [_random_basis_change(alg, rng) for alg in algs if alg.n <= 6]:
+        n = alg.n
+        basis = [idx for k in range(n) for idx in combinations(range(n), k)]
+        d = {idx: ce_differential_oracle(alg, {idx: F(1)}, len(idx)) for idx in basis}
+        pairs = [(len(i), i, j) for i in basis for j in basis
+                 if 2 * len(i) <= n - 1 and len(j) == n - 1 - len(i)
+                 and (disjoint(d[i], j) or disjoint(d[j], i))]
+        holds = all(wedge_oracle(d[i], k + 1, {j: F(1)}, n - 1 - k, n)
+                    == {idx: -(-1) ** k * c
+                        for idx, c in wedge_oracle({i: F(1)}, k, d[j], n - k, n).items()}
+                    for k, i, j in pairs)
+        assert holds == is_unimodular(alg), alg
+
+
+def test_top_differential_has_rank_one_exactly_off_unimodular():
+    algs = oracle_algebras()
+    assert {alg.name for alg in algs if alg.d_rank(alg.n - 1)} \
+        == {"g_a", "g_ab", "g_abk", "nonsolv_1B"}
+    for alg in _identity_algebras():
+        assert alg.d_rank(alg.n - 1) == sympy_rank(alg.d_matrix(alg.n - 1)) \
+            == (not is_unimodular(alg)), alg
+
+
+def test_derivation_dim_is_the_nullity_of_the_derivation_equations():
+    from g2lab.liealg import _derivation_dim
+
+    for alg in _identity_algebras():
+        n2 = alg.n ** 2
+        assert _derivation_dim(alg) == derivation_space(alg).dim \
+            == sympy_nullity(derivation_equations(alg), n2), alg
+
+
+def test_radical_is_the_sympy_killing_orthogonal_of_the_derived_algebra():
+    # a solvable algebra is its own radical (Cartan's criterion), the others
+    # match the Killing-orthogonal of [g, g] computed from the oracle constants
+    seen = set()
+    for alg in _identity_algebras():
+        n, consts = alg.n, structure_constants_oracle(alg)
+        ads = [sympy.zeros(n, n) for _ in range(n)]
+        for (i, j), pairs in consts.items():
+            for k, c in pairs:
+                ads[i][k, j] = sympy.Rational(c)
+        kil = sympy.Matrix(n, n, lambda i, j: (ads[i] * ads[j]).trace())
+        derived = [ads[i][:, j] for i in range(n) for j in range(i + 1, n)]
+        constraint = sympy.Matrix.vstack(*[(kil * v).T for v in derived])
+        null = constraint.nullspace()
+        orth = sympy.Matrix.hstack(*null).T.rref()[0] if null else sympy.zeros(0, n)
+        expected = [list(orth.row(r)) for r in range(orth.rows) if any(orth.row(r))]
+        got = [list(row) for row in radical_basis(alg)]
+        assert got == expected, alg
+        solvable = structure_flags(alg).solvable
+        seen.add(solvable)
+        if solvable:
+            assert got == [[F(int(i == j)) for j in range(n)] for i in range(n)], alg
+    assert seen == {True, False}

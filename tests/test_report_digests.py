@@ -1,10 +1,13 @@
 """Pinned sha256 digests of exact CLI reports.
 
 The argv list is the exact-only part (analyze, su3 and rational soliton) of
-the seed-11 report mix of the benchmark's ``exact_reports`` workload.  These
-reports carry only exact rationals and decisions taken on them, so any
-refactor of the exact stack must reproduce them byte for byte.  ``g2``
-reports also carry LAPACK eigenvalues and are not pinned here.
+the seed-11 report mix of the benchmark's ``exact_reports`` workload, then the
+analyze reports of its seed-12 and seed-13 mixes that seed 11 does not have:
+among them a non-unimodular, non-solvable algebra (nonsolv_1 B), g_ab at a = 0
+and nonsolv_2 at mu < 0.  These reports carry only exact rationals and
+decisions taken on them, so any refactor of the exact stack must reproduce
+them byte for byte.  ``g2`` reports also carry LAPACK eigenvalues and are not
+pinned here.
 """
 
 import hashlib
@@ -52,6 +55,31 @@ DIGESTS = [
      "1da0569edde110fcbec73e3c00762f8d7ede2c2a99cc9f35f6624fa0d7534ec2"),
     (("su3", "s_ab", "--param", "a=1/2", "b=-3/2"),
      "74ff3ec18d98ffdff410b18f76b40e16b56aed3f2dfc686d5fc0276bb12df96e"),
+    # the analyze reports of the seed-12 and seed-13 mixes that seed 11 lacks
+    (("analyze", "g_abk", "--param", "a=-1/2", "b=3/2", "k=-3/2"),
+     "45f96c5acd07c4908b489ea9fabc8aeedd58db85c6110ca015374b7b92c20954"),
+    (("analyze", "g_ab", "--param", "a=-1/2", "b=2"),
+     "57aee1f492ec4a706f87479b8727d7d6344ff329cdbeb285e7cdb1e93dde3094"),
+    (("analyze", "g_a", "--param", "a=1/2"),
+     "cfbdea64a6538548b5e2bcf61f2631aa2e76190550430055fed1bb66b461e7cd"),
+    (("analyze", "nonsolv_1", "--param", "variant=B"),
+     "ca68533c0227b1609a2e13ef33a746b7b3c1131f548c9bade09c738b8e536079"),
+    (("analyze", "s_ab", "--param", "a=1", "b=-4/3"),
+     "850cdcba39363620951c9f701a2e91b50e2470bc1d7cf90adffe2c553dfbb64f"),
+    (("analyze", "nonsolv_3", "--param", "mu=1"),
+     "a5bb39fb60cf7ae08d56097101c6503b1f735d1cb1443fb13e410bf4509afa77"),
+    (("analyze", "nonsolv_2", "--param", "mu=-2/3"),
+     "f473e163f8f72cadf2071c96bf7ecf1db79163190df45251d6a5f70a13edd6a8"),
+    (("analyze", "g_abk", "--param", "a=-1/2", "b=3/2", "k=0"),
+     "a6de7c8cf431a4c4b7d287d1538d1d890d8c0b87a7a0d63e57da9bf99499a7e4"),
+    (("analyze", "nonsolv_2", "--param", "mu=-1/3"),
+     "fd1f8d37d3f6595ce7429f96ffa519979310b045babb3d919e5952f4ce34c79c"),
+    (("analyze", "s_ab", "--param", "a=-2", "b=-1"),
+     "7baae0be08af8503fbad2267b3e8baa199b711ee37601e2c399e893ff52dcab7"),
+    (("analyze", "g_a", "--param", "a=3/2"),
+     "120d36365d0b00aa84364773a9832ea4f133478b204a73eb393917ed8cd0fae1"),
+    (("analyze", "g_ab", "--param", "a=0", "b=1"),
+     "621f9cf144461bc1b18ee6b254d1c6b5d56b2148b74daefca1c94f1182f23aab"),
 ]
 
 
