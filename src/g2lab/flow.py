@@ -2,11 +2,12 @@
 
 The flow evolves the 35 coefficients of a closed 3-form by
 d phi/dt = Delta_phi phi = d tau(phi); the right-hand side is exact, so the
-closed cone is preserved.  FlowKernel evaluates it in numpy with g2.metric_np,
-the one float metric (positive by linalg.positive_det_np), and the torsion
-identity tau = -*d*phi, guarded by tau wedge phi = d*phi.  Both stars come
-from W (metric_np gathers it from phi with b) and Lambda^2 g (gathered from g
-by one constant index table), without an inverse (see FlowKernel.torsion).
+closed cone is preserved.  g2.FlowKernel, the one float torsion kernel
+(g2.torsion_form uses it too), evaluates it in numpy with g2.metric_np, the
+one float metric (positive by linalg.positive_det_np), and the torsion
+identity tau = -*d*phi, guarded by tau wedge phi = d*phi to 1e-9 relative l2
+error.  Both stars come from W (metric_np gathers it from phi with b) and
+Lambda^2 g (gathered from g by one constant index table), without an inverse.
 Integration uses the Dormand-Prince 8(5,3) pair: the 8th-order solution
 advances, its embedded 5th- and 3rd-order solutions give the error estimate
 that controls the step, and the last stage, taken at the new state, is the
@@ -30,29 +31,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .exterior import (
-    Endo,
-    KForm,
-    basis_indices,
-    complement_table,
-    endo_action,
-    index_position,
-)
+from .exterior import Endo, KForm, basis_indices, endo_action, index_position
 from .g2 import (
     ANSATZ_MONOMIALS,
     ANSATZ_SIGNS,
+    FlowKernel,
     G2Structure,
-    InconsistentTorsionError,
     NotClosedError,
     NotPositiveError,
     ansatz_phi,
-    metric_np,
     torsion,
 )
 from .liealg import LieAlgebra, derivation_space
@@ -131,84 +123,6 @@ class AmbiguousResidualError(ArithmeticError):
 
 class FlowStalled(ArithmeticError):
     """Adaptive step size underflowed before reaching the target time."""
-
-
-# ---------------------------------------------------------------------------
-# numpy kernel
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _torsion_gathers():
-    """The constant index tables of FlowKernel.torsion, shared by every kernel."""
-    # Lambda^2 g: entry (ij, ab), i < j and a < b, is g_ia g_jb - g_ib g_ja,
-    # the products of the pairs of one gather from the flattened g
-    i, j = np.triu_indices(7, 1)
-    lam2_idx = np.array([[7 * i[:, None] + i, 7 * j[:, None] + j],
-                         [7 * i[:, None] + j, 7 * j[:, None] + i]]).reshape(2, 2, 441)
-    # *phi at i < j < a < b: the flat positions (ij, ab) of a 21 x 21 matrix
-    pos = index_position(7, 2)
-    star = [21 * pos[q[:2]] + pos[q[2:]] for q in basis_indices(7, 4)]
-    cpos, sign = np.array(complement_table(7, 5)).T  # S_5 as a signed permutation
-    src = np.argsort(cpos)  # the 5-form rows of d by the 2-form position of S_5
-    return lam2_idx, star, src, sign[src]
-
-
-class FlowKernel:
-    """Vectorised evaluation of phi -> d tau(phi) on a fixed 7-dim algebra."""
-
-    def __init__(self, alg: LieAlgebra):
-        if alg.n != 7:
-            raise ValueError("flow needs a 7-dimensional algebra")
-        self.algebra = alg
-        self.d2, self.d3, self.d4 = ds = (np.zeros((35, 21)), np.zeros((35, 35)),
-                                          np.zeros((21, 35)))
-        # filled from the sparse columns: np.array(alg.d_matrix(k), float) also
-        # converts every zero Fraction, 1.3 ms against 0.08 ms per kernel, and
-        # laplacian_flow builds one kernel per run (~20 % of a 6.7 ms t = 0.3 run)
-        for k, m in zip((2, 3, 4), ds):
-            for j, col in enumerate(alg.d_columns(k)):
-                for r, c in col:
-                    m[r, j] = c
-        self.lam2_idx, star, src, sign = _torsion_gathers()
-        # x = S_5 d *phi as one product with the flattened Lambda^2 g W Lambda^2 g
-        self.dstar = np.zeros((21, 441))
-        self.dstar[:, star] = self.d4[src] * sign[:, None]
-
-    def metric(self, y):
-        """g, the volume coefficient and W at phi = y (g2.metric_np)."""
-        return metric_np(y)
-
-    def torsion(self, y):
-        """tau = -*d*phi, |tau|^2 and the volume coefficient at phi = y.
-
-        Both stars come from the 21 x 21 matrix Lambda^2 g of g on 2-vectors,
-        with no inverse.  W, the matrix of the 2-forms alpha, beta ->
-        top(alpha ^ beta ^ phi), comes with g from the one gather of y that
-        gives b (metric), and alpha ^ beta ^ phi = <alpha ^ beta, *phi> vol gives
-        *phi = Lambda^2 g W Lambda^2 g / vol at i < j < a < b.  On 5-forms
-        * = (*_2)^-1 sends d*phi to -tau = Lambda^2 g x / vol, x = S_5 d*phi;
-        and |tau|^2 vol = tau ^ *tau = -tau . x.  W is also the matrix of
-        tau -> S_5 (tau ^ phi), so the guard tau ^ phi = d*phi reuses it; it
-        is checked after S_5, which keeps its norms."""
-        g, volc, w = self.metric(y)
-        pairs = g.ravel()[self.lam2_idx]
-        lam2 = (pairs[0, 0] * pairs[0, 1] - pairs[1, 0] * pairs[1, 1]).reshape(21, 21)
-        dot = np.dot  # on these small operands ~1 us cheaper per product than @
-        x = dot(self.dstar, dot(dot(lam2, w), lam2).ravel()) / volc
-        tau = dot(lam2, x) / -volc
-        res = dot(w, tau) - x
-        if math.sqrt(dot(res, res)) > 1e-9 * max(1.0, math.sqrt(dot(x, x))):
-            raise InconsistentTorsionError(
-                "tau = -*d*phi fails tau wedge phi = d*phi along the flow")
-        return tau, 0.0 - float(dot(tau, x)) / volc, volc  # +0.0 at zero torsion
-
-    def rhs(self, y):
-        """d tau at phi = y, and |tau|^2 for the sample taken there."""
-        tau, tau_nsq, _ = self.torsion(y)
-        return np.dot(self.d2, tau), tau_nsq
-
-    def closedness_residual(self, y) -> float:
-        return float(np.max(np.abs(self.d3 @ y)))
 
 
 # ---------------------------------------------------------------------------

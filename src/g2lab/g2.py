@@ -12,7 +12,9 @@ With this module's convention Lambda^2_14 = {alpha : alpha wedge phi = -*alpha}
 and ** = 1 in dimension 7, so tau is given by the closed identity
     tau = -*d*phi
 (Bryant, "Some remarks on G2-structures", 2005), and the torsion equation
-tau wedge phi = d*phi is kept as a guard.  From tau one gets the Ricci
+tau wedge phi = d*phi is kept as a guard: exactly for rationals, and to 1e-9
+relative l2 error in FlowKernel.torsion, the one float torsion kernel, which
+the flow also runs on (no inverse, no determinant).  From tau one gets the Ricci
 tensor, the scalar curvature -|tau|^2/2, the Hodge Laplacian d tau of phi,
 and the extremally-Ricci-pinched diagnostics.
 """
@@ -38,6 +40,7 @@ from .exterior import (
     complement_table,
     hodge,
     identity_holds,
+    index_position,
     interior,
     interior_table,
     norm_sq,
@@ -317,6 +320,85 @@ class G2Structure:
 
 
 # ---------------------------------------------------------------------------
+# numpy kernel
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _torsion_gathers():
+    """The constant index tables of FlowKernel.torsion, shared by every kernel."""
+    # Lambda^2 g: entry (ij, ab), i < j and a < b, is g_ia g_jb - g_ib g_ja,
+    # the products of the pairs of one gather from the flattened g
+    i, j = np.triu_indices(7, 1)
+    lam2_idx = np.array([[7 * i[:, None] + i, 7 * j[:, None] + j],
+                         [7 * i[:, None] + j, 7 * j[:, None] + i]]).reshape(2, 2, 441)
+    # *phi at i < j < a < b: the flat positions (ij, ab) of a 21 x 21 matrix
+    pos = index_position(7, 2)
+    star = [21 * pos[q[:2]] + pos[q[2:]] for q in basis_indices(7, 4)]
+    cpos, sign = np.array(complement_table(7, 5)).T  # S_5 as a signed permutation
+    src = np.argsort(cpos)  # the 5-form rows of d by the 2-form position of S_5
+    return lam2_idx, star, src, sign[src]
+
+
+class FlowKernel:
+    """Vectorised evaluation of phi -> d tau(phi) on a fixed 7-dim algebra; its
+    torsion is the float tau of torsion_form as well as of the flow."""
+
+    def __init__(self, alg: LieAlgebra):
+        if alg.n != 7:
+            raise ValueError("flow needs a 7-dimensional algebra")
+        self.algebra = alg
+        self.d2, self.d3, self.d4 = ds = (np.zeros((35, 21)), np.zeros((35, 35)),
+                                          np.zeros((21, 35)))
+        # filled from the sparse columns: np.array(alg.d_matrix(k), float) also
+        # converts every zero Fraction, 1.3 ms against 0.08 ms per kernel, and
+        # laplacian_flow builds one kernel per run (~20 % of a 6.7 ms t = 0.3 run)
+        for k, m in zip((2, 3, 4), ds):
+            for j, col in enumerate(alg.d_columns(k)):
+                for r, c in col:
+                    m[r, j] = c
+        self.lam2_idx, star, src, sign = _torsion_gathers()
+        # x = S_5 d *phi as one product with the flattened Lambda^2 g W Lambda^2 g
+        self.dstar = np.zeros((21, 441))
+        self.dstar[:, star] = self.d4[src] * sign[:, None]
+
+    def metric(self, y):
+        """g, the volume coefficient and W at phi = y (metric_np)."""
+        return metric_np(y)
+
+    def torsion(self, y):
+        """tau = -*d*phi, |tau|^2 and the volume coefficient at phi = y.
+
+        Both stars come from the 21 x 21 matrix Lambda^2 g of g on 2-vectors,
+        with no inverse.  W, the matrix of the 2-forms alpha, beta ->
+        top(alpha ^ beta ^ phi), comes with g from the one gather of y that
+        gives b (metric), and alpha ^ beta ^ phi = <alpha ^ beta, *phi> vol gives
+        *phi = Lambda^2 g W Lambda^2 g / vol at i < j < a < b.  On 5-forms
+        * = (*_2)^-1 sends d*phi to -tau = Lambda^2 g x / vol, x = S_5 d*phi;
+        and |tau|^2 vol = tau ^ *tau = -tau . x.  W is also the matrix of
+        tau -> S_5 (tau ^ phi), so the guard tau ^ phi = d*phi reuses it; it
+        is checked after S_5, which keeps its norms."""
+        g, volc, w = self.metric(y)
+        pairs = g.ravel()[self.lam2_idx]
+        lam2 = (pairs[0, 0] * pairs[0, 1] - pairs[1, 0] * pairs[1, 1]).reshape(21, 21)
+        dot = np.dot  # on these small operands ~1 us cheaper per product than @
+        x = dot(self.dstar, dot(dot(lam2, w), lam2).ravel()) / volc
+        tau = dot(lam2, x) / -volc
+        res = dot(w, tau) - x
+        if math.sqrt(dot(res, res)) > 1e-9 * max(1.0, math.sqrt(dot(x, x))):
+            raise InconsistentTorsionError(
+                "tau = -*d*phi fails tau wedge phi = d*phi")
+        return tau, 0.0 - float(dot(tau, x)) / volc, volc  # +0.0 at zero torsion
+
+    def rhs(self, y):
+        """d tau at phi = y, and |tau|^2 for the sample taken there."""
+        tau, tau_nsq, _ = self.torsion(y)
+        return np.dot(self.d2, tau), tau_nsq
+
+    def closedness_residual(self, y) -> float:
+        return float(np.max(np.abs(self.d3 @ y)))
+
+
+# ---------------------------------------------------------------------------
 # 2-form decomposition
 # ---------------------------------------------------------------------------
 
@@ -335,18 +417,24 @@ def project_14(struct: G2Structure, alpha: KForm) -> KForm:
 def torsion_form(struct: G2Structure) -> TorsionData:
     """The intrinsic torsion 2-form of a closed structure.
 
-    tau = -*d*phi.  The guard tau wedge phi = d*phi, exact in the rational
-    backend and to 1e-9 relative l2 error in float, confirms both the
-    torsion equation and tau in Lambda^2_14 (alpha wedge phi = -*alpha):
-    a failure raises InconsistentTorsionError.
+    tau = -*d*phi.  The guard tau wedge phi = d*phi confirms both the
+    torsion equation and tau in Lambda^2_14 (alpha wedge phi = -*alpha): a
+    failure raises InconsistentTorsionError.  Exact structures take the stars,
+    the guard (exact) and |tau|^2 from the metric; float ones take tau and
+    |tau|^2 from FlowKernel.torsion, the flow's kernel, whose guard allows
+    1e-9 relative l2 error.
     """
     if not struct.is_closed():
         raise NotClosedError("structure is not closed")
-    dstar = struct.d(struct.star(struct.phi))
-    tau = -struct.star(dstar)
-    if not identity_holds(wedge(tau, struct.phi) - dstar, dstar):
-        raise InconsistentTorsionError("tau = -*d*phi fails tau wedge phi = d*phi")
-    tau_nsq = norm_sq(struct.metric, tau)
+    if struct.backend == FLOAT:
+        tau, tau_nsq, _ = FlowKernel(struct.algebra).torsion(struct.phi.np_coeffs)
+        tau = KForm(7, 2, tau, FLOAT)
+    else:
+        dstar = struct.d(struct.star(struct.phi))
+        tau = -struct.star(dstar)
+        if not identity_holds(wedge(tau, struct.phi) - dstar, dstar):
+            raise InconsistentTorsionError("tau = -*d*phi fails tau wedge phi = d*phi")
+        tau_nsq = norm_sq(struct.metric, tau)
     return TorsionData(tau=tau, tau_norm_sq=tau_nsq, dtau=struct.d(tau))
 
 

@@ -60,3 +60,18 @@ def g110_structure(g110_entry):
 @pytest.fixture(scope="session")
 def abelian7_entry():
     return catalog.get("abelian7")
+
+
+@pytest.fixture(scope="session")
+def nonsolv_3_eighth_phi():
+    """A closed positive 3-form on nonsolv_3 at mu = 1/8, by its coordinates in
+    closed_3form_basis; a directed ascent of the positivity margin over ker d
+    found it, and the randomized search misses the thin cone it lies in."""
+    from g2lab.exterior import KForm
+    from g2lab.g2 import closed_3form_basis
+
+    x = [0, 0, 0, 0, 0, Fraction(-1, 8), 1, 1, Fraction(-1, 8), Fraction(1, 2), -1,
+         Fraction(-1, 8), Fraction(1, 2), 0, 0, 0, Fraction(1, 8)]
+    basis = closed_3form_basis(catalog.get("nonsolv_3", mu=Fraction(1, 8)).algebra)
+    assert len(basis) == len(x)
+    return sum((c * v for c, v in zip(x, basis)), KForm.zero(7, 3))

@@ -23,26 +23,23 @@ def perm_sign(seq):
 
 def form_value(terms, indices):
     """Evaluate a form dict on a tuple of (possibly unsorted) 0-based indices."""
-    if len(set(indices)) != len(indices):
+    value = terms.get(tuple(sorted(indices)))
+    if not value or len(set(indices)) != len(indices):
         return Fraction(0)
-    key = tuple(sorted(indices))
-    return perm_sign(indices) * terms.get(key, Fraction(0))
+    return perm_sign(indices) * value
 
 
 def wedge_oracle(a_terms, p, b_terms, q, n):
-    """Shuffle-sum wedge: (a^b)(e_I) = sum over (p,q)-shuffles of signs."""
+    """Wedge over the nonzero terms of both factors: e^I ^ e^J for disjoint I, J
+    is perm_sign(I + J) e^{sorted(I + J)}."""
     out = {}
-    for idx in combinations(range(n), p + q):
-        total = Fraction(0)
-        for left in combinations(range(p + q), p):
-            right = tuple(i for i in range(p + q) if i not in left)
-            shuffle = left + right
-            sign = perm_sign(shuffle)
-            total += sign * form_value(a_terms, tuple(idx[i] for i in left)) \
-                * form_value(b_terms, tuple(idx[i] for i in right))
-        if total:
-            out[idx] = total
-    return out
+    for i, x in a_terms.items():
+        for j, y in b_terms.items():
+            idx = i + j
+            if x and y and len(set(idx)) == p + q:
+                key = tuple(sorted(idx))
+                out[key] = out.get(key, Fraction(0)) + perm_sign(idx) * x * y
+    return {key: out[key] for key in sorted(out) if out[key]}
 
 
 def interior_oracle(i, terms, k, n):
@@ -154,7 +151,9 @@ def ce_differential_oracle(alg, terms, k):
         for a, b in combinations(range(k + 1), 2):
             rest = tuple(x for p, x in enumerate(idx) if p not in (a, b))
             for m, c in brackets.get((idx[a], idx[b]), ()):
-                total += (-1) ** (a + b) * c * form_value(terms, (m,) + rest)
+                value = form_value(terms, (m,) + rest)
+                if value:
+                    total += (-1) ** (a + b) * c * value
         if total:
             out[idx] = total
     return out

@@ -172,21 +172,14 @@ def test_get_fills_in_the_spec_and_the_parameters():
             assert entry.params == {**spec.defaults, **given}, (eid, given)
 
 
-def test_nonsolv_3_at_mu_one_eighth_carries_a_closed_g2_structure():
-    # a directed ascent of the positivity margin over ker d found this form;
-    # the randomized search misses the thin cone it lies in
+def test_nonsolv_3_at_mu_one_eighth_carries_a_closed_g2_structure(nonsolv_3_eighth_phi):
     from oracles import ce_differential_oracle, kform_to_terms
 
-    from g2lab.exterior import KForm
-    from g2lab.g2 import closed_3form_basis, induced_bilinear
+    from g2lab.g2 import induced_bilinear
     from g2lab.linalg import positive_det
 
     alg = catalog.get("nonsolv_3", mu=F(1, 8)).algebra
-    x = [0, 0, 0, 0, 0, F(-1, 8), 1, 1, F(-1, 8), F(1, 2), -1, F(-1, 8), F(1, 2),
-         0, 0, 0, F(1, 8)]
-    basis = closed_3form_basis(alg)
-    assert len(basis) == len(x)
-    phi = sum((c * v for c, v in zip(x, basis)), KForm.zero(7, 3))
+    phi = nonsolv_3_eighth_phi
     terms = kform_to_terms(phi)
     assert len(terms) == 17
     assert max(c.denominator for c in terms.values()) == 257

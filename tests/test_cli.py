@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,22 @@ def test_g2_irrational_volume_exit_5_unless_float(capsys, tmp_path):
     code, report = run_json(capsys, "g2", "abelian7", "--phi", str(path),
                             "--backend", "float")
     assert code == 0 and report["status"] == "ok"
+
+
+def test_g2_float_backend_reports_the_pinned_nonsolv_3_form(capsys, tmp_path,
+                                                            nonsolv_3_eighth_phi):
+    # cond g ~ 7e4.  The exact |tau|^2 is R^(4/3) |tau'|^2 with R = (det b)^(1/3)
+    # and tau' the exact torsion of R^2 phi; the rational backend still exits 5,
+    # since (det b)^(1/9) = R^(1/3) is irrational
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(nonsolv_3_eighth_phi.to_json_dict()))
+    code, report = run_json(capsys, "g2", "nonsolv_3", "--param", "mu=1/8",
+                            "--phi", str(path), "--backend", "float")
+    assert code == 0 and report["status"] == "ok"
+    exact = float(Fraction(97919, 270536704)) ** (4 / 3) \
+        * float(Fraction(10784633203377327268954112, 938860156402559))
+    for value in (report["results"]["tau_norm_sq"], -2 * report["results"]["scal"]):
+        assert abs(value - exact) <= 1e-9 * exact
 
 
 def test_g2_float_backend(capsys):

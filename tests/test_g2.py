@@ -214,20 +214,51 @@ def test_torsion_in_lambda14():
 def test_torsion_guard_rejects_inconsistent_tau(g110_structure, monkeypatch):
     import g2lab.g2 as g2_mod
 
-    # a star that flips sign on 2-forms turns tau into -tau, which breaks
-    # tau wedge phi = d*phi; the guard must refuse it
-    structs = [g110_structure,
-               G2Structure(g110_structure.algebra, g110_structure.phi.to_float())]
-    real_star = G2Structure.star
+    # a star that flips sign on 5-forms turns tau into -tau, which breaks
+    # tau wedge phi = d*phi; the guard must refuse it.  The exact star comes
+    # from the metric.  The float one is Lambda^2 g in the kernel: swapping the
+    # two products of each entry negates it, and *phi, quadratic in it, stays.
+    real_star, real_gathers = G2Structure.star, g2_mod._torsion_gathers
 
     def flipped(self, form):
         out = real_star(self, form)
         return -out if form.k == 5 else out
 
+    def swapped():
+        lam2_idx, *rest = real_gathers()
+        return (lam2_idx[::-1], *rest)
+
     monkeypatch.setattr(G2Structure, "star", flipped)
-    for struct in structs:
-        with pytest.raises(g2_mod.InconsistentTorsionError):
-            torsion_form(struct)
+    with pytest.raises(g2_mod.InconsistentTorsionError):
+        torsion_form(g110_structure)
+    monkeypatch.undo()
+    monkeypatch.setattr(g2_mod, "_torsion_gathers", swapped)
+    with pytest.raises(g2_mod.InconsistentTorsionError):
+        torsion_form(G2Structure(g110_structure.algebra, g110_structure.phi.to_float()))
+
+
+def test_float_torsion_form_is_the_kernel_torsion(g_half, monkeypatch):
+    # one float tau: torsion_form runs FlowKernel.torsion once, and neither the
+    # determinants of the Gram minors nor an inverse
+    from g2lab.g2 import FlowKernel
+
+    struct = G2Structure(g_half.algebra, g_half.phi.to_float())
+    calls, torsion = [], FlowKernel.torsion
+    monkeypatch.setattr(FlowKernel, "torsion",
+                        lambda self, y: calls.append("torsion") or torsion(self, y))
+    for name in ("det", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, fn=fn, name=name: calls.append(name) or fn(a))
+    torsion_form(struct)
+    assert calls == ["torsion"]
+    monkeypatch.undo()
+    for entry in catalog.closed_entry_instances():
+        phi = entry.phi.to_float()
+        tor = torsion_form(G2Structure(entry.algebra, phi))
+        tau, tau_nsq, _ = FlowKernel(entry.algebra).torsion(phi.np_coeffs)
+        assert np.array(tor.tau.coeffs).tobytes() == tau.tobytes(), entry.params
+        assert tor.tau_norm_sq == tau_nsq, entry.params
 
 
 def test_torsion_requires_closedness():

@@ -659,22 +659,15 @@ def test_betti_matches_sympy_ranks_of_every_differential():
 def test_d_is_self_adjoint_under_the_top_pairing_iff_unimodular():
     # d(alpha ^ beta) = 0 for every (n-1)-form exactly on a unimodular algebra, so
     # there d alpha ^ beta = -(-1)^k alpha ^ d beta on all basis forms.  Each pair
-    # of degrees (k, n-1-k) is one statement, so 2k <= n-1 covers all; a pair is
-    # wedged only if a monomial of d alpha misses J or one of d beta misses I
-    # (both sides vanish otherwise).  Random bases leave few such zeros: in
-    # dimension 7 they would add some 20 s, so only the smaller algebras move.
-    def disjoint(terms, idx):
-        return any(not set(key) & set(idx) for key in terms)
-
+    # of degrees (k, n-1-k) is one statement, so 2k <= n-1 covers all.
     rng = np.random.default_rng(59)
     algs = oracle_algebras() + [_euclidean3()]
-    for alg in algs + [_random_basis_change(alg, rng) for alg in algs if alg.n <= 6]:
+    for alg in algs + [_random_basis_change(alg, rng) for alg in algs]:
         n = alg.n
         basis = [idx for k in range(n) for idx in combinations(range(n), k)]
         d = {idx: ce_differential_oracle(alg, {idx: F(1)}, len(idx)) for idx in basis}
         pairs = [(len(i), i, j) for i in basis for j in basis
-                 if 2 * len(i) <= n - 1 and len(j) == n - 1 - len(i)
-                 and (disjoint(d[i], j) or disjoint(d[j], i))]
+                 if 2 * len(i) <= n - 1 and len(j) == n - 1 - len(i)]
         holds = all(wedge_oracle(d[i], k + 1, {j: F(1)}, n - 1 - k, n)
                     == {idx: -(-1) ** k * c
                         for idx, c in wedge_oracle({i: F(1)}, k, d[j], n - k, n).items()}
